@@ -8,20 +8,17 @@ equivalent-input-noise budgets, chains stages, and ships a cold-damped
 accelerometer preset.
 """
 
-from .spectra import (CONSTANTS, HBAR, K_B, FrequencyGrid, NoiseSpectrum,
-                      PhysicalConstants, bath_temperature,
+from .spectra import (HBAR, K_B, FrequencyGrid, bath_temperature,
                       effective_temperature, johnson_voltage_psd,
                       thermal_occupation)
 from .network import (DEFAULT_TOLERANCE, Capacitor, Channel,
                       EstimatorCoefficients, Feedback, Inductor,
                       NoTransductionError, OpAmp, PortSpec, QuantumNetwork,
-                      ScatteringMap, SingularNetworkError, assemble_network,
-                      check_commutators, commutator_residual,
-                      estimator_from_scattering, two_port_estimator)
+                      ScatteringMap, SingularNetworkError, check_commutators,
+                      commutator_residual, estimator_from_scattering)
 from .amplifier import (MatchingResult, NoFeedbackError, NoiseBudget,
-                        OpAmpStage, added_noise, added_noise_closed_form,
-                        gain, matching_scan, stage_added_noise,
-                        stage_estimator, stage_scattering,
+                        OpAmpStage, added_noise, gain, matching_scan,
+                        stage_added_noise, stage_estimator, stage_scattering,
                         with_gain_magnitude)
 from .cascade import (StageChain, chain_added_noise, chain_estimator,
                       classical_gain_threshold, downstream_noise_fraction,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from .amplifier import NoiseBudget, OpAmpStage, added_noise, stage_estimator
 from .cascade import StageChain, chain_estimator
 from .network import Feedback
-from .spectra import HBAR, K_B, bath_temperature
+from .spectra import HBAR, K_B, bath_temperature, require_finite
 
 FORCE_UNITS = "(kg m s^-2)^2/Hz"
 
@@ -48,20 +48,13 @@ class AcceleroParams:
     mech_theta: float = 300.0    # K
 
     def __post_init__(self):
-        if float(self.mass) <= 0.0:
-            raise ValueError("mass must be > 0 kg")
-        if float(self.mech_damping) < 0.0:
-            raise ValueError("mechanical damping must be >= 0 kg/s")
-        for label, w in (("measurement_omega", self.measurement_omega),
-                         ("carrier_omega", self.carrier_omega)):
-            if float(w) <= 0.0:
-                raise ValueError(f"{label} must be > 0 rad/s")
+        for label in ("mass", "measurement_omega", "carrier_omega",
+                      "amp_noise_impedance"):
+            require_finite(getattr(self, label), label)
+        for label in ("mech_damping", "amp_noise_theta", "mech_theta"):
+            require_finite(getattr(self, label), label, closed=True)
         if not float(self.measurement_omega) < float(self.carrier_omega):
             raise ValueError("the measurement band must sit below the carrier")
-        if float(self.amp_noise_impedance) <= 0.0:
-            raise ValueError("amplifier noise impedance must be > 0 Ohm")
-        if float(self.amp_noise_theta) < 0.0 or float(self.mech_theta) < 0.0:
-            raise ValueError("effective temperatures must be >= 0 K")
 
 
 def langevin_force_psd(params: AcceleroParams) -> float:
@@ -134,13 +127,6 @@ class ForceEstimator:
     def sources(self) -> tuple[str, ...]:
         return tuple(self.weights)
 
-    def with_sources(self, names) -> "ForceEstimator":
-        """Zero-extend the weight table to cover ``names``."""
-        weights = {n: self.weights.get(n, 0j) for n in names}
-        for k, v in self.weights.items():
-            weights.setdefault(k, v)
-        return ForceEstimator(weights=weights, signal=self.signal)
-
 
 def force_estimator_free(params: AcceleroParams, stage: OpAmpStage,
                          transduction_gain: float) -> ForceEstimator:
@@ -181,9 +167,9 @@ def servo_invariance_check(estimator_free: ForceEstimator,
                            tol: float = 1e-10) -> bool:
     """Pointwise agreement of two force-estimator weight tables.
 
-    Both estimators must cover the same source set (zero-extend first when
-    comparing open-loop and closed-loop tables); a mismatch is an error,
-    not a False.
+    Both estimators must cover the same source set (the open-loop table
+    lacks the feedback amplifier's sources, which enter it with weight
+    zero); a mismatch is an error, not a False.
     """
     a, b = estimator_free.weights, estimator_servo.weights
     if set(a) != set(b):

@@ -29,7 +29,9 @@ readout by G yields the signal estimator
     mu_a  = -(sqrt(R_l R_a)/2) (1/Z_f + 1/R_l - 1/R_a)
     mu_a' = +(sqrt(R_l R_a)/2) (1/Z_f + 1/R_l + 1/R_a)
 
-whose weighted thermal spectra form the equivalent input noise.  At matched
+whose weighted thermal spectra form the equivalent input noise.  The code
+writes only the two input-output rows; the gain, the scattering map and
+the estimator weights are all derived from them.  At matched
 noise impedance (R_a = R_l), zero temperatures and large gain the added
 noise tends to the vacuum half-quantum: the 3 dB quantum limit of
 phase-insensitive amplification.
@@ -41,7 +43,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .network import Channel, EstimatorCoefficients, Feedback, ScatteringMap
-from .spectra import thermal_occupation
+from .spectra import require_finite, thermal_occupation
 
 
 class NoFeedbackError(ValueError):
@@ -68,15 +70,10 @@ class OpAmpStage:
     allow_dissipative_feedback: bool = False
 
     def __post_init__(self):
-        for label, r in (("r_left", self.r_left), ("r_right", self.r_right),
-                         ("noise_impedance", self.noise_impedance)):
-            if not math.isfinite(float(r)) or float(r) <= 0.0:
-                raise ValueError(f"{label} must be finite and > 0, got {r!r}")
-        for label, t in (("noise_temp", self.noise_temp),
-                         ("conj_temp", self.conj_temp),
-                         ("readout_temp", self.readout_temp)):
-            if float(t) < 0.0:
-                raise ValueError(f"{label} must be >= 0 K, got {t!r}")
+        for label in ("r_left", "r_right", "noise_impedance"):
+            require_finite(getattr(self, label), label)
+        for label in ("noise_temp", "conj_temp", "readout_temp"):
+            require_finite(getattr(self, label), label, closed=True)
         if not self.feedback.is_reactive and not self.allow_dissipative_feedback:
             raise ValueError("dissipative feedback breaks the stage's quantum "
                              "consistency; pass allow_dissipative_feedback=True "
@@ -92,13 +89,36 @@ class OpAmpStage:
 
 
 SIGNAL = "l"
-READOUT = "r"
 
 
 def gain(stage: OpAmpStage, omega: float) -> complex:
     """Normalized-field gain G = -2 Z_f / sqrt(R_r R_l)."""
     zf = stage.feedback_impedance(omega)
     return -2.0 * zf / math.sqrt(stage.r_right * stage.r_left)
+
+
+_INPUTS = (Channel("l"), Channel("r"), Channel("a"), Channel("a'", conjugated=True))
+_OUTPUTS = _INPUTS[:2]
+_NAMES = tuple(c.name for c in _INPUTS)
+
+
+def _stage_rows(stage: OpAmpStage, omega: float) -> tuple[list, list]:
+    """The l_out and r_out rows over the inputs (l, r, a, a').
+
+    The single place where the stage input-output relations are written;
+    every other stage quantity is derived from these two rows.
+    """
+    w = abs(float(omega))
+    if w == 0.0:
+        raise ValueError("omega = 0 is outside the model")
+    rl, rr, ra = stage.r_left, stage.r_right, stage.noise_impedance
+    zf = stage.feedback_impedance(w)
+    kl = math.sqrt(ra / rl)
+    kr = math.sqrt(ra / rr)
+    amp_u = (1.0 + zf / rl) * kr           # U weight into r_out
+    amp_i = zf / math.sqrt(ra * rr)        # I weight into r_out
+    return ([-1.0, 0.0, kl, -kl],
+            [gain(stage, w), -1.0, amp_u - amp_i, -amp_u - amp_i])
 
 
 def stage_scattering(stage: OpAmpStage, omega: float) -> ScatteringMap:
@@ -109,45 +129,23 @@ def stage_scattering(stage: OpAmpStage, omega: float) -> ScatteringMap:
     feedback is reactive.
     """
     w = abs(float(omega))
-    if w == 0.0:
-        raise ValueError("omega = 0 is outside the model")
-    rl, rr, ra = stage.r_left, stage.r_right, stage.noise_impedance
-    zf = stage.feedback_impedance(w)
-    kl = math.sqrt(ra / rl)
-    kr = math.sqrt(ra / rr)
-    row_l = [-1.0, 0.0, kl, -kl]
-    amp_u = (1.0 + zf / rl) * kr           # U weight into r_out
-    amp_i = zf / math.sqrt(ra * rr)        # I weight into r_out
-    row_r = [-2.0 * zf / math.sqrt(rr * rl), -1.0, amp_u - amp_i, -amp_u - amp_i]
-    outputs = (Channel("l"), Channel("r"))
-    inputs = (Channel("l"), Channel("r"), Channel("a"), Channel("a'", conjugated=True))
-    return ScatteringMap(w, [row_l, row_r], outputs, inputs)
+    return ScatteringMap(w, _stage_rows(stage, w), _OUTPUTS, _INPUTS)
 
 
 def stage_estimator(stage: OpAmpStage, omega: float) -> EstimatorCoefficients:
     """Equivalent-input-noise weights of the stage readout.
 
-    Equals the readout row of :func:`stage_scattering` divided by the gain;
-    both paths are kept as independent implementations on purpose.
+    The readout row divided by its signal entry, the gain; the back-action
+    row is carried along unchanged.
     """
-    w = abs(float(omega))
-    if w == 0.0:
-        raise ValueError("omega = 0 is outside the model")
-    zf = stage.feedback_impedance(w)
-    if zf == 0:
+    row_l, row_r = _stage_rows(stage, omega)
+    g = row_r[0]
+    if g == 0:
         raise NoFeedbackError("Z_f = 0: no feedback, no readout")
-    rl, rr, ra = stage.r_left, stage.r_right, stage.noise_impedance
-    half_lra = math.sqrt(rl * ra) / 2.0
-    weights = {
-        SIGNAL: 1.0,
-        "r": math.sqrt(rl * rr) / (2.0 * zf),
-        "a": -half_lra * (1.0 / zf + 1.0 / rl - 1.0 / ra),
-        "a'": half_lra * (1.0 / zf + 1.0 / rl + 1.0 / ra),
-    }
-    kl = math.sqrt(ra / rl)
-    back_action = {"l": -1.0 + 0j, "r": 0j, "a": kl + 0j, "a'": -kl + 0j}
-    return EstimatorCoefficients(signal=SIGNAL, weights=weights,
-                                 gain=gain(stage, w), back_action=back_action)
+    weights = {SIGNAL: 1.0, "r": row_r[1] / g, "a": row_r[2] / g,
+               "a'": row_r[3] / g}
+    return EstimatorCoefficients(signal=SIGNAL, weights=weights, gain=g,
+                                 back_action=dict(zip(_NAMES, row_l)))
 
 
 @dataclass(frozen=True)
@@ -193,28 +191,6 @@ def added_noise(estimator: EstimatorCoefficients, temperatures,
 def stage_added_noise(stage: OpAmpStage, omega: float) -> NoiseBudget:
     """Added noise of a stage with its own line temperatures."""
     return added_noise(stage_estimator(stage, omega), stage.temperatures(), omega)
-
-
-def added_noise_closed_form(stage: OpAmpStage, omega: float) -> float:
-    """Added noise from the explicit three-term spectral sum.
-
-    Independent of the estimator path: evaluates
-    R_l R_r/(4 |Z_f|^2) sigma_rr
-    + (R_l R_a/4) |1/Z_f + 1/R_l - 1/R_a|^2 sigma_aa
-    + (R_l R_a/4) |1/Z_f + 1/R_l + 1/R_a|^2 sigma_a'a'
-    directly, for use as an oracle against :func:`stage_added_noise`.
-    """
-    w = abs(float(omega))
-    zf = stage.feedback_impedance(w)
-    if zf == 0:
-        raise NoFeedbackError("Z_f = 0: no feedback, no readout")
-    rl, rr, ra = stage.r_left, stage.r_right, stage.noise_impedance
-    s_r = thermal_occupation(w, stage.readout_temp)
-    s_a = thermal_occupation(w, stage.noise_temp)
-    s_ap = thermal_occupation(w, stage.conj_temp)
-    return (rl * rr / (4.0 * abs(zf) ** 2) * s_r
-            + rl * ra / 4.0 * abs(1.0 / zf + 1.0 / rl - 1.0 / ra) ** 2 * s_a
-            + rl * ra / 4.0 * abs(1.0 / zf + 1.0 / rl + 1.0 / ra) ** 2 * s_ap)
 
 
 def with_gain_magnitude(stage: OpAmpStage, omega: float,
@@ -279,18 +255,3 @@ def generator_psds(stage: OpAmpStage, omega: float) -> tuple[float, float]:
     sigma_uu = HBAR * w * stage.noise_impedance / 2.0 * occ
     sigma_ii = HBAR * w / (2.0 * stage.noise_impedance) * occ
     return sigma_uu, sigma_ii
-
-
-def heisenberg_product_check(stage: OpAmpStage, omega: float) -> float:
-    """Coefficient-level check of the generator pair normalization.
-
-    The bilinear [U, I] form reduces to c_U c_I times twice the channel
-    signature sum; with the adopted prefactors that equals hbar |omega|,
-    the canonical value.  Returns the relative defect (0 when exact).
-    """
-    from .spectra import HBAR
-
-    w = abs(float(omega))
-    cu = math.sqrt(HBAR * w * stage.noise_impedance / 2.0)
-    ci = math.sqrt(HBAR * w / (2.0 * stage.noise_impedance))
-    return abs(cu * ci * 2.0 - HBAR * w) / (HBAR * w)

@@ -17,7 +17,7 @@ from . import accelerometer as accel
 from . import netlist
 from .amplifier import stage_estimator, stage_scattering
 from .network import DEFAULT_TOLERANCE, check_commutators, estimator_from_scattering
-from .spectra import thermal_occupation
+from .spectra import require_finite, thermal_occupation
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,14 +30,12 @@ def _err(message: str) -> None:
 
 
 def _resolve_tol(args) -> float:
+    """--tol, else QUNET_TOL, else the default; ValueError unless finite > 0."""
     if args.tol is not None:
-        return args.tol
+        return require_finite(args.tol, "--tol")
     env = os.environ.get("QUNET_TOL")
     if env:
-        try:
-            return float(env)
-        except ValueError:
-            _err(f"QUNET_TOL is not a number: {env!r}")
+        return require_finite(env, "QUNET_TOL")
     return DEFAULT_TOLERANCE
 
 
@@ -82,6 +80,7 @@ def _scattering_maps(doc, freq_hz):
 
 
 def cmd_check(args) -> int:
+    tol = _resolve_tol(args)
     doc = _load_document(args.netlist)
     if doc is None:
         return 2
@@ -93,7 +92,6 @@ def cmd_check(args) -> int:
         return 2
     if args.inject_gain is not None:
         maps = [m.scaled(args.inject_gain) for m in maps]
-    tol = _resolve_tol(args)
     residual = max(check_commutators(m) for m in maps)
     ok = residual < tol
     print(f"max commutator residual: {residual!r} over {len(maps)} "
@@ -101,40 +99,22 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _budget_rows(doc, freq_hz):
-    """(freq_hz, units, rows) with rows = [(name, mu_abs2, sigma)]."""
-    if doc.preset is not None:
-        preset = _preset_for(doc)
-        if preset is None:
-            return None
-        return _preset_rows(preset, freq_hz)
-    if freq_hz is None or freq_hz <= 0.0:
-        _err("a positive --freq in Hz is required for circuit budgets")
-        return None
+def _rows(est, temps, omega):
+    """Budget rows [(name, |mu|^2, sigma)] of an estimator's noise sources."""
+    return [(name, abs(mu) ** 2, thermal_occupation(omega, temps[name]))
+            for name, mu in est.noise_weights().items()]
+
+
+def _circuit_rows(doc, omegas):
+    """Budget rows of a circuit document at each angular frequency."""
     if doc.signal is None or doc.readout is None:
-        _err("budget needs both a signal and a readout designation")
-        return None
+        raise ValueError("a noise budget needs both a signal and a readout "
+                         "designation")
     net = netlist.to_network(doc)
-    omega = TWO_PI * freq_hz
-    est = estimator_from_scattering(net.scattering(omega), doc.signal, doc.readout)
     temps = net.channel_temperatures()
-    rows = []
-    for name, mu in est.noise_weights().items():
-        rows.append((name, abs(mu) ** 2, thermal_occupation(omega, temps[name])))
-    return freq_hz, "dimensionless quanta per mode", rows
-
-
-def _preset_rows(preset, freq_hz):
-    params = preset.params
-    f = freq_hz if freq_hz else params.measurement_omega / TWO_PI
-    rows = [(accel.LANGEVIN_SOURCE, 1.0, accel.langevin_force_psd(params))]
-    est = stage_estimator(preset.stage, params.carrier_omega)
-    g2 = preset.transduction_gain ** 2
-    temps = preset.stage.temperatures()
-    for name, mu in est.noise_weights().items():
-        sigma = thermal_occupation(params.carrier_omega, temps[name])
-        rows.append((name, g2 * abs(mu) ** 2, sigma))
-    return f, accel.FORCE_UNITS, rows
+    return [_rows(estimator_from_scattering(net.scattering(w), doc.signal,
+                                            doc.readout), temps, w)
+            for w in omegas]
 
 
 def _report_dict(freq_hz, units, rows):
@@ -168,10 +148,24 @@ def cmd_budget(args) -> int:
     if args.freq is not None and args.freq <= 0.0:
         _err("--freq must be a positive frequency in Hz")
         return 2
-    made = _budget_rows(doc, args.freq)
-    if made is None:
+    if doc.preset is not None:
+        preset = _preset_for(doc)
+        if preset is None:
+            return 2
+        params, w_t = preset.params, preset.params.carrier_omega
+        g2 = preset.transduction_gain ** 2
+        rows = [(accel.LANGEVIN_SOURCE, 1.0, accel.langevin_force_psd(params))]
+        rows += [(name, g2 * mu2, sigma) for name, mu2, sigma in
+                 _rows(stage_estimator(preset.stage, w_t),
+                       preset.stage.temperatures(), w_t)]
+        report = _report_dict(args.freq or params.measurement_omega / TWO_PI,
+                              accel.FORCE_UNITS, rows)
+    elif args.freq is None:
+        _err("a positive --freq in Hz is required for circuit budgets")
         return 2
-    report = _report_dict(*made)
+    else:
+        rows = _circuit_rows(doc, [TWO_PI * args.freq])[0]
+        report = _report_dict(args.freq, "dimensionless quanta per mode", rows)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -186,28 +180,13 @@ def cmd_sweep(args) -> int:
     if doc.sweep is None:
         _err("document has no sweep directive")
         return 2
-    grid = doc.sweep.to_grid()
     if doc.preset is not None:
-        preset = _preset_for(doc)
-        if preset is None:
-            return 2
-        per_point = []
-        for w in grid:
-            f, _, rows = _preset_rows(preset, w / TWO_PI)
-            per_point.append((f, rows))
-    else:
-        if doc.signal is None or doc.readout is None:
-            _err("sweep needs both a signal and a readout designation")
-            return 2
-        net = netlist.to_network(doc)
-        temps = net.channel_temperatures()
-        per_point = []
-        for w in grid:
-            est = estimator_from_scattering(net.scattering(w), doc.signal,
-                                            doc.readout)
-            rows = [(name, abs(mu) ** 2, thermal_occupation(w, temps[name]))
-                    for name, mu in est.noise_weights().items()]
-            per_point.append((w / TWO_PI, rows))
+        _err(f"preset {doc.preset!r} is evaluated only at its carrier; "
+             "sweep needs a circuit document")
+        return 2
+    grid = doc.sweep.to_grid()
+    per_point = [(w / TWO_PI, rows)
+                 for w, rows in zip(grid, _circuit_rows(doc, grid))]
     names = [name for name, _, _ in per_point[0][1]]
     lines = ["freq_hz,total," + ",".join(names)]
     for f, rows in per_point:

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spectra import require_finite
+
 DEFAULT_TOLERANCE = 1e-10
 
 GROUND_NAMES = frozenset({"0", "gnd", "ground"})
@@ -41,24 +43,6 @@ GROUND_NAMES = frozenset({"0", "gnd", "ground"})
 
 class SingularNetworkError(RuntimeError):
     """Raised when the network equations are rank deficient at a frequency."""
-
-
-def line_current_prefactor(omega: float, impedance: float) -> float:
-    """c_I in I = c_I (a_out - a_in): sqrt(hbar |omega| / (2 R))."""
-    from .spectra import HBAR
-
-    if impedance <= 0.0:
-        raise ValueError("line impedance must be > 0")
-    return math.sqrt(HBAR * abs(float(omega)) / (2.0 * impedance))
-
-
-def line_voltage_prefactor(omega: float, impedance: float) -> float:
-    """c_U in U = c_U (a_out + a_in): sqrt(hbar |omega| R / 2)."""
-    from .spectra import HBAR
-
-    if impedance <= 0.0:
-        raise ValueError("line impedance must be > 0")
-    return math.sqrt(HBAR * abs(float(omega)) * impedance / 2.0)
 
 
 class NoTransductionError(ValueError):
@@ -105,10 +89,6 @@ class ScatteringMap:
     def square(cls, omega: float, matrix, channels) -> "ScatteringMap":
         channels = tuple(channels)
         return cls(omega, matrix, channels, channels)
-
-    @property
-    def is_square(self) -> bool:
-        return self.outputs == self.inputs
 
     @property
     def input_signature(self) -> np.ndarray:
@@ -186,12 +166,9 @@ class PortSpec:
     node: str | None = None
 
     def __post_init__(self):
-        r = float(self.impedance)
-        if not math.isfinite(r) or r <= 0.0:
-            raise ValueError(
-                f"port {self.name!r}: impedance must be finite and > 0, got {r!r}")
-        if float(self.temperature) < 0.0:
-            raise ValueError(f"port {self.name!r}: temperature must be >= 0 K")
+        require_finite(self.impedance, f"port {self.name!r}: impedance")
+        require_finite(self.temperature, f"port {self.name!r}: temperature",
+                       closed=True)
 
     @property
     def attach_node(self) -> str:
@@ -214,12 +191,8 @@ class Feedback:
     def __post_init__(self):
         if self.kind not in ("R", "C", "L", "X"):
             raise ValueError(f"unknown feedback element kind {self.kind!r}")
-        v = float(self.value)
-        if not math.isfinite(v):
-            raise ValueError("feedback element value must be finite")
-        if self.kind != "X" and v <= 0.0:
-            raise ValueError(
-                f"feedback element {self.kind} requires a positive value, got {v!r}")
+        require_finite(self.value, f"feedback element {self.kind} value",
+                       low=-math.inf if self.kind == "X" else 0.0)
 
     @classmethod
     def resistive(cls, r: float) -> "Feedback":
@@ -260,8 +233,7 @@ class Capacitor:
 
     def __post_init__(self):
         _check_two_terminal(self.node_a, self.node_b, "capacitor")
-        if float(self.capacitance) <= 0.0:
-            raise ValueError("capacitance must be > 0")
+        require_finite(self.capacitance, "capacitance")
 
     def impedance(self, omega: float) -> complex:
         return 1.0 / (-1j * float(omega) * self.capacitance)
@@ -275,8 +247,7 @@ class Inductor:
 
     def __post_init__(self):
         _check_two_terminal(self.node_a, self.node_b, "inductor")
-        if float(self.inductance) <= 0.0:
-            raise ValueError("inductance must be > 0")
+        require_finite(self.inductance, "inductance")
 
     def impedance(self, omega: float) -> complex:
         return -1j * float(omega) * self.inductance
@@ -308,10 +279,11 @@ class OpAmp:
     conj_temp: float = 0.0
 
     def __post_init__(self):
-        if float(self.noise_impedance) <= 0.0:
-            raise ValueError(f"amplifier {self.name!r}: noise impedance must be > 0")
-        if float(self.noise_temp) < 0.0 or float(self.conj_temp) < 0.0:
-            raise ValueError(f"amplifier {self.name!r}: temperatures must be >= 0 K")
+        require_finite(self.noise_impedance,
+                       f"amplifier {self.name!r}: noise impedance")
+        for label in ("noise_temp", "conj_temp"):
+            require_finite(getattr(self, label),
+                           f"amplifier {self.name!r}: {label}", closed=True)
         if self.left == self.right:
             raise ValueError(f"amplifier {self.name!r}: left and right nodes coincide")
         for node in (self.left, self.right):
@@ -513,19 +485,6 @@ def _raise_singular(a: np.ndarray, omega: float):
         f"({omega / (2 * math.pi)!r} Hz): rank {rank} < {a.shape[0]}")
 
 
-def assemble_network(ports, components, omega, allow_dissipative_feedback=False):
-    """Build a network and evaluate it at one frequency or over a grid.
-
-    Returns a single :class:`ScatteringMap` for a scalar ``omega`` and a
-    list in grid order otherwise.
-    """
-    net = QuantumNetwork(ports, components,
-                         allow_dissipative_feedback=allow_dissipative_feedback)
-    if isinstance(omega, (int, float)):
-        return net.scattering(omega)
-    return net.sweep(omega)
-
-
 @dataclass(frozen=True)
 class EstimatorCoefficients:
     """A readout rescaled so the signal coefficient is exactly one.
@@ -568,11 +527,3 @@ def estimator_from_scattering(smap: ScatteringMap, signal: str,
         back = smap.row(signal)
     return EstimatorCoefficients(signal=signal, weights=weights,
                                  gain=complex(beta), back_action=back)
-
-
-def two_port_estimator(smap: ScatteringMap, signal: str,
-                       readout: str) -> EstimatorCoefficients:
-    """Two-port specialization of :func:`estimator_from_scattering`."""
-    if len(smap.inputs) != 2 or len(smap.outputs) != 2:
-        raise ValueError("two_port_estimator expects a 2x2 scattering map")
-    return estimator_from_scattering(smap, signal, readout)

@@ -23,15 +23,22 @@ HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23      # J/K
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Immutable bundle of the two constants the noise laws depend on."""
+def require_finite(value, what: str, low: float = 0.0,
+                   closed: bool = False) -> float:
+    """``value`` as a float, checked to be finite and above ``low``.
 
-    hbar: float = HBAR
-    k_B: float = K_B
-
-
-CONSTANTS = PhysicalConstants()
+    ``closed`` also admits ``low`` itself; ``low = -inf`` asks only for a
+    finite number.  NaN, infinities and anything that is not a number raise
+    :class:`ValueError` naming ``what``.
+    """
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if (low <= v if closed else low < v) and v < math.inf:
+        return v
+    bound = "" if low == -math.inf else f" and {'>=' if closed else '>'} {low:g}"
+    raise ValueError(f"{what} must be finite{bound}, got {value!r}")
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:
@@ -43,7 +50,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         Angular frequency in rad/s.  Must be nonzero; only its magnitude
         matters (the spectrum is even in frequency).
     temperature : float
-        Physical bath temperature in kelvin, >= 0.
+        Physical bath temperature in kelvin, finite and >= 0.
 
     Returns
     -------
@@ -62,12 +69,20 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValueError("omega = 0 is outside the model: the classical "
                          "spectrum diverges at zero frequency")
     t = float(temperature)
-    if t < 0.0:
-        raise ValueError(f"temperature must be >= 0 K, got {t!r}")
     if t == 0.0:
         return 0.5
-    x = HBAR * w / (2.0 * K_B * t)
-    return 0.5 / math.tanh(x)
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0 K, got {t!r}")
+    try:
+        return 0.5 / math.tanh(HBAR * w / (2.0 * K_B * t))
+    except ZeroDivisionError:
+        # Out of double range: 2 k_B T underflows for a subnormal T (the
+        # argument is infinite, the floor holds), or the argument underflows
+        # for hbar|w| << k_B T (the classical spectrum overflows).
+        if 2.0 * K_B * t == 0.0:
+            return 0.5
+        raise ValueError(f"spectrum at omega = {omega!r} rad/s and T = {t!r} K "
+                         "exceeds double range") from None
 
 
 def effective_temperature(omega: float, sigma: float) -> float:
@@ -178,23 +193,3 @@ def _spaced_hz(f_lo: float, f_hi: float, n: int, log: bool) -> tuple[float, ...]
         hz = [f_lo + step * i for i in range(n)]
     hz[-1] = f_hi
     return tuple(2.0 * math.pi * f for f in hz)
-
-
-@dataclass(frozen=True)
-class NoiseSpectrum:
-    """Symmetric power spectral density sampled on a frequency grid."""
-
-    grid: FrequencyGrid
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) != len(self.grid):
-            raise ValueError("one spectrum value per grid point required")
-        if any(v < 0.0 for v in vals):
-            raise ValueError("spectral densities are nonnegative")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def thermal(cls, grid: FrequencyGrid, temperature: float) -> "NoiseSpectrum":
-        return cls(grid, tuple(thermal_occupation(w, temperature) for w in grid))

@@ -11,14 +11,14 @@ import numpy as np
 
 from qunet import (K_B, HBAR, MICROSCOPE, NetlistError, OpAmpStage, Feedback,
                    QuantumNetwork, StageChain, acceleration_sensitivity,
-                   accelerometer_budget, added_noise_closed_form,
-                   check_commutators, downstream_noise_fraction,
+                   accelerometer_budget, check_commutators, downstream_noise_fraction,
                    johnson_voltage_psd, matching_scan,
                    parse, serialize, stage_added_noise, stage_estimator,
                    stage_scattering, thermal_occupation)
 
 from helpers import (random_omega, random_passive_network, random_stage,
                      stage_with_gain)
+from oracles import added_noise_closed_form, estimator_weights_closed_form
 from test_netlist import random_document_text
 
 W0 = 2.0 * math.pi * 1e5
@@ -131,8 +131,10 @@ def test_criterion_7_estimator_consistency_oracle():
             est = stage_estimator(stage, w)
             row = stage_scattering(stage, w).row("r")
             beta = row["l"]
+            oracle_weights = estimator_weights_closed_form(stage, w)
             for name in ("r", "a", "a'"):
                 assert abs(est.weights[name] - row[name] / beta) < 1e-12
+                assert abs(est.weights[name] - oracle_weights[name]) < 1e-12
             total = stage_added_noise(stage, w).total
             oracle = added_noise_closed_form(stage, w)
             assert abs(total - oracle) <= 1e-12 * max(1.0, abs(oracle))

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from qunet import (Feedback, NoFeedbackError, OpAmpStage, added_noise,
-                   added_noise_closed_form, check_commutators, gain,
-                   matching_scan, stage_added_noise, stage_estimator,
-                   stage_scattering, thermal_occupation)
-from qunet.amplifier import heisenberg_product_check, with_gain_magnitude
+                   check_commutators, gain, matching_scan, stage_added_noise,
+                   stage_estimator, stage_scattering, thermal_occupation)
+from qunet.amplifier import with_gain_magnitude
 from qunet.network import EstimatorCoefficients
 
 from helpers import random_omega, random_stage, stage_with_gain
+from oracles import added_noise_closed_form, estimator_weights_closed_form
 
 W0 = 2.0 * math.pi * 1e5
 
@@ -61,9 +61,8 @@ def test_estimator_readout_weight_formula():
         stage = random_stage(rng)
         w = random_omega(rng)
         est = stage_estimator(stage, w)
-        zf = stage.feedback_impedance(w)
-        expected = math.sqrt(stage.r_left * stage.r_right) / (2.0 * zf)
-        assert est.weights["r"] == pytest.approx(expected, rel=1e-15)
+        expected = estimator_weights_closed_form(stage, w)
+        assert est.weights["r"] == pytest.approx(expected["r"], rel=1e-15)
         assert est.weights["l"] == 1.0
 
 
@@ -218,12 +217,6 @@ def test_with_gain_magnitude_sets_gain():
         assert abs(gain(tuned, W0)) == pytest.approx(target, rel=1e-12)
 
 
-def test_heisenberg_prefactor_identity():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        assert heisenberg_product_check(random_stage(rng), random_omega(rng)) < 1e-15
-
-
 def test_noise_impedance_is_generator_psd_ratio():
     from qunet.amplifier import generator_psds
 
@@ -239,8 +232,13 @@ def test_stage_validation():
     zf = Feedback.reactance(10.0)
     with pytest.raises(ValueError):
         OpAmpStage(0.0, 50.0, 50.0, zf)
-    with pytest.raises(ValueError):
-        OpAmpStage(50.0, 50.0, 50.0, zf, noise_temp=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        for label in ("noise_temp", "conj_temp", "readout_temp"):
+            with pytest.raises(ValueError, match=label):
+                OpAmpStage(50.0, 50.0, 50.0, zf, **{label: bad})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_impedance"):
+            OpAmpStage(50.0, 50.0, bad, zf)
     with pytest.raises(ValueError):
         OpAmpStage(50.0, 50.0, 50.0, Feedback.resistive(10.0))
     OpAmpStage(50.0, 50.0, 50.0, Feedback.resistive(10.0),

@@ -61,6 +61,13 @@ def test_check_tol_flag_and_env(check_path, capsys, monkeypatch):
     # explicit flag wins over the environment
     assert main(["check", check_path, "--tol", "1e-6"]) == 0
     capsys.readouterr()
+    # a tolerance that is not a finite number > 0 is a usage error
+    for bad in ("abc", "nan", "inf", "0", "-1e-6"):
+        monkeypatch.setenv("QUNET_TOL", bad)
+        assert main(["check", check_path]) == 2
+        assert "QUNET_TOL" in capsys.readouterr().err
+        assert main(["check", check_path, "--tol", bad]) == 2
+        assert "--tol" in capsys.readouterr().err
 
 
 def test_check_single_frequency_without_sweep(tmp_path, capsys):
@@ -168,6 +175,16 @@ def test_sweep_requires_directive_and_writable_output(tmp_path, capsys):
     full.write_text(THREEDB_FIXTURE)
     assert main(["sweep", str(full), "-o", "/nonexistent/dir/out.csv"]) == 2
     capsys.readouterr()
+
+
+def test_sweep_rejects_preset(tmp_path, capsys):
+    # a preset is evaluated only at its carrier: a sweep would repeat one row
+    p = tmp_path / "preset_sweep.qnet"
+    p.write_text(PRESET_DOC + "sweep 1e4 1e6 5 log\n")
+    out = tmp_path / "preset.csv"
+    assert main(["sweep", str(p), "-o", str(out)]) == 2
+    assert "carrier" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_accel_default_report(capsys):

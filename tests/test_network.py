@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qunet import (Capacitor, Channel, Feedback, NoTransductionError, OpAmp,
-                   PortSpec, QuantumNetwork, ScatteringMap,
-                   SingularNetworkError, assemble_network, check_commutators,
+from qunet import (HBAR, Capacitor, Channel, Feedback, Inductor,
+                   NoTransductionError, OpAmp, PortSpec, QuantumNetwork, ScatteringMap,
+                   SingularNetworkError, check_commutators,
                    commutator_residual, estimator_from_scattering,
-                   stage_scattering, thermal_occupation, two_port_estimator)
+                   johnson_voltage_psd, stage_scattering, thermal_occupation)
 from qunet.amplifier import OpAmpStage, added_noise
 
 from helpers import random_passive_network, random_omega, random_stage
@@ -22,8 +22,12 @@ def unitarity_defect(matrix):
 
 
 def test_line_field_prefactors():
-    from qunet.network import line_current_prefactor, line_voltage_prefactor
-    from qunet import johnson_voltage_psd
+    # c_U and c_I in U = c_U (a_out + a_in), I = c_I (a_out - a_in)
+    def line_voltage_prefactor(w, r):
+        return math.sqrt(HBAR * abs(w) * r / 2.0)
+
+    def line_current_prefactor(w, r):
+        return math.sqrt(HBAR * abs(w) / (2.0 * r))
 
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -40,19 +44,17 @@ def test_line_field_prefactors():
         sigma = thermal_occupation(w, t)
         assert (2.0 * cu) ** 2 * sigma == pytest.approx(
             johnson_voltage_psd(r, w, t), rel=1e-12)
-    with pytest.raises(ValueError):
-        line_voltage_prefactor(W0, 0.0)
 
 
 def test_single_open_line_reflects_losslessly():
-    smap = assemble_network([PortSpec("p", 50.0)], [], W0)
+    smap = QuantumNetwork([PortSpec("p", 50.0)]).scattering(W0)
     assert smap.matrix.shape == (1, 1)
     assert abs(smap.matrix[0, 0]) == pytest.approx(1.0, abs=1e-14)
     assert smap.matrix[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_grounded_line_reflects_with_sign_flip():
-    smap = assemble_network([PortSpec("p", 50.0, node="gnd")], [], W0)
+    smap = QuantumNetwork([PortSpec("p", 50.0, node="gnd")]).scattering(W0)
     assert smap.matrix[0, 0] == pytest.approx(-1.0, abs=1e-14)
 
 
@@ -63,7 +65,7 @@ def test_passive_rc_two_port_is_unitary():
     comps = [Capacitor("n1", "n2", 3.3e-9)]
     for _ in range(10):
         w = random_omega(rng)
-        smap = assemble_network(ports, comps, w)
+        smap = QuantumNetwork(ports, comps).scattering(w)
         assert unitarity_defect(smap.matrix) < 1e-12
         assert check_commutators(smap) < 1e-12
 
@@ -105,7 +107,7 @@ def test_opamp_assembly_matches_analytic_stage():
     zf = Feedback.reactance(100.0)
     ports = [PortSpec("l", 50.0), PortSpec("r", 50.0)]
     amp = OpAmp("amp", "l", "r", noise_impedance=80.0, feedback=zf)
-    smap = assemble_network(ports, [amp], W0)
+    smap = QuantumNetwork(ports, [amp]).scattering(W0)
     stage = OpAmpStage(r_left=50.0, r_right=50.0, noise_impedance=80.0,
                        feedback=zf)
     expected = stage_scattering(stage, W0)
@@ -121,8 +123,6 @@ def test_decorated_opamp_networks_stay_consistent():
     # extra monitoring line on the input node plus shunt reactances at both
     # amplifier nodes: the generalized node equations must still preserve
     # the signed commutators
-    from qunet import Inductor
-
     rng = np.random.default_rng(29)
     for _ in range(20):
         r_l, r_r, r_s, r_a = (10.0 ** rng.uniform(1.0, 3.0) for _ in range(4))
@@ -169,23 +169,36 @@ def test_construction_validation():
         PortSpec("p", 0.0)
     with pytest.raises(ValueError):
         PortSpec("p", math.inf)
-    with pytest.raises(ValueError):
-        PortSpec("p", 50.0, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature"):
+            PortSpec("p", 50.0, bad)
     zf = Feedback.reactance(10.0)
     with pytest.raises(ValueError):
         OpAmp("a", "n", "n", 50.0, zf)
     with pytest.raises(ValueError):
         OpAmp("a", "gnd", "n", 50.0, zf)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OpAmp("a", "m", "n", bad, zf)
+        with pytest.raises(ValueError, match="conj_temp"):
+            OpAmp("a", "m", "n", 50.0, zf, conj_temp=bad)
     with pytest.raises(TypeError):
         QuantumNetwork([PortSpec("p", 50.0)], ["resistor"])
     with pytest.raises(ValueError):
         Capacitor("x", "x", 1e-9)
-    with pytest.raises(ValueError):
-        Capacitor("x", "y", -1e-9)
+    for bad in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="capacitance"):
+            Capacitor("x", "y", bad)
+        with pytest.raises(ValueError, match="inductance"):
+            Inductor("x", "y", bad)
     with pytest.raises(ValueError):
         Feedback("Z", 1.0)
     with pytest.raises(ValueError):
         Feedback.capacitive(0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Feedback.reactance(bad)
+    assert Feedback.reactance(-5.0).impedance(W0) == -5j
 
 
 def test_back_to_back_amplifiers_rejected():
@@ -223,7 +236,7 @@ def test_singular_network_reports_frequency_and_rank():
 def test_two_port_estimator_pure_transducer():
     chans = (Channel("I"), Channel("E"))
     smap = ScatteringMap.square(W0, [[0.0, -1.0], [1.0, 0.0]], chans)
-    est = two_port_estimator(smap, signal="E", readout="I")
+    est = estimator_from_scattering(smap, signal="E", readout="I")
     assert est.weights["E"] == 1.0
     assert est.weights["I"] == 0.0
     assert est.gain == -1.0
@@ -234,7 +247,7 @@ def test_two_port_estimator_generic_entries():
     gamma, delta = 0.2 - 0.5j, 0.6 + 0.2j
     chans = (Channel("I"), Channel("E"))
     smap = ScatteringMap.square(W0, [[alpha, beta], [gamma, delta]], chans)
-    est = two_port_estimator(smap, signal="E", readout="I")
+    est = estimator_from_scattering(smap, signal="E", readout="I")
     assert est.weights["I"] == pytest.approx(alpha / beta, rel=1e-15)
     assert est.weights["E"] == 1.0
     assert est.back_action == {"I": gamma, "E": delta}
@@ -245,7 +258,7 @@ def test_two_port_estimator_equal_coupling_gives_line_noise():
     # own thermal spectrum
     chans = (Channel("I"), Channel("E"))
     smap = ScatteringMap.square(W0, [[0.5, 0.5], [0.5, -0.5]], chans)
-    est = two_port_estimator(smap, signal="E", readout="I")
+    est = estimator_from_scattering(smap, signal="E", readout="I")
     assert est.weights["I"] == 1.0
     budget = added_noise(est, {"I": 77.0}, W0)
     assert budget.total == thermal_occupation(W0, 77.0)
@@ -258,8 +271,8 @@ def test_estimator_on_solved_passive_two_port():
     ports = [PortSpec("sig", 50.0, 0.0, node="n1"),
              PortSpec("out", 75.0, 0.0, node="n2")]
     comps = [Capacitor("n1", "n2", 1e-9)]
-    smap = assemble_network(ports, comps, W0)
-    est = two_port_estimator(smap, signal="sig", readout="out")
+    smap = QuantumNetwork(ports, comps).scattering(W0)
+    est = estimator_from_scattering(smap, signal="sig", readout="out")
     assert est.weights["sig"] == 1.0
     mu = est.weights["out"]
     assert abs(mu) > 0.0
@@ -275,10 +288,7 @@ def test_no_transduction_error():
     chans = (Channel("I"), Channel("E"))
     smap = ScatteringMap.square(W0, np.eye(2), chans)
     with pytest.raises(NoTransductionError):
-        two_port_estimator(smap, signal="E", readout="I")
-    with pytest.raises(ValueError):
-        two_port_estimator(stage_scattering(random_stage(
-            np.random.default_rng(0)), W0), "l", "r")
+        estimator_from_scattering(smap, signal="E", readout="I")
 
 
 def test_estimator_normalization_is_bit_exact():

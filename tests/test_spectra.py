@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qunet import (HBAR, K_B, FrequencyGrid, NoiseSpectrum, bath_temperature,
+from qunet import (HBAR, K_B, FrequencyGrid, bath_temperature,
                    effective_temperature, johnson_voltage_psd,
                    thermal_occupation)
 
@@ -123,8 +123,15 @@ def test_johnson_psd_linear_in_resistance():
 def test_domain_errors():
     with pytest.raises(ValueError):
         thermal_occupation(0.0, 1.0)
-    with pytest.raises(ValueError):
-        thermal_occupation(W0, -1.0)
+    # NaN used to give a NaN spectrum, inf a bare ZeroDivisionError
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature"):
+            thermal_occupation(W0, bad)
+    # hbar|w|/(2 k_B T) beyond double range on either side: a subnormal
+    # temperature sits at the floor, an underflowing argument is an error
+    assert thermal_occupation(W0, 5e-324) == 0.5
+    with pytest.raises(ValueError, match="double range"):
+        thermal_occupation(1e-300, 1e10)
     with pytest.raises(ValueError):
         effective_temperature(0.0, 1.0)
     with pytest.raises(ValueError):
@@ -164,13 +171,3 @@ def test_frequency_grid_validation():
         FrequencyGrid.linear_hz(10.0, 5.0, 4)
     with pytest.raises(ValueError):
         FrequencyGrid((1.0, 2.0), scale="weird")
-
-
-def test_noise_spectrum_thermal():
-    grid = FrequencyGrid.log_hz(1e3, 1e6, 7)
-    spec = NoiseSpectrum.thermal(grid, 0.0)
-    assert spec.values == tuple([0.5] * 7)
-    with pytest.raises(ValueError):
-        NoiseSpectrum(grid, (1.0,) * 6)
-    with pytest.raises(ValueError):
-        NoiseSpectrum(grid, (-1.0,) * 7)
