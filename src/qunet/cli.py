@@ -13,13 +13,17 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import accelerometer as accel
 from . import netlist
 from .amplifier import stage_estimator, stage_scattering
-from .network import DEFAULT_TOLERANCE, check_commutators, estimator_from_scattering
+from .network import DEFAULT_TOLERANCE, NoTransductionError, check_commutators
 from .spectra import require_finite, thermal_occupation
 
 TWO_PI = 2.0 * math.pi
+
+CSV_BLOCK_ROWS = 4096            # sweep CSV rows formatted and written at a time
 
 CONVENTION_NOTE = ("symmetric two-sided PSD; one-sided engineering values "
                    "are a factor 2 larger")
@@ -105,16 +109,30 @@ def _rows(est, temps, omega):
             for name, mu in est.noise_weights().items()]
 
 
-def _circuit_rows(doc, omegas):
-    """Budget rows of a circuit document at each angular frequency."""
-    if doc.signal is None or doc.readout is None:
+def _circuit_budget(doc, grid):
+    """Noise budget of a circuit document over angular frequencies ``grid``.
+
+    Returns the angular frequencies (F,), the noise source names (k) and
+    their |mu|^2 and sigma, each (k, F).  Only the readout row is solved.
+    """
+    signal, readout = doc.signal, doc.readout
+    if signal is None or readout is None:
         raise ValueError("a noise budget needs both a signal and a readout "
                          "designation")
     net = netlist.to_network(doc)
-    temps = net.channel_temperatures()
-    return [_rows(estimator_from_scattering(net.scattering(w), doc.signal,
-                                            doc.readout), temps, w)
-            for w in omegas]
+    maps = net.sweep(grid, outputs=(readout,))
+    names = [c.name for c in maps.inputs]
+    row = maps.matrices[:, 0, :].T
+    beta = row[names.index(signal)]
+    if not beta.all():
+        raise NoTransductionError(f"readout {readout!r} has zero coefficient on "
+                                  f"signal {signal!r}: no transduction")
+    noise = [i for i, name in enumerate(names) if name != signal]
+    temps, ws = net.channel_temperatures(), maps.omegas.tolist()
+    sigma = np.array([[thermal_occupation(w, temps[names[i]]) for w in ws]
+                      for i in noise])
+    return (maps.omegas, [names[i] for i in noise],
+            np.abs(row[noise] / beta) ** 2, sigma)
 
 
 def _report_dict(freq_hz, units, rows):
@@ -164,7 +182,8 @@ def cmd_budget(args) -> int:
         _err("a positive --freq in Hz is required for circuit budgets")
         return 2
     else:
-        rows = _circuit_rows(doc, [TWO_PI * args.freq])[0]
+        _, names, mu2, sigma = _circuit_budget(doc, [TWO_PI * args.freq])
+        rows = zip(names, mu2[:, 0].tolist(), sigma[:, 0].tolist())
         report = _report_dict(args.freq, "dimensionless quanta per mode", rows)
     if args.json:
         print(json.dumps(report, indent=2))
@@ -184,23 +203,20 @@ def cmd_sweep(args) -> int:
         _err(f"preset {doc.preset!r} is evaluated only at its carrier; "
              "sweep needs a circuit document")
         return 2
-    grid = doc.sweep.to_grid()
-    per_point = [(w / TWO_PI, rows)
-                 for w, rows in zip(grid, _circuit_rows(doc, grid))]
-    names = [name for name, _, _ in per_point[0][1]]
-    lines = ["freq_hz,total," + ",".join(names)]
-    for f, rows in per_point:
-        contribs = {name: mu2 * sigma for name, mu2, sigma in rows}
-        total = sum(contribs.values())
-        lines.append(",".join([repr(f), repr(total)]
-                              + [repr(contribs[n]) for n in names]))
+    omegas, names, mu2, sigma = _circuit_budget(doc, doc.sweep.to_grid())
+    contrib = mu2 * sigma
+    # Columns freq_hz, total, sources; the total adds the sources in order.
+    table = np.vstack([omegas / TWO_PI, contrib.sum(axis=0), contrib])
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("freq_hz,total," + ",".join(names) + "\n")
+            for lo in range(0, len(omegas), CSV_BLOCK_ROWS):
+                rows = table[:, lo:lo + CSV_BLOCK_ROWS].T.tolist()
+                fh.write("".join(",".join(map(repr, r)) + "\n" for r in rows))
     except OSError as exc:
         _err(str(exc))
         return 2
-    print(f"wrote {len(per_point)} rows to {args.output}")
+    print(f"wrote {len(omegas)} rows to {args.output}")
     return 0
 
 

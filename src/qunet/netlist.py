@@ -10,7 +10,7 @@ on round-trip):
           noise_temp=<K> conj_temp=<K> feedback=<R|C|L>:<value>
     signal <port>
     readout <port>
-    sweep <f_lo_Hz> <f_hi_Hz> <npoints> <lin|log>
+    sweep <f_lo_Hz> <f_hi_Hz> <npoints> <lin|log>     (2 to 1,000,000 points)
     preset <name>
 
 Frequencies in files are plain Hz; the library converts to angular
@@ -39,6 +39,7 @@ _TOKEN_RE = re.compile(r"\S+")
 
 FEEDBACK_KINDS = ("R", "C", "L")
 SWEEP_SCALES = ("lin", "log")
+MAX_SWEEP_POINTS = 1_000_000     # bounds what a one-line file can ask to allocate
 
 
 @dataclass(frozen=True)
@@ -385,8 +386,9 @@ class _Parser:
         except ValueError:
             self.error(lineno, col_n, f"malformed number {txt_n!r} for point count")
             return
-        if npoints < 2:
-            self.error(lineno, col_n, "sweep needs at least 2 points")
+        if not 2 <= npoints <= MAX_SWEEP_POINTS:
+            self.error(lineno, col_n, f"sweep needs 2 to {MAX_SWEEP_POINTS} points, "
+                                      f"got {npoints}")
             return
         col_s, scale = toks[4]
         if scale not in SWEEP_SCALES:

@@ -25,12 +25,24 @@ networks J is the identity and the condition is plain unitarity.  Active
 stages record only the physically accessible outputs, so S may have fewer
 rows than columns; the check above is the square condition restricted to
 those rows.
+
+Solving over a frequency grid.  Rescaling hbar|w|/2 -> 1 (S depends only on
+impedance ratios) gives A(w) x = B a_in with B constant and A(w) = A0 + w A1
++ A2/w: -iwC admittances and -iwL feedback in A1, i/(wL) admittances and
+i/(wC) feedback in A2, the rest in A0, stamped once per network.  A sweep
+stacks A over a block of points, scales rows and columns by their largest
+entries (D_r A D_c), and gets each requested row r of S as
+e_r^T D_c (D_r A D_c)^-1 D_r B: one solve of the transposed stack per row,
+whatever the number of inputs.  A block holds SWEEP_BLOCK_ENTRIES complex
+entries at most, so the solve's memory does not grow with the grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -40,9 +52,12 @@ DEFAULT_TOLERANCE = 1e-10
 
 GROUND_NAMES = frozenset({"0", "gnd", "ground"})
 
+SWEEP_BLOCK_ENTRIES = 2 ** 15   # complex entries of one (F, n, n) block of systems
+_FEEDBACK_TERM = {"R": 0, "X": 0, "L": 1, "C": 2}   # A_p holding each feedback kind
+
 
 class SingularNetworkError(RuntimeError):
-    """Raised when the network equations are rank deficient at a frequency."""
+    """Raised when the network equations cannot be solved at a frequency."""
 
 
 class NoTransductionError(ValueError):
@@ -89,14 +104,6 @@ class ScatteringMap:
     def square(cls, omega: float, matrix, channels) -> "ScatteringMap":
         channels = tuple(channels)
         return cls(omega, matrix, channels, channels)
-
-    @property
-    def input_signature(self) -> np.ndarray:
-        return np.array([c.signature for c in self.inputs], dtype=float)
-
-    @property
-    def output_signature(self) -> np.ndarray:
-        return np.array([c.signature for c in self.outputs], dtype=float)
 
     def coefficient(self, out_name: str, in_name: str) -> complex:
         i = _index_of(self.outputs, out_name, "output")
@@ -151,8 +158,8 @@ def check_commutators(smap: ScatteringMap) -> float:
     2e-16 * max|S|^2: checking a stage of gain 1e4 against 1e-10 is
     meaningless in this norm, use the analytic stage relations instead.
     """
-    return commutator_residual(smap.matrix, smap.input_signature,
-                               smap.output_signature)
+    return commutator_residual(smap.matrix, [c.signature for c in smap.inputs],
+                               [c.signature for c in smap.outputs])
 
 
 @dataclass(frozen=True)
@@ -235,9 +242,6 @@ class Capacitor:
         _check_two_terminal(self.node_a, self.node_b, "capacitor")
         require_finite(self.capacitance, "capacitance")
 
-    def impedance(self, omega: float) -> complex:
-        return 1.0 / (-1j * float(omega) * self.capacitance)
-
 
 @dataclass(frozen=True)
 class Inductor:
@@ -248,9 +252,6 @@ class Inductor:
     def __post_init__(self):
         _check_two_terminal(self.node_a, self.node_b, "inductor")
         require_finite(self.inductance, "inductance")
-
-    def impedance(self, omega: float) -> complex:
-        return -1j * float(omega) * self.inductance
 
 
 def _check_two_terminal(a: str, b: str, what: str) -> None:
@@ -348,18 +349,11 @@ class QuantumNetwork:
             seen.setdefault(amp.right, None)
         self.nodes = tuple(n for n in seen if n not in GROUND_NAMES)
         self._node_index = {n: i for i, n in enumerate(self.nodes)}
-
-    @property
-    def output_channels(self) -> tuple[Channel, ...]:
-        return tuple(Channel(p.name, p.conjugated) for p in self.ports)
-
-    @property
-    def input_channels(self) -> tuple[Channel, ...]:
-        chans = [Channel(p.name, p.conjugated) for p in self.ports]
-        for amp in self.opamps:
-            chans.append(Channel(f"{amp.name}.a"))
-            chans.append(Channel(f"{amp.name}.a'", conjugated=True))
-        return tuple(chans)
+        self.output_channels = tuple(Channel(p.name, p.conjugated) for p in ports)
+        self.input_channels = self.output_channels + tuple(
+            c for amp in self.opamps
+            for c in (Channel(f"{amp.name}.a"), Channel(f"{amp.name}.a'", conjugated=True)))
+        self._a, self._b = self._stamp()
 
     def channel_temperatures(self) -> dict[str, float]:
         temps = {p.name: float(p.temperature) for p in self.ports}
@@ -368,20 +362,13 @@ class QuantumNetwork:
             temps[f"{amp.name}.a'"] = float(amp.conj_temp)
         return temps
 
-    def scattering(self, omega: float) -> ScatteringMap:
-        """Solve the network at one angular frequency (rad/s, > 0)."""
-        w = float(omega)
-        if not (w > 0.0) or not math.isfinite(w):
-            raise ValueError(f"angular frequency must be positive and finite, got {w!r}")
+    def _stamp(self):
+        """The stack [A0, A1, A2] of A(w) = A0 + w A1 + A2/w, and B."""
         nn, nl, no = len(self.nodes), len(self.ports), len(self.opamps)
         n_unknowns = nn + nl + no          # node voltages, out fields, feedback currents
-        n_inputs = nl + 2 * no
-        a = np.zeros((n_unknowns, n_unknowns), dtype=complex)
-        b = np.zeros((n_unknowns, n_inputs), dtype=complex)
+        a = np.zeros((3, n_unknowns, n_unknowns), dtype=complex)   # A0, A1, A2
+        b = np.zeros((n_unknowns, nl + 2 * no), dtype=complex)
 
-        # Uniform rescaling hbar|w|/2 -> 1 of the traveling-wave prefactors;
-        # the scattering matrix depends only on impedance ratios, and the
-        # scaled system is far better conditioned.
         def iv(node: str) -> int | None:
             return None if node in GROUND_NAMES else self._node_index[node]
 
@@ -391,11 +378,12 @@ class QuantumNetwork:
         lines_at: dict[str, list[int]] = {}
         for k, p in enumerate(self.ports):
             lines_at.setdefault(p.attach_node, []).append(k)
-        branches_at: dict[str, list[tuple[str, complex]]] = {}
-        for el in (*self.capacitors, *self.inductors):
-            z = el.impedance(w)
-            branches_at.setdefault(el.node_a, []).append((el.node_b, z))
-            branches_at.setdefault(el.node_b, []).append((el.node_a, z))
+        # Branch admittance y, stamped in A_p, at each of its two nodes.
+        branches_at: dict[str, list[tuple[str, int, complex]]] = {}
+        for el, ap, y in ([(c, 1, -1j * c.capacitance) for c in self.capacitors]
+                          + [(l, 2, 1j / l.inductance) for l in self.inductors]):
+            branches_at.setdefault(el.node_a, []).append((el.node_b, ap, y))
+            branches_at.setdefault(el.node_b, []).append((el.node_a, ap, y))
 
         role: dict[str, tuple[str, int]] = {}
         for j, amp in enumerate(self.opamps):
@@ -405,21 +393,21 @@ class QuantumNetwork:
         def stamp_currents(eq: int, node: str) -> None:
             for k in lines_at.get(node, ()):
                 ci = 1.0 / math.sqrt(self.ports[k].impedance)
-                a[eq, iao(k)] += ci
+                a[0, eq, iao(k)] += ci
                 b[eq, k] += ci
-            for other, z in branches_at.get(node, ()):
-                a[eq, iv(node)] -= 1.0 / z
+            for other, ap, y in branches_at.get(node, ()):
+                a[ap, eq, iv(node)] -= y
                 io = iv(other)
                 if io is not None:
-                    a[eq, io] += 1.0 / z
+                    a[ap, eq, io] += y
 
         # Line voltage relations: V_node = c_U (a_out + a_in).
         for k, p in enumerate(self.ports):
             cu = math.sqrt(p.impedance)
             inode = iv(p.attach_node)
             if inode is not None:
-                a[k, inode] += 1.0
-            a[k, iao(k)] -= cu
+                a[0, k, inode] += 1.0
+            a[0, k, iao(k)] -= cu
             b[k, k] += cu
 
         # One current-type equation per node.
@@ -428,14 +416,15 @@ class QuantumNetwork:
             kind, j = role.get(node, (None, -1))
             if kind == "right":
                 amp = self.opamps[j]
-                zf = amp.feedback.impedance(w)
-                a[eq, iv(amp.left)] += 1.0
-                a[eq, iv(amp.right)] -= 1.0
-                a[eq, iif(j)] -= zf
+                a[0, eq, iv(amp.left)] += 1.0
+                a[0, eq, iv(amp.right)] -= 1.0
+                # Z_f(w) is Z_f(1) times 1, w or 1/w.
+                ap = _FEEDBACK_TERM[amp.feedback.kind]
+                a[ap, eq, iif(j)] -= amp.feedback.impedance(1.0)
             elif kind == "left":
                 amp = self.opamps[j]
                 stamp_currents(eq, node)
-                a[eq, iif(j)] += 1.0
+                a[0, eq, iif(j)] += 1.0
                 ic = 1.0 / math.sqrt(amp.noise_impedance)
                 b[eq, nl + 2 * j] += ic
                 b[eq, nl + 2 * j + 1] += ic
@@ -445,44 +434,93 @@ class QuantumNetwork:
         # Amplifier input-voltage condition: V_left = U.
         for j, amp in enumerate(self.opamps):
             eq = nl + nn + j
-            a[eq, iv(amp.left)] += 1.0
+            a[0, eq, iv(amp.left)] += 1.0
             uc = math.sqrt(amp.noise_impedance)
             b[eq, nl + 2 * j] += uc
             b[eq, nl + 2 * j + 1] -= uc
+        return a, b
 
-        x = _equilibrated_solve(a, b, w)
-        s = x[nn:nn + nl, :]
-        return ScatteringMap(w, s, self.output_channels, self.input_channels)
+    def scattering(self, omega: float) -> ScatteringMap:
+        """Solve the network at one angular frequency (rad/s, > 0)."""
+        return self.sweep([omega])[0]
 
-    def sweep(self, grid) -> list[ScatteringMap]:
-        """Evaluate the scattering map at every grid point, in grid order."""
-        return [self.scattering(w) for w in grid]
+    def sweep(self, grid, outputs=None) -> "ScatteringSweep":
+        """Scattering maps at every grid point, in grid order.
+
+        ``grid`` is any iterable of angular frequencies (rad/s, > 0);
+        ``outputs`` names the output channels to solve for, by default all.
+        """
+        w = np.fromiter(grid, dtype=float)
+        if len(w) and not (w.min() > 0.0 and w.max() < math.inf):
+            bad = w[~((w > 0.0) & (w < math.inf))][0]
+            raise ValueError(f"angular frequency must be positive and finite, got {bad.item()!r}")
+        chans = self.output_channels
+        if outputs is not None:
+            chans = tuple(chans[_index_of(chans, name, "output")] for name in outputs)
+        n = self._b.shape[0]
+        unit = np.eye(n, dtype=complex)[:, [len(self.nodes) + self.output_channels.index(c)
+                                           for c in chans]]
+        s = np.empty((len(w), len(chans), self._b.shape[1]), dtype=complex)
+        step = max(1, SWEEP_BLOCK_ENTRIES // max(n * n, 1))
+        for lo in range(0, len(w), step):
+            s[lo:lo + step] = self._solve_block(w[lo:lo + step], unit)
+        return ScatteringSweep(w, s, chans, self.input_channels)
+
+    def _solve_block(self, w: np.ndarray, unit: np.ndarray) -> np.ndarray:
+        """(F, m, k) stack of the rows of S that the columns of ``unit`` pick."""
+        wc = w[:, None, None]
+        # Overflow and singularity show as non-finite values, checked below.
+        with np.errstate(all="ignore"):
+            a = self._a[0] + wc * self._a[1] + self._a[2] / wc
+            row = np.abs(a).max(axis=2)
+            ra = a / row[:, :, None]
+            col = np.abs(ra).max(axis=1)
+            e = ra / col[:, None, :]
+            try:
+                z = np.linalg.solve(e.transpose(0, 2, 1), unit / col[:, :, None])
+            except np.linalg.LinAlgError:
+                _raise_singular(a, e, w, None)
+            s = (z.transpose(0, 2, 1) / row[:, None, :]) @ self._b
+        if not np.isfinite(s).all():
+            _raise_singular(a, e, w, np.isfinite(s).all(axis=(1, 2)))
+        return s
 
 
-def _equilibrated_solve(a: np.ndarray, b: np.ndarray, omega: float) -> np.ndarray:
-    n = a.shape[0]
-    row = np.max(np.abs(a), axis=1)
-    if np.any(row == 0.0):
-        _raise_singular(a, omega)
-    ra = a / row[:, None]
-    col = np.max(np.abs(ra), axis=0)
-    if np.any(col == 0.0):
-        _raise_singular(a, omega)
-    try:
-        y = np.linalg.solve(ra / col[None, :], b / row[:, None])
-    except np.linalg.LinAlgError:
-        _raise_singular(a, omega)
-    if not np.all(np.isfinite(y)):
-        _raise_singular(a, omega)
-    return y / col[:, None]
+class ScatteringSweep(Sequence):
+    """Read-only sequence of the scattering maps at ``omegas`` (F,), backed
+    by the one (F, m, k) stack ``matrices``."""
+
+    def __init__(self, omegas: np.ndarray, matrices: np.ndarray, outputs, inputs):
+        omegas.setflags(write=False)
+        matrices.setflags(write=False)
+        self.omegas, self.matrices = omegas, matrices
+        self.outputs, self.inputs = tuple(outputs), tuple(inputs)
+
+    def __len__(self) -> int:
+        return len(self.omegas)
+
+    def __getitem__(self, i: int) -> ScatteringMap:
+        return ScatteringMap(self.omegas[i], self.matrices[i], self.outputs, self.inputs)
 
 
-def _raise_singular(a: np.ndarray, omega: float):
-    finite = np.where(np.isfinite(a), a, 0.0)
-    rank = int(np.linalg.matrix_rank(finite))
-    raise SingularNetworkError(
-        f"network equations are singular at omega = {omega!r} rad/s "
-        f"({omega / (2 * math.pi)!r} Hz): rank {rank} < {a.shape[0]}")
+def _raise_singular(a: np.ndarray, e: np.ndarray, w: np.ndarray, ok) -> NoReturn:
+    """Raise for the first point of a block that failed: ``a`` stacks its
+    systems, ``e`` their equilibrated form, ``ok`` flags the points with a
+    finite solution (None when the block's factorization failed)."""
+    finite = np.isfinite(a).all(axis=(1, 2))
+    e = np.where(np.isfinite(e), e, 0.0)     # a zero row or column gives 0/0
+    n = e.shape[-1]
+    bad = ~finite | (np.linalg.matrix_rank(e) < n) | (False if ok is None else ~ok)
+    i = int(bad.argmax() if bad.any() else np.linalg.cond(e).argmax())
+    where = f"at omega = {w[i].item()!r} rad/s ({w[i].item() / (2 * math.pi)!r} Hz)"
+    if not finite[i]:
+        raise SingularNetworkError(
+            f"network equations overflow {where}: an element's admittance or "
+            "impedance exceeds double range")
+    rank = int(np.linalg.matrix_rank(a[i]))
+    cause = (f"rank {rank} < {n}" if rank < n
+             else f"condition number {np.linalg.cond(e[i]):.3g}")
+    raise SingularNetworkError(f"network equations are singular {where}: {cause}")
 
 
 @dataclass(frozen=True)

@@ -74,15 +74,16 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     if not 0.0 < t < math.inf:
         raise ValueError(f"temperature must be finite and >= 0 K, got {t!r}")
     try:
-        return 0.5 / math.tanh(HBAR * w / (2.0 * K_B * t))
+        sigma = 0.5 / math.tanh(HBAR * w / (2.0 * K_B * t))
     except ZeroDivisionError:
         # Out of double range: 2 k_B T underflows for a subnormal T (the
         # argument is infinite, the floor holds), or the argument underflows
         # for hbar|w| << k_B T (the classical spectrum overflows).
-        if 2.0 * K_B * t == 0.0:
-            return 0.5
-        raise ValueError(f"spectrum at omega = {omega!r} rad/s and T = {t!r} K "
-                         "exceeds double range") from None
+        sigma = 0.5 if 2.0 * K_B * t == 0.0 else math.inf
+    if sigma < math.inf:        # a subnormal argument overflows 0.5/tanh to inf
+        return sigma
+    raise ValueError(f"spectrum at omega = {omega!r} rad/s and T = {t!r} K "
+                     "exceeds double range")
 
 
 def effective_temperature(omega: float, sigma: float) -> float:

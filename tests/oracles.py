@@ -1,14 +1,17 @@
-"""Closed-form stage relations, kept as oracles for the production path.
+"""Independent references for the production paths, used only by tests.
 
 The package derives every stage quantity from the two scattering rows in
-``qunet.amplifier``; these functions evaluate the explicit formulas of the
-ideal op-amp stage instead, so the tests compare two independent
-implementations.
+``qunet.amplifier``; the closed forms here evaluate the explicit formulas of
+the ideal op-amp stage instead.  The package solves a network for a whole
+frequency grid at once; ``scattering_per_point`` stamps and solves one
+frequency at a time.  So the tests compare two independent implementations.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from qunet import NoFeedbackError, thermal_occupation
 
@@ -50,3 +53,80 @@ def added_noise_closed_form(stage, omega: float) -> float:
     return (rl * rr / (4.0 * abs(zf) ** 2) * s_r
             + rl * ra / 4.0 * abs(1.0 / zf + 1.0 / rl - 1.0 / ra) ** 2 * s_a
             + rl * ra / 4.0 * abs(1.0 / zf + 1.0 / rl + 1.0 / ra) ** 2 * s_ap)
+
+
+def scattering_per_point(net, omega: float) -> tuple[np.ndarray, float]:
+    """Full scattering matrix of a ``QuantumNetwork`` at one frequency.
+
+    Stamps the element impedances at omega and solves one dense system with
+    every input channel as a right-hand side, rows and columns equilibrated
+    by their largest entries; the package instead stamps frequency
+    coefficients once and solves the transposed system per output row.
+    Also returns the 2-norm condition number of the equilibrated system:
+    two correct double-precision solves may differ by about eps times it.
+    """
+    w = float(omega)
+    nodes = {n: i for i, n in enumerate(net.nodes)}
+    nn, nl, no = len(net.nodes), len(net.ports), len(net.opamps)
+    a = np.zeros((nn + nl + no,) * 2, dtype=complex)
+    b = np.zeros((nn + nl + no, nl + 2 * no), dtype=complex)
+    iv = nodes.get                      # ground names are not in the table
+
+    lines_at: dict[str, list[int]] = {}
+    for k, p in enumerate(net.ports):
+        lines_at.setdefault(p.attach_node, []).append(k)
+    branches_at: dict[str, list[tuple[str, complex]]] = {}
+    for el, z in [(c, 1.0 / (-1j * w * c.capacitance)) for c in net.capacitors] + \
+                 [(l, -1j * w * l.inductance) for l in net.inductors]:
+        branches_at.setdefault(el.node_a, []).append((el.node_b, z))
+        branches_at.setdefault(el.node_b, []).append((el.node_a, z))
+    role = {}
+    for j, amp in enumerate(net.opamps):
+        role[amp.left] = ("left", j)
+        role[amp.right] = ("right", j)
+
+    def stamp_currents(eq, node):
+        for k in lines_at.get(node, ()):
+            ci = 1.0 / math.sqrt(net.ports[k].impedance)
+            a[eq, nn + k] += ci
+            b[eq, k] += ci
+        for other, z in branches_at.get(node, ()):
+            a[eq, iv(node)] -= 1.0 / z
+            if iv(other) is not None:
+                a[eq, iv(other)] += 1.0 / z
+
+    for k, p in enumerate(net.ports):
+        cu = math.sqrt(p.impedance)
+        if iv(p.attach_node) is not None:
+            a[k, iv(p.attach_node)] += 1.0
+        a[k, nn + k] -= cu
+        b[k, k] += cu
+    for n_i, node in enumerate(net.nodes):
+        eq = nl + n_i
+        kind, j = role.get(node, (None, -1))
+        if kind == "right":
+            amp = net.opamps[j]
+            a[eq, iv(amp.left)] += 1.0
+            a[eq, iv(amp.right)] -= 1.0
+            a[eq, nn + nl + j] -= amp.feedback.impedance(w)
+        else:
+            stamp_currents(eq, node)
+            if kind == "left":
+                amp = net.opamps[j]
+                a[eq, nn + nl + j] += 1.0
+                ic = 1.0 / math.sqrt(amp.noise_impedance)
+                b[eq, nl + 2 * j] += ic
+                b[eq, nl + 2 * j + 1] += ic
+    for j, amp in enumerate(net.opamps):
+        eq = nl + nn + j
+        a[eq, iv(amp.left)] += 1.0
+        uc = math.sqrt(amp.noise_impedance)
+        b[eq, nl + 2 * j] += uc
+        b[eq, nl + 2 * j + 1] -= uc
+
+    row = np.max(np.abs(a), axis=1)
+    ra = a / row[:, None]
+    col = np.max(np.abs(ra), axis=0)
+    e = ra / col[None, :]
+    y = np.linalg.solve(e, b / row[:, None])
+    return (y / col[:, None])[nn:nn + nl], float(np.linalg.cond(e))

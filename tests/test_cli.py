@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import pytest
 
@@ -242,6 +244,29 @@ def test_budget_without_transduction_path_exits_2(tmp_path, capsys):
                  "signal l\nreadout r\n")
     assert main(["budget", str(p), "--freq", "1e5"]) == 2
     assert "no transduction" in capsys.readouterr().err
+
+
+def test_budget_overflow_is_one_error_without_warnings(check_path, capsys):
+    # at 1e-300 Hz the feedback impedance i/(wC) exceeds double range: one
+    # structured error naming the point and the cause, no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["budget", check_path, "--freq", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "overflow" in lines[0] and "rank" not in lines[0]
+    assert f"omega = {2.0 * math.pi * 1e-300!r} rad/s" in lines[0]
+    assert "Warning" not in captured.err
+
+
+def test_check_without_ports_exits_2(tmp_path, capsys):
+    # a document may hold only a sweep: there is nothing to solve
+    p = tmp_path / "empty.qnet"
+    p.write_text("qnet 1\nsweep 1e4 1e6 5 log\n")
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_accel_invalid_override_exits_2(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qunet import NetlistError, parse, serialize, to_network
+from qunet.netlist import MAX_SWEEP_POINTS
 from helpers import CHECK_FIXTURE, THREEDB_FIXTURE
 
 
@@ -73,6 +74,17 @@ def test_error_battery_positions():
             assert issue.line >= 1
             assert issue.column >= 1
             assert issue.message
+
+
+def test_sweep_point_count_is_capped():
+    # checked on the parsed document: no grid is built
+    assert MAX_SWEEP_POINTS == 1_000_000
+    assert parse("sweep 1 2 1000000 log\n").sweep.npoints == MAX_SWEEP_POINTS
+    with pytest.raises(NetlistError) as err:
+        parse("qnet 1\nsweep 1 2 1000000000 log\n")
+    (issue,) = err.value.issues
+    assert (issue.line, issue.column) == (2, 11)
+    assert "1000000" in issue.message and "1000000000" in issue.message
 
 
 def test_resistive_feedback_strict_by_default():

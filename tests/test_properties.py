@@ -66,11 +66,13 @@ def test_stage_added_noise_matches_closed_form(stage, w):
 def test_thermal_occupation_is_total(w, t):
     try:
         sigma = thermal_occupation(w, t)
-    except ValueError:
-        assert not 0.0 <= t < math.inf
+    except ValueError as exc:
+        # a valid temperature fails only where k_B T/(hbar w) leaves double
+        # range: for w in 2 pi (1e3..1e6) rad/s that needs T above 8e300 K
+        assert not 0.0 <= t < math.inf or ("double range" in str(exc) and t > 1e300)
     else:
         assert 0.0 <= t < math.inf
-        assert sigma >= 0.5
+        assert 0.5 <= sigma < math.inf
 
 
 @given(any_float)

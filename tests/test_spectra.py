@@ -132,6 +132,9 @@ def test_domain_errors():
     assert thermal_occupation(W0, 5e-324) == 0.5
     with pytest.raises(ValueError, match="double range"):
         thermal_occupation(1e-300, 1e10)
+    # a subnormal argument: 0.5/tanh overflows to inf instead of raising
+    with pytest.raises(ValueError, match="double range"):
+        thermal_occupation(1.0, 1e308)
     with pytest.raises(ValueError):
         effective_temperature(0.0, 1.0)
     with pytest.raises(ValueError):
