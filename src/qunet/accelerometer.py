@@ -264,5 +264,6 @@ def preset_with_overrides(name: str, mech_theta: float | None = None,
         params = replace(params, mech_theta=float(mech_theta))
     if mech_damping is not None:
         params = replace(params, mech_damping=float(mech_damping))
-    gain = preset.transduction_gain if transduction_gain is None else float(transduction_gain)
+    gain = (preset.transduction_gain if transduction_gain is None else
+            require_finite(transduction_gain, "transduction gain", low=-math.inf))
     return replace(preset, params=params, transduction_gain=gain)

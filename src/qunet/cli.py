@@ -43,6 +43,11 @@ def _resolve_tol(args) -> float:
     return DEFAULT_TOLERANCE
 
 
+def _option(value, flag: str, low: float = 0.0) -> float | None:
+    """A numeric option, None when absent; ValueError unless finite > ``low``."""
+    return None if value is None else require_finite(value, flag, low=low)
+
+
 def _load_document(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -84,18 +89,16 @@ def _scattering_maps(doc, freq_hz):
 
 
 def cmd_check(args) -> int:
-    tol = _resolve_tol(args)
+    tol, freq = _resolve_tol(args), _option(args.freq, "--freq")
+    gain = _option(args.inject_gain, "--inject-gain", low=-math.inf)
     doc = _load_document(args.netlist)
     if doc is None:
         return 2
-    if args.freq is not None and args.freq <= 0.0:
-        _err("--freq must be a positive frequency in Hz")
-        return 2
-    maps = _scattering_maps(doc, args.freq)
+    maps = _scattering_maps(doc, freq)
     if maps is None:
         return 2
-    if args.inject_gain is not None:
-        maps = [m.scaled(args.inject_gain) for m in maps]
+    if gain is not None:
+        maps = [m.scaled(gain) for m in maps]
     residual = max(check_commutators(m) for m in maps)
     ok = residual < tol
     print(f"max commutator residual: {residual!r} over {len(maps)} "
@@ -160,11 +163,9 @@ def _print_report_table(report) -> None:
 
 
 def cmd_budget(args) -> int:
+    freq = _option(args.freq, "--freq")
     doc = _load_document(args.netlist)
     if doc is None:
-        return 2
-    if args.freq is not None and args.freq <= 0.0:
-        _err("--freq must be a positive frequency in Hz")
         return 2
     if doc.preset is not None:
         preset = _preset_for(doc)
@@ -176,15 +177,15 @@ def cmd_budget(args) -> int:
         rows += [(name, g2 * mu2, sigma) for name, mu2, sigma in
                  _rows(stage_estimator(preset.stage, w_t),
                        preset.stage.temperatures(), w_t)]
-        report = _report_dict(args.freq or params.measurement_omega / TWO_PI,
+        report = _report_dict(freq or params.measurement_omega / TWO_PI,
                               accel.FORCE_UNITS, rows)
-    elif args.freq is None:
+    elif freq is None:
         _err("a positive --freq in Hz is required for circuit budgets")
         return 2
     else:
-        _, names, mu2, sigma = _circuit_budget(doc, [TWO_PI * args.freq])
+        _, names, mu2, sigma = _circuit_budget(doc, [TWO_PI * freq])
         rows = zip(names, mu2[:, 0].tolist(), sigma[:, 0].tolist())
-        report = _report_dict(args.freq, "dimensionless quanta per mode", rows)
+        report = _report_dict(freq, "dimensionless quanta per mode", rows)
     if args.json:
         print(json.dumps(report, indent=2))
     else:

@@ -18,14 +18,23 @@ frequencies internally.  Scientific notation is accepted anywhere a number
 is.  The version header is optional and assumed ``qnet 1`` when absent.
 A document holds either a circuit (ports, amplifiers, exactly one signal
 and one readout) or a single preset reference.  Port names must be declared
-before they are referenced.  Dissipative (R) feedback is rejected by
-default since the amplifier model requires a reactive feedback; pass
-``allow_resistive_feedback=True`` to parse it anyway.
+before they are referenced, and the ground names of
+:data:`~qunet.network.GROUND_NAMES` are reserved.  Dissipative (R) feedback
+is rejected by default since the amplifier model requires a reactive
+feedback; pass ``allow_resistive_feedback=True`` to parse it anyway.
+
+The text describes the network's own objects: :func:`parse` turns a
+``line`` into a :class:`~qunet.network.PortSpec` and an ``opamp`` into an
+:class:`~qunet.network.OpAmp` with its :class:`~qunet.network.Feedback`, so
+:func:`to_network` only hands them to the network.  Source positions sit
+in a side table that document equality ignores.
 
 Parsing is total: invalid input raises :class:`NetlistError` carrying a
 structured list of issues, each with a 1-based line and column pointing at
-the offending token.  ``parse(serialize(doc))`` is structurally identical
-to ``doc``.
+the offending token.  ``parse(serialize(doc))`` equals ``doc``;
+:func:`serialize` raises :class:`ValueError` for what the format cannot
+express: constant-reactance (X) feedback, ports attached to a named node,
+conjugated ports and names outside the grammar.
 """
 
 from __future__ import annotations
@@ -33,6 +42,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+
+from .network import GROUND_NAMES, Feedback, OpAmp, PortSpec, QuantumNetwork
+from .spectra import FrequencyGrid
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"\S+")
@@ -63,115 +75,52 @@ class NetlistError(ValueError):
 
 
 @dataclass(frozen=True)
-class SourcePos:
-    line: int
-    column: int
-
-
-_NOPOS = SourcePos(0, 0)
-
-
-@dataclass(frozen=True)
-class Header:
-    version: int
-    pos: SourcePos = field(default=_NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
 class Comment:
     text: str
-    pos: SourcePos = field(default=_NOPOS, compare=False)
 
 
 @dataclass(frozen=True)
-class LineDecl:
+class Directive:
+    """A ``signal``, ``readout`` or ``preset`` statement and its name."""
+
+    keyword: str
     name: str
-    impedance: float
-    temperature: float
-    pos: SourcePos = field(default=_NOPOS, compare=False)
 
 
 @dataclass(frozen=True)
-class OpAmpDecl:
-    name: str
-    left: str
-    right: str
-    noise_impedance: float
-    noise_temp: float
-    conj_temp: float
-    feedback_kind: str
-    feedback_value: float
-    pos: SourcePos = field(default=_NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
-class SignalDecl:
-    port: str
-    pos: SourcePos = field(default=_NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
-class ReadoutDecl:
-    port: str
-    pos: SourcePos = field(default=_NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
-class SweepDecl:
+class Sweep:
     f_lo: float
     f_hi: float
     npoints: int
     scale: str
-    pos: SourcePos = field(default=_NOPOS, compare=False)
 
-    def to_grid(self):
-        from .spectra import FrequencyGrid
-
-        if self.scale == "log":
-            return FrequencyGrid.log_hz(self.f_lo, self.f_hi, self.npoints)
-        return FrequencyGrid.linear_hz(self.f_lo, self.f_hi, self.npoints)
-
-
-@dataclass(frozen=True)
-class PresetDecl:
-    name: str
-    pos: SourcePos = field(default=_NOPOS, compare=False)
+    def to_grid(self) -> FrequencyGrid:
+        spaced = FrequencyGrid.log_hz if self.scale == "log" else FrequencyGrid.linear_hz
+        return spaced(self.f_lo, self.f_hi, self.npoints)
 
 
 @dataclass
 class NetlistDocument:
-    """Parsed statements in source order, plus non-fatal warnings."""
+    """Statements in source order, what they declare, and warnings.
 
-    statements: list
-    warnings: list = field(default_factory=list, compare=False)
+    ``statements`` holds comments, ports (:class:`PortSpec`), amplifiers
+    (:class:`OpAmp`), directives and the sweep.  The fields after it are
+    filled in once, as the parser meets each statement.  ``positions[i]``
+    is the (line, column) of ``statements[i]``; equality ignores it and
+    the warnings.
+    """
 
-    @property
-    def lines(self) -> list[LineDecl]:
-        return [s for s in self.statements if isinstance(s, LineDecl)]
-
-    @property
-    def opamps(self) -> list[OpAmpDecl]:
-        return [s for s in self.statements if isinstance(s, OpAmpDecl)]
-
-    @property
-    def signal(self) -> str | None:
-        return next((s.port for s in self.statements if isinstance(s, SignalDecl)), None)
-
-    @property
-    def readout(self) -> str | None:
-        return next((s.port for s in self.statements if isinstance(s, ReadoutDecl)), None)
-
-    @property
-    def sweep(self) -> SweepDecl | None:
-        return next((s for s in self.statements if isinstance(s, SweepDecl)), None)
-
-    @property
-    def preset(self) -> str | None:
-        return next((s.name for s in self.statements if isinstance(s, PresetDecl)), None)
-
-    @property
-    def has_header(self) -> bool:
-        return any(isinstance(s, Header) for s in self.statements)
+    statements: list = field(default_factory=list)
+    lines: list[PortSpec] = field(default_factory=list)
+    opamps: list[OpAmp] = field(default_factory=list)
+    signal: str | None = None
+    readout: str | None = None
+    sweep: Sweep | None = None
+    preset: str | None = None
+    has_header: bool = False
+    warnings: list[str] = field(default_factory=list, compare=False)
+    positions: list[tuple[int, int]] = field(default_factory=list, compare=False,
+                                             repr=False)
 
 
 def _tokens(line: str):
@@ -183,8 +132,8 @@ class _Parser:
         self.text = text
         self.allow_resistive = allow_resistive_feedback
         self.issues: list[Issue] = []
-        self.statements: list = []
-        self.ports: dict[str, int] = {}
+        self.doc = NetlistDocument()
+        self.port_names: set[str] = set()
         self.opamp_names: set[str] = set()
 
     def error(self, line: int, column: int, message: str) -> None:
@@ -196,7 +145,7 @@ class _Parser:
             if not stripped:
                 continue
             if stripped.startswith("#"):
-                self.statements.append(Comment(raw.rstrip(), SourcePos(lineno, raw.index("#") + 1)))
+                self._add(lineno, raw.index("#") + 1, Comment(raw.rstrip()))
                 continue
             toks = _tokens(raw)
             # Trailing comments are accepted and dropped.
@@ -207,18 +156,42 @@ class _Parser:
             if not toks:
                 continue
             self._statement(lineno, toks)
-        doc = NetlistDocument(self.statements)
-        self._document_checks(doc)
+        self._document_checks()
         if self.issues:
             raise NetlistError(self.issues)
-        self._document_warnings(doc)
+        doc = self.doc
+        if doc.preset is None:
+            if doc.readout is None:
+                doc.warnings.append("no readout")
+            if doc.signal is None:
+                doc.warnings.append("no signal")
         return doc
+
+    def _add(self, lineno: int, col: int, statement) -> None:
+        self.doc.statements.append(statement)
+        self.doc.positions.append((lineno, col))
+
+    def _designate(self, lineno: int, col: int, keyword: str, value, statement) -> None:
+        """Set the document field ``keyword`` once; a repeat is an issue."""
+        if getattr(self.doc, keyword) is not None:
+            self.error(lineno, col, f"duplicate {keyword} designation")
+            return
+        setattr(self.doc, keyword, value)
+        self._add(lineno, col, statement)
+
+    def _build(self, lineno: int, col: int, make):
+        """``make()``, or None with an issue if a constructor refuses its values."""
+        try:
+            return make()
+        except ValueError as exc:
+            self.error(lineno, col, str(exc))
+            return None
 
     def _statement(self, lineno: int, toks) -> None:
         col0, keyword = toks[0]
         handler = {
             "qnet": self._header, "line": self._line, "opamp": self._opamp,
-            "signal": self._signal, "readout": self._readout,
+            "signal": self._port_designation, "readout": self._port_designation,
             "sweep": self._sweep, "preset": self._preset,
         }.get(keyword)
         if handler is None:
@@ -231,10 +204,10 @@ class _Parser:
             col = toks[1][0] if len(toks) > 1 else toks[0][0]
             self.error(lineno, col, "unsupported format version (expected 'qnet 1')")
             return
-        if self.statements:
+        if self.doc.has_header or self.doc.statements:
             self.error(lineno, toks[0][0], "version header must come first")
             return
-        self.statements.append(Header(1, SourcePos(lineno, toks[0][0])))
+        self.doc.has_header = True
 
     def _name(self, lineno: int, tok) -> str | None:
         col, text = tok
@@ -292,24 +265,30 @@ class _Parser:
             self.error(lineno, toks[0][0], "line declaration needs a name")
             return
         name = self._name(lineno, toks[1])
+        if name in GROUND_NAMES:
+            self.error(lineno, toks[1][0], f"port name {name!r} is reserved for ground")
+            name = None
         fields = self._keyvals(lineno, toks[2:], ("impedance", "temperature"))
         if name is None or fields is None:
             return
-        if name in self.ports:
+        if name in self.port_names:
             self.error(lineno, toks[1][0], f"duplicate port name {name!r}")
             return
-        col_r, txt_r = fields["impedance"]
-        col_t, txt_t = fields["temperature"]
-        impedance = self._number(lineno, col_r, txt_r, "impedance", positive=True)
-        temperature = self._number(lineno, col_t, txt_t, "temperature", nonnegative=True)
+        impedance = self._number(lineno, *fields["impedance"], "impedance", positive=True)
+        temperature = self._number(lineno, *fields["temperature"], "temperature",
+                                   nonnegative=True)
         if impedance is None or temperature is None:
             return
-        self.ports[name] = lineno
-        self.statements.append(LineDecl(name, impedance, temperature,
-                                        SourcePos(lineno, toks[0][0])))
+        port = self._build(lineno, toks[0][0],
+                           lambda: PortSpec(name, impedance, temperature))
+        if port is None:
+            return
+        self.port_names.add(name)
+        self.doc.lines.append(port)
+        self._add(lineno, toks[0][0], port)
 
     def _port_ref(self, lineno: int, col: int, name: str) -> bool:
-        if name not in self.ports:
+        if name not in self.port_names:
             self.error(lineno, col, f"undeclared port {name!r}")
             return False
         return True
@@ -333,12 +312,9 @@ class _Parser:
         if left == right:
             self.error(lineno, col_r, "left and right ports must differ")
             ok = False
-        col_ri, txt_ri = fields["noise_impedance"]
-        col_tn, txt_tn = fields["noise_temp"]
-        col_tc, txt_tc = fields["conj_temp"]
-        r_a = self._number(lineno, col_ri, txt_ri, "impedance", positive=True)
-        t_n = self._number(lineno, col_tn, txt_tn, "temperature", nonnegative=True)
-        t_c = self._number(lineno, col_tc, txt_tc, "temperature", nonnegative=True)
+        r_a = self._number(lineno, *fields["noise_impedance"], "impedance", positive=True)
+        t_n = self._number(lineno, *fields["noise_temp"], "temperature", nonnegative=True)
+        t_c = self._number(lineno, *fields["conj_temp"], "temperature", nonnegative=True)
         col_f, txt_f = fields["feedback"]
         kind, _, value_txt = txt_f.partition(":")
         if kind not in FEEDBACK_KINDS or not value_txt:
@@ -354,32 +330,30 @@ class _Parser:
             return
         if not ok or None in (r_a, t_n, t_c, value):
             return
+        amp = self._build(lineno, toks[0][0], lambda: OpAmp(
+            name, left, right, r_a, Feedback(kind, value), t_n, t_c))
+        if amp is None:
+            return
         self.opamp_names.add(name)
-        self.statements.append(OpAmpDecl(name, left, right, r_a, t_n, t_c,
-                                         kind, value, SourcePos(lineno, toks[0][0])))
+        self.doc.opamps.append(amp)
+        self._add(lineno, toks[0][0], amp)
 
-    def _single_port_stmt(self, lineno: int, toks, cls) -> None:
+    def _port_designation(self, lineno: int, toks) -> None:
+        col0, keyword = toks[0]
         if len(toks) != 2:
-            self.error(lineno, toks[0][0], f"{toks[0][1]} takes exactly one port")
+            self.error(lineno, col0, f"{keyword} takes exactly one port")
             return
         col, port = toks[1]
-        if not self._port_ref(lineno, col, port):
-            return
-        self.statements.append(cls(port, SourcePos(lineno, toks[0][0])))
-
-    def _signal(self, lineno: int, toks) -> None:
-        self._single_port_stmt(lineno, toks, SignalDecl)
-
-    def _readout(self, lineno: int, toks) -> None:
-        self._single_port_stmt(lineno, toks, ReadoutDecl)
+        if self._port_ref(lineno, col, port):
+            self._designate(lineno, col0, keyword, port, Directive(keyword, port))
 
     def _sweep(self, lineno: int, toks) -> None:
         if len(toks) != 5:
             self.error(lineno, toks[0][0],
                        "sweep takes <f_lo_Hz> <f_hi_Hz> <npoints> <lin|log>")
             return
-        f_lo = self._number(lineno, toks[1][0], toks[1][1], "frequency", positive=True)
-        f_hi = self._number(lineno, toks[2][0], toks[2][1], "frequency", positive=True)
+        f_lo = self._number(lineno, *toks[1], "frequency", positive=True)
+        f_hi = self._number(lineno, *toks[2], "frequency", positive=True)
         col_n, txt_n = toks[3]
         try:
             npoints = int(txt_n)
@@ -399,46 +373,30 @@ class _Parser:
         if not f_hi > f_lo:
             self.error(lineno, toks[2][0], "sweep upper frequency must exceed the lower")
             return
-        self.statements.append(SweepDecl(f_lo, f_hi, npoints, scale,
-                                         SourcePos(lineno, toks[0][0])))
+        sweep = Sweep(f_lo, f_hi, npoints, scale)
+        self._designate(lineno, toks[0][0], "sweep", sweep, sweep)
 
     def _preset(self, lineno: int, toks) -> None:
         if len(toks) != 2:
             self.error(lineno, toks[0][0], "preset takes exactly one name")
             return
         name = self._name(lineno, toks[1])
-        if name is None:
-            return
-        self.statements.append(PresetDecl(name, SourcePos(lineno, toks[0][0])))
+        if name is not None:
+            self._designate(lineno, toks[0][0], "preset", name, Directive("preset", name))
 
-    def _document_checks(self, doc: NetlistDocument) -> None:
-        def positions(cls):
-            return [s.pos for s in doc.statements if isinstance(s, cls)]
+    def _document_checks(self) -> None:
+        doc = self.doc
 
-        for cls, label in ((SignalDecl, "signal"), (ReadoutDecl, "readout"),
-                           (SweepDecl, "sweep"), (PresetDecl, "preset")):
-            pos = positions(cls)
-            if len(pos) > 1:
-                p = pos[1]
-                self.error(p.line, p.column, f"duplicate {label} designation")
+        def position(statement) -> tuple[int, int]:
+            return doc.positions[doc.statements.index(statement)]
+
         if doc.signal is not None and doc.signal == doc.readout:
-            p = positions(ReadoutDecl)[0]
-            self.error(p.line, p.column, "signal and readout must be different ports")
-        if doc.preset is not None:
-            others = [s for s in doc.statements
-                      if not isinstance(s, (PresetDecl, Comment, Header, SweepDecl))]
-            if others:
-                p = positions(PresetDecl)[0]
-                self.error(p.line, p.column,
-                           "a preset document cannot also declare circuit statements")
-
-    def _document_warnings(self, doc: NetlistDocument) -> None:
-        if doc.preset is not None:
-            return
-        if doc.readout is None:
-            doc.warnings.append("no readout")
-        if doc.signal is None:
-            doc.warnings.append("no signal")
+            self.error(*position(Directive("readout", doc.readout)),
+                       "signal and readout must be different ports")
+        # Every other circuit statement names a declared port.
+        if doc.preset is not None and doc.lines:
+            self.error(*position(Directive("preset", doc.preset)),
+                       "a preset document cannot also declare circuit statements")
 
 
 def parse(text: str, allow_resistive_feedback: bool = False) -> NetlistDocument:
@@ -450,50 +408,51 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _name_text(what: str, name: str) -> str:
+    if not _NAME_RE.match(name) or name in GROUND_NAMES:
+        raise ValueError(f"{what} name {name!r} has no .qnet form")
+    return name
+
+
+def _statement_text(s) -> str:
+    if isinstance(s, Comment):
+        return s.text
+    if isinstance(s, Directive):
+        return f"{s.keyword} {s.name}"
+    if isinstance(s, Sweep):
+        return f"sweep {_fmt(s.f_lo)} {_fmt(s.f_hi)} {s.npoints} {s.scale}"
+    if isinstance(s, PortSpec):
+        if s.conjugated or s.node is not None:
+            raise ValueError(f"port {s.name!r}: .qnet lines are unconjugated and "
+                             "attach to a node of their own name")
+        return (f"line {_name_text('port', s.name)} impedance={_fmt(s.impedance)} "
+                f"temperature={_fmt(s.temperature)}")
+    if isinstance(s, OpAmp):
+        if s.feedback.kind not in FEEDBACK_KINDS:
+            raise ValueError(f"amplifier {s.name!r}: {s.feedback.kind} feedback has "
+                             "no .qnet form")
+        return (f"opamp {_name_text('amplifier', s.name)} left={s.left} right={s.right} "
+                f"noise_impedance={_fmt(s.noise_impedance)} "
+                f"noise_temp={_fmt(s.noise_temp)} conj_temp={_fmt(s.conj_temp)} "
+                f"feedback={s.feedback.kind}:{_fmt(s.feedback.value)}")
+    raise TypeError(f"unknown statement {s!r}")
+
+
 def serialize(doc: NetlistDocument) -> str:
     """Canonical text of a document: one statement per line, full-precision
-    numbers, comments verbatim."""
-    out: list[str] = []
-    for s in doc.statements:
-        if isinstance(s, Header):
-            out.append("qnet 1")
-        elif isinstance(s, Comment):
-            out.append(s.text)
-        elif isinstance(s, LineDecl):
-            out.append(f"line {s.name} impedance={_fmt(s.impedance)} "
-                       f"temperature={_fmt(s.temperature)}")
-        elif isinstance(s, OpAmpDecl):
-            out.append(f"opamp {s.name} left={s.left} right={s.right} "
-                       f"noise_impedance={_fmt(s.noise_impedance)} "
-                       f"noise_temp={_fmt(s.noise_temp)} "
-                       f"conj_temp={_fmt(s.conj_temp)} "
-                       f"feedback={s.feedback_kind}:{_fmt(s.feedback_value)}")
-        elif isinstance(s, SignalDecl):
-            out.append(f"signal {s.port}")
-        elif isinstance(s, ReadoutDecl):
-            out.append(f"readout {s.port}")
-        elif isinstance(s, SweepDecl):
-            out.append(f"sweep {_fmt(s.f_lo)} {_fmt(s.f_hi)} {s.npoints} {s.scale}")
-        elif isinstance(s, PresetDecl):
-            out.append(f"preset {s.name}")
-        else:
-            raise TypeError(f"unknown statement {s!r}")
+    numbers, comments verbatim.  Raises ValueError for a port or amplifier
+    the format cannot express."""
+    out = ["qnet 1"] if doc.has_header else []
+    out += [_statement_text(s) for s in doc.statements]
     return "\n".join(out) + ("\n" if out else "")
 
 
-def to_network(doc: NetlistDocument, allow_dissipative_feedback: bool = False):
-    """Build a :class:`~qunet.network.QuantumNetwork` from a circuit document."""
-    from .network import Feedback, OpAmp, PortSpec, QuantumNetwork
+def to_network(doc: NetlistDocument) -> QuantumNetwork:
+    """The :class:`~qunet.network.QuantumNetwork` of a circuit document.
 
+    :func:`parse` decides whether dissipative feedback is admitted, so the
+    network is built from whatever the document holds.
+    """
     if doc.preset is not None:
         raise ValueError("preset documents do not describe a circuit directly")
-    ports = [PortSpec(l.name, l.impedance, l.temperature) for l in doc.lines]
-    components = []
-    for a in doc.opamps:
-        feedback = Feedback(a.feedback_kind, a.feedback_value)
-        components.append(OpAmp(name=a.name, left=a.left, right=a.right,
-                                noise_impedance=a.noise_impedance,
-                                feedback=feedback, noise_temp=a.noise_temp,
-                                conj_temp=a.conj_temp))
-    return QuantumNetwork(ports, components,
-                          allow_dissipative_feedback=allow_dissipative_feedback)
+    return QuantumNetwork(doc.lines, doc.opamps, allow_dissipative_feedback=True)

@@ -80,7 +80,13 @@ def test_check_single_frequency_without_sweep(tmp_path, capsys):
     assert main(["check", str(p)]) == 2
     assert main(["check", str(p), "--freq", "1e5"]) == 0
     assert main(["check", str(p), "--freq", "0"]) == 2
-    capsys.readouterr()
+    preset = tmp_path / "preset.qnet"
+    preset.write_text(PRESET_DOC)
+    for path in (p, preset):
+        for bad in ("nan", "inf", "-inf"):
+            assert main(["check", str(path), "--freq", bad]) == 2
+        assert main(["check", str(path), "--freq", "1e5", "--inject-gain", "nan"]) == 2
+    assert "--inject-gain must be finite" in capsys.readouterr().err
 
 
 def _parse_table(out: str):
@@ -131,10 +137,15 @@ def test_budget_json_matches_table(threedb_path, capsys):
     assert len(names) == 3
 
 
-def test_budget_requires_frequency(threedb_path, capsys):
+def test_budget_requires_frequency(threedb_path, preset_path, capsys):
     assert main(["budget", threedb_path]) == 2
     assert main(["budget", threedb_path, "--freq", "0"]) == 2
-    capsys.readouterr()
+    for path in (threedb_path, preset_path):
+        for bad in ("nan", "inf"):
+            assert main(["budget", path, "--freq", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--freq must be finite" in captured.err
 
 
 def test_budget_preset_langevin_dominates(preset_path, capsys):
@@ -272,3 +283,8 @@ def test_check_without_ports_exits_2(tmp_path, capsys):
 def test_accel_invalid_override_exits_2(capsys):
     assert main(["accel", "--hm", "-1"]) == 2
     assert "error:" in capsys.readouterr().err
+    for bad in ("nan", "inf"):
+        assert main(["accel", "--transduction-gain", bad, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "transduction gain must be finite" in captured.err

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qunet import NetlistError, parse, serialize, to_network
+from qunet import (Feedback, NetlistError, OpAmp, PortSpec, parse, serialize,
+                   to_network)
 from qunet.netlist import MAX_SWEEP_POINTS
 from helpers import CHECK_FIXTURE, THREEDB_FIXTURE
 
@@ -66,6 +71,10 @@ def test_error_battery_positions():
         "qnet 2",                                 # bad version
         "line l impedance=50 temperature=0\nqnet 1",  # header not first
         "line l impedance=50 temperature=inf",    # non-finite number
+        "line gnd impedance=50 temperature=0",    # ground name as a port
+        "line l impedance=50 temperature=0\n  line  ground impedance=50 "
+        "temperature=0\nopamp a left=l right=ground noise_impedance=10 "
+        "noise_temp=0 conj_temp=0 feedback=C:1e-12",
     ]
     for text in cases:
         with pytest.raises(NetlistError) as err:
@@ -74,6 +83,15 @@ def test_error_battery_positions():
             assert issue.line >= 1
             assert issue.column >= 1
             assert issue.message
+    # a grounded port would drop its node and short the line: the issue
+    # points at the name
+    for text, name, (line, col) in ((cases[-2], "gnd", (1, 6)),
+                                    (cases[-1], "ground", (2, 9))):
+        with pytest.raises(NetlistError) as err:
+            parse(text)
+        issue = err.value.issues[0]
+        assert (issue.line, issue.column) == (line, col)
+        assert name in issue.message and "ground" in issue.message
 
 
 def test_sweep_point_count_is_capped():
@@ -95,7 +113,11 @@ def test_resistive_feedback_strict_by_default():
     with pytest.raises(NetlistError, match="dissipative"):
         parse(text)
     doc = parse(text, allow_resistive_feedback=True)
-    assert doc.opamps[0].feedback_kind == "R"
+    assert doc.opamps[0].feedback == Feedback.resistive(100.0)
+    # the network builds whatever the parser admitted
+    smap = to_network(doc).scattering(2.0 * math.pi * 1e5)
+    assert np.isfinite(smap.matrix).all()
+    assert abs(smap.coefficient("r", "l")) > 0.0
 
 
 def test_round_trip_fixture_and_comments():
@@ -121,23 +143,75 @@ def test_trailing_comments_accepted():
     assert parse(serialize(doc)) == doc
 
 
-def test_parse_totality_fuzz():
-    rng = np.random.default_rng(99)
-    alphabet = list("abcdefghij =:#.-+e0123456789\t")
-    keywords = ["line", "opamp", "signal", "readout", "sweep", "preset",
-                "qnet", "nonsense"]
-    for _ in range(200):
-        n_lines = int(rng.integers(0, 6))
-        rows = []
-        for _ in range(n_lines):
-            row = rng.choice(keywords) + " " + "".join(
-                rng.choice(alphabet) for _ in range(int(rng.integers(0, 30))))
-            rows.append(row)
-        text = "\n".join(rows)
-        try:
-            parse(text)
-        except NetlistError:
-            pass
+# Token-level documents for the parser totality property.  Half of them are
+# valid, so their statements reach the component constructors; in the other
+# half any token may be a ground name, a bad name, a number from subnormal to
+# beyond 1e308, a missing or repeated field or a duplicate designation.
+POSITIVE = st.one_of(
+    st.sampled_from(["50", "1e-12", "0.15e6", "3E2", "5e-324", "1e308",
+                     "2.2250738585072014e-308"]),
+    st.floats(min_value=5e-324, max_value=1e308).map(repr))
+NUMBERS = POSITIVE | st.sampled_from(["0", "-1", "1e309", "nan", "inf", "abc", ""])
+NAMES = st.sampled_from(["l", "r", "s", "gnd", "ground", "0", "9x", "ghost"])
+
+
+@st.composite
+def documents(draw):
+    valid = draw(st.booleans())
+    number = POSITIVE if valid else NUMBERS
+    rows = ["qnet 1"] if draw(st.booleans()) else []
+    ports = draw(st.lists(st.sampled_from(["l", "r", "s"]) if valid else NAMES,
+                          max_size=4, unique=valid))
+    for name in ports:
+        rows.append(f"line {name} impedance={draw(number)} "
+                    f"temperature={draw(number | st.just('0'))}")
+    port = st.sampled_from(ports) if valid and ports else NAMES
+    if valid and len(ports) < 2:
+        n_amps, n_designations = 0, 0
+    else:
+        n_amps, n_designations = draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    for k in range(n_amps):
+        left, right = draw(st.permutations(ports))[:2] if valid else (draw(port), draw(port))
+        fields = [f"left={left}", f"right={right}", f"noise_impedance={draw(number)}",
+                  f"noise_temp={draw(number)}", f"conj_temp={draw(number)}",
+                  f"feedback={draw(st.sampled_from('CLR' if valid else 'CLRX'))}:"
+                  f"{draw(number)}"]
+        if not valid and draw(st.booleans()):      # a field missing or repeated
+            fields[draw(st.integers(0, 5))] = draw(st.sampled_from(fields + ["bogus=1"]))
+        rows.append(" ".join([f"opamp {'a' if valid else draw(NAMES)}{k}"]
+                             + draw(st.permutations(fields))))
+    if valid and n_designations:
+        signal, readout = draw(st.permutations(ports))[:2]
+        rows += [f"signal {signal}", f"readout {readout}"]
+    elif not valid:
+        for _ in range(n_designations):
+            rows.append(f"{draw(st.sampled_from(['signal', 'readout', 'preset']))} "
+                        f"{draw(port)}")
+    if draw(st.booleans()):
+        lo = draw(number)
+        hi = repr(2.0 * float(lo)) if valid else draw(number)
+        count = st.sampled_from(["2", "200"] if valid else ["2", "1", "x"])
+        scale = st.sampled_from(["log", "lin"] if valid else ["log", "cubic"])
+        rows.append(f"sweep {lo} {hi} {draw(count)} {draw(scale)}")
+    for _ in range(draw(st.integers(0, 2))):      # comments, and stray rows if invalid
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(
+            ["# a note", "  # indented note"] if valid else
+            ["frobnicate x", "sweep 10 1000 5 log", "preset microscope", "qnet 1",
+             "line", "signal l r"])))
+    return "\n".join(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(documents(), st.booleans())
+def test_parse_totality_fuzz(text, allow_resistive):
+    try:
+        doc = parse(text, allow_resistive_feedback=allow_resistive)
+    except NetlistError as exc:
+        assert exc.issues
+        return
+    again = parse(serialize(doc), allow_resistive_feedback=allow_resistive)
+    assert again == doc
+    assert serialize(again) == serialize(doc)
 
 
 def _fmt_number(rng, value: float) -> str:
@@ -216,9 +290,12 @@ def test_round_trip_property_500_documents():
 
 def test_to_network_round_trip_behaves():
     doc = parse(CHECK_FIXTURE)
+    # the document holds the network's own objects
+    assert doc.lines == [PortSpec("l", 50.0, 0.0), PortSpec("r", 50.0, 0.0)]
+    assert doc.opamps == [OpAmp("amp", "l", "r", 50.0,
+                                Feedback.capacitive(6.366197723675814e-10))]
     net = to_network(doc)
-    assert [p.name for p in net.ports] == ["l", "r"]
-    assert net.opamps[0].name == "amp"
+    assert net.ports == tuple(doc.lines) and net.opamps == doc.opamps
     with pytest.raises(ValueError):
         to_network(parse("preset microscope\n"))
 
@@ -227,3 +304,34 @@ def test_statement_equality_ignores_positions():
     a = parse("line l impedance=50 temperature=0")
     b = parse("\n\n   line   l   impedance=50.0   temperature=0.0")
     assert a == b
+    assert (a.positions, b.positions) == ([(1, 1)], [(3, 4)])
+
+
+# CHECK_FIXTURE statements: comment, line l, line r, opamp, signal, readout, sweep.
+@pytest.mark.parametrize("index, bad", [
+    (1, PortSpec("l", 50.0, node="n1")),
+    (1, PortSpec("l", 50.0, conjugated=True)),
+    (1, PortSpec("gnd", 50.0)),
+    (1, PortSpec("two words", 50.0)),
+    (3, OpAmp("amp", "l", "r", 50.0, Feedback.reactance(10.0))),
+])
+def test_serialize_rejects_what_the_format_cannot_express(index, bad):
+    doc = parse(CHECK_FIXTURE)
+    assert type(doc.statements[index]) is type(bad)
+    doc.statements[index] = bad
+    with pytest.raises(ValueError):
+        serialize(doc)
+
+
+def test_constructor_refusal_becomes_positioned_issue(monkeypatch):
+    import qunet.netlist
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused by the constructor")
+
+    monkeypatch.setattr(qunet.netlist, "PortSpec", refuse)
+    with pytest.raises(NetlistError) as err:
+        parse("qnet 1\n  line l impedance=50 temperature=0\n")
+    (issue,) = err.value.issues
+    assert (issue.line, issue.column) == (2, 3)
+    assert issue.message == "refused by the constructor"
