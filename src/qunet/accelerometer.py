@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .amplifier import NoiseBudget, OpAmpStage, added_noise, stage_estimator
+from .amplifier import NoiseBudget, OpAmpStage, stage_added_noise
 from .cascade import StageChain, chain_estimator
 from .network import Feedback
 from .spectra import HBAR, K_B, bath_temperature, require_finite
@@ -97,8 +97,7 @@ def accelerometer_budget(params: AcceleroParams,
                 "(newton per normalized field unit) to be referred to force")
         g2 = float(transduction_gain) ** 2
         w_t = float(params.carrier_omega)
-        est = stage_estimator(stage, w_t)
-        detection = added_noise(est, stage.temperatures(), w_t)
+        detection = stage_added_noise(stage, w_t)
         for name, value in detection.contributions.items():
             contributions[name] = g2 * value
     return NoiseBudget.from_contributions(params.measurement_omega, contributions)
@@ -116,27 +115,32 @@ def is_detection_limited(budget: NoiseBudget) -> bool:
 class ForceEstimator:
     """Force readout normalized so the external-force coefficient is one.
 
-    ``weights`` maps each noise source to its force-referred weight; the
-    Langevin force enters with weight one since it acts on the proof mass
-    exactly like the measured force.
+    ``weights`` maps each noise source, a chain's ``(stage, role)`` key or
+    the Langevin source, to its force-referred weight; the Langevin force
+    enters with weight one since it acts on the proof mass exactly like the
+    measured force.
     """
 
-    weights: dict[str, complex]
+    weights: dict
     signal: str = "F_ext"
 
-    def sources(self) -> tuple[str, ...]:
+    def sources(self) -> tuple:
         return tuple(self.weights)
+
+
+def _force_estimator(params: AcceleroParams, stages: tuple[OpAmpStage, ...],
+                     transduction_gain: float) -> ForceEstimator:
+    """Langevin force plus the chain's noise sources referred to force."""
+    est = chain_estimator(StageChain(stages), params.carrier_omega)
+    g = float(transduction_gain)
+    return ForceEstimator({LANGEVIN_SOURCE: 1.0,
+                           **{src: g * mu for src, mu in est.noise_weights().items()}})
 
 
 def force_estimator_free(params: AcceleroParams, stage: OpAmpStage,
                          transduction_gain: float) -> ForceEstimator:
-    """Force estimator with the servo loop open."""
-    est = stage_estimator(stage, params.carrier_omega)
-    g = float(transduction_gain)
-    weights: dict[str, complex] = {LANGEVIN_SOURCE: 1.0}
-    for src, mu in est.noise_weights().items():
-        weights[src] = g * mu
-    return ForceEstimator(weights=weights)
+    """Force estimator with the servo loop open: the one-stage chain."""
+    return _force_estimator(params, (stage,), transduction_gain)
 
 
 def force_estimator_servo(params: AcceleroParams, stage: OpAmpStage,
@@ -153,13 +157,7 @@ def force_estimator_servo(params: AcceleroParams, stage: OpAmpStage,
     identically.
     """
     servo = servo_stage if servo_stage is not None else stage
-    chain = StageChain((stage, servo))
-    est = chain_estimator(chain, params.carrier_omega)
-    g = float(transduction_gain)
-    weights: dict[str, complex] = {LANGEVIN_SOURCE: 1.0}
-    for src, mu in est.noise_weights().items():
-        weights[src] = g * mu
-    return ForceEstimator(weights=weights)
+    return _force_estimator(params, (stage, servo), transduction_gain)
 
 
 def servo_invariance_check(estimator_free: ForceEstimator,
@@ -174,7 +172,8 @@ def servo_invariance_check(estimator_free: ForceEstimator,
     a, b = estimator_free.weights, estimator_servo.weights
     if set(a) != set(b):
         missing = set(a) ^ set(b)
-        raise ValueError(f"mismatched source sets, differing on {sorted(missing)}")
+        raise ValueError("mismatched source sets, differing on "
+                         f"{sorted(missing, key=repr)}")
     return all(abs(a[k] - b[k]) <= tol for k in a)
 
 

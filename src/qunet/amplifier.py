@@ -109,8 +109,8 @@ def _stage_rows(stage: OpAmpStage, omega: float) -> tuple[list, list]:
     every other stage quantity is derived from these two rows.
     """
     w = abs(float(omega))
-    if w == 0.0:
-        raise ValueError("omega = 0 is outside the model")
+    if not 0.0 < w < math.inf:
+        raise ValueError(f"omega = {omega!r} is outside the model")
     rl, rr, ra = stage.r_left, stage.r_right, stage.noise_impedance
     zf = stage.feedback_impedance(w)
     kl = math.sqrt(ra / rl)

@@ -8,6 +8,10 @@ suppressed, by the product of all upstream gains.  With a large first-stage
 gain the downstream electronics contributes a vanishing fraction of the
 total noise and may be treated as classical; the crossover gain for any
 target excess is exposed by :func:`classical_gain_threshold`.
+
+Every chain source is keyed by ``(stage, role)``, the role being one of the
+stage's own source names (``"r"``, ``"a"``, ``"a'"``); the chain's signal
+is ``(0, "l")``.
 """
 
 from __future__ import annotations
@@ -18,28 +22,9 @@ from dataclasses import dataclass
 from .amplifier import (NoiseBudget, OpAmpStage, added_noise, gain,
                         stage_estimator)
 from .network import EstimatorCoefficients
+from .spectra import require_finite
 
-# Per-stage source letters; 'l' and 'r' are reserved for the signal and
-# readout lines.
-_LETTERS = "abcdefghijkmnopqstuvwxyz"
-
-SIGNAL = "l"
-
-
-def noise_letter(stage_index: int) -> str:
-    if stage_index >= len(_LETTERS):
-        raise ValueError("chain too deep for the source naming scheme")
-    return _LETTERS[stage_index]
-
-
-def readout_name(stage_index: int) -> str:
-    return "r" + "'" * stage_index
-
-
-def stage_source_names(stage_index: int) -> tuple[str, str, str]:
-    """(readout, noise, conjugated-noise) source names of one stage."""
-    letter = noise_letter(stage_index)
-    return (readout_name(stage_index), letter, letter + "'")
+SIGNAL = (0, "l")
 
 
 @dataclass(frozen=True)
@@ -57,8 +42,6 @@ class StageChain:
         stages = tuple(self.stages)
         if not stages:
             raise ValueError("a chain needs at least one stage")
-        if len(stages) > len(_LETTERS):
-            raise ValueError("chain too deep for the source naming scheme")
         for k, (up, down) in enumerate(zip(stages, stages[1:])):
             if up.r_right != down.r_left:
                 raise ValueError(
@@ -78,29 +61,25 @@ class StageChain:
     def __add__(self, other: "StageChain") -> "StageChain":
         return StageChain(self.stages + other.stages)
 
-    def source_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for k in range(len(self.stages)):
-            names.extend(stage_source_names(k))
-        return tuple(names)
-
-    def temperatures(self) -> dict[str, float]:
-        temps: dict[str, float] = {}
-        for k, stage in enumerate(self.stages):
-            r_name, a_name, ap_name = stage_source_names(k)
-            temps[r_name] = float(stage.readout_temp)
-            temps[a_name] = float(stage.noise_temp)
-            temps[ap_name] = float(stage.conj_temp)
-        return temps
+    def temperatures(self) -> dict[tuple[int, str], float]:
+        """Bath temperature of every chain source, keyed by (stage, role)."""
+        return {(k, role): t for k, stage in enumerate(self.stages)
+                for role, t in stage.temperatures().items()}
 
 
-def _shift_source_name(name: str, offset: int) -> str:
-    base = name.rstrip("'")
-    primes = len(name) - len(base)
-    if base == "r":
-        return readout_name(primes + offset)
-    idx = _LETTERS.index(base)
-    return noise_letter(idx + offset) + "'" * primes
+def _chain_rule(weights: dict, upstream_gain: complex,
+                downstream: EstimatorCoefficients, key) -> complex:
+    """Append a downstream measurement of the upstream readout to ``weights``.
+
+    Each downstream noise source enters under ``key(source)``, its weight
+    divided by the upstream gain.  Returns the gain of the composed chain,
+    the product of the two gains.
+    """
+    signal = downstream.signal
+    for src, mu in downstream.weights.items():
+        if src != signal:
+            weights[key(src)] = mu / upstream_gain
+    return upstream_gain * downstream.gain
 
 
 def chain_estimator(chain: StageChain, omega: float) -> EstimatorCoefficients:
@@ -110,17 +89,12 @@ def chain_estimator(chain: StageChain, omega: float) -> EstimatorCoefficients:
     sources enter divided by the product of all upstream gains.  The total
     gain of the chain is the product of the stage gains.
     """
-    weights: dict[str, complex] = {SIGNAL: 1.0}
-    upstream_gain: complex = 1.0
+    weights: dict[tuple[int, str], complex] = {SIGNAL: 1.0}
+    total_gain: complex = 1.0
     for k, stage in enumerate(chain.stages):
-        est = stage_estimator(stage, omega)
-        r_name, a_name, ap_name = stage_source_names(k)
-        local = {"r": r_name, "a": a_name, "a'": ap_name}
-        for src, mu in est.noise_weights().items():
-            weights[local[src]] = mu / upstream_gain
-        upstream_gain = upstream_gain * est.gain
-    return EstimatorCoefficients(signal=SIGNAL, weights=weights,
-                                 gain=upstream_gain)
+        total_gain = _chain_rule(weights, total_gain, stage_estimator(stage, omega),
+                                 lambda role: (k, role))
+    return EstimatorCoefficients(signal=SIGNAL, weights=weights, gain=total_gain)
 
 
 def merge_chain_estimators(upstream: EstimatorCoefficients,
@@ -129,23 +103,33 @@ def merge_chain_estimators(upstream: EstimatorCoefficients,
     """Compose the estimator of a front chain with that of a back chain.
 
     The downstream estimator is read as measuring the upstream readout
-    field: its sources are renamed past the upstream stages and scaled by
-    the upstream gain.  Folding a chain in any grouping gives the same
-    result as :func:`chain_estimator` on the concatenated chain.
+    field: its stage indices move past the ``upstream_length`` upstream
+    stages.  Folding a chain in any grouping gives the same result as
+    :func:`chain_estimator` on the concatenated chain.
     """
     weights = dict(upstream.weights)
-    for src, mu in downstream.noise_weights().items():
-        weights[_shift_source_name(src, upstream_length)] = mu / upstream.gain
+    total_gain = _chain_rule(weights, upstream.gain, downstream,
+                             lambda src: (src[0] + upstream_length, src[1]))
     return EstimatorCoefficients(signal=upstream.signal, weights=weights,
-                                 gain=upstream.gain * downstream.gain)
+                                 gain=total_gain)
 
 
 def chain_added_noise(chain: StageChain, omega: float,
                       temperatures=None) -> NoiseBudget:
+    """Added noise of the chain; ``temperatures`` overrides (stage, role) entries."""
     temps = chain.temperatures()
     if temperatures:
+        unknown = temperatures.keys() - temps.keys()
+        if unknown:
+            raise KeyError(f"no chain source {sorted(unknown, key=repr)}; "
+                           "sources are (stage, role) pairs")
         temps.update(temperatures)
     return added_noise(chain_estimator(chain, omega), temps, omega)
+
+
+def _downstream(budget: NoiseBudget) -> float:
+    """Sum of the contributions of every stage after the first."""
+    return sum(v for (k, _), v in budget.contributions.items() if k > 0)
 
 
 def downstream_noise_fraction(chain: StageChain, omega: float,
@@ -158,9 +142,7 @@ def downstream_noise_fraction(chain: StageChain, omega: float,
     budget = chain_added_noise(chain, omega, temperatures)
     if budget.total == 0.0:
         return 0.0
-    first = set(stage_source_names(0))
-    downstream = sum(v for k, v in budget.contributions.items() if k not in first)
-    return downstream / budget.total
+    return _downstream(budget) / budget.total
 
 
 def classical_gain_threshold(chain: StageChain, omega: float,
@@ -171,12 +153,8 @@ def classical_gain_threshold(chain: StageChain, omega: float,
     sources and scales exactly as 1/|G1|^2, so the threshold follows from
     one evaluation of the chain.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be > 0")
+    eps = require_finite(eps, "eps")
     if len(chain) < 2:
         return 0.0
-    budget = chain_added_noise(chain, omega)
-    first = set(stage_source_names(0))
-    excess = sum(v for k, v in budget.contributions.items() if k not in first)
     g1 = abs(gain(chain.stages[0], omega))
-    return g1 * math.sqrt(excess / eps)
+    return g1 * math.sqrt(_downstream(chain_added_noise(chain, omega)) / eps)

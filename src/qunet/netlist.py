@@ -135,6 +135,7 @@ class _Parser:
         self.doc = NetlistDocument()
         self.port_names: set[str] = set()
         self.opamp_names: set[str] = set()
+        self.terminals: dict[str, str] = {}     # port -> amplifier using it
 
     def error(self, line: int, column: int, message: str) -> None:
         self.issues.append(Issue(line, column, message))
@@ -312,6 +313,14 @@ class _Parser:
         if left == right:
             self.error(lineno, col_r, "left and right ports must differ")
             ok = False
+        for col, port in ((col_l, left), (col_r, right)):
+            if port in self.terminals:
+                self.error(lineno, col,
+                           f"port {port!r} is already a terminal of amplifier "
+                           f"{self.terminals[port]!r}; compose stages with the "
+                           "cascade tools instead of wiring ideal amplifiers "
+                           "back to back")
+                ok = False
         r_a = self._number(lineno, *fields["noise_impedance"], "impedance", positive=True)
         t_n = self._number(lineno, *fields["noise_temp"], "temperature", nonnegative=True)
         t_c = self._number(lineno, *fields["conj_temp"], "temperature", nonnegative=True)
@@ -335,6 +344,7 @@ class _Parser:
         if amp is None:
             return
         self.opamp_names.add(name)
+        self.terminals[left] = self.terminals[right] = name
         self.doc.opamps.append(amp)
         self._add(lineno, toks[0][0], amp)
 

@@ -47,8 +47,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     Parameters
     ----------
     omega : float
-        Angular frequency in rad/s.  Must be nonzero; only its magnitude
-        matters (the spectrum is even in frequency).
+        Angular frequency in rad/s.  Must be finite and nonzero; only its
+        magnitude matters (the spectrum is even in frequency).
     temperature : float
         Physical bath temperature in kelvin, finite and >= 0.
 
@@ -65,9 +65,10 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     saturates in double precision and the vacuum floor 0.5 is returned.
     """
     w = abs(float(omega))
-    if w == 0.0:
-        raise ValueError("omega = 0 is outside the model: the classical "
-                         "spectrum diverges at zero frequency")
+    if not 0.0 < w < math.inf:
+        raise ValueError(f"omega = {omega!r} is outside the model: it must be "
+                         "finite and nonzero (the classical spectrum diverges "
+                         "at zero frequency)")
     t = float(temperature)
     if t == 0.0:
         return 0.5

@@ -55,6 +55,21 @@ def added_noise_closed_form(stage, omega: float) -> float:
             + rl * ra / 4.0 * abs(1.0 / zf + 1.0 / rl + 1.0 / ra) ** 2 * s_ap)
 
 
+def chain_added_noise_recursion(stages, omega: float) -> float:
+    """Added noise of a feed-forward chain, stage by stage.
+
+    Each stage's closed-form added noise is referred to the chain input by
+    the product of |G|^2 = 4 |Z_f|^2 / (R_l R_r) over the stages before it.
+    """
+    w = abs(float(omega))
+    total, upstream = 0.0, 1.0
+    for stage in stages:
+        total += added_noise_closed_form(stage, w) / upstream
+        upstream *= 4.0 * abs(stage.feedback_impedance(w)) ** 2 / (
+            stage.r_left * stage.r_right)
+    return total
+
+
 def scattering_per_point(net, omega: float) -> tuple[np.ndarray, float]:
     """Full scattering matrix of a ``QuantumNetwork`` at one frequency.
 

@@ -97,22 +97,26 @@ def test_force_estimator_free_weights():
     g = 2.5e-13
     est = force_estimator_free(params, MICROSCOPE.stage, g)
     assert est.weights[LANGEVIN_SOURCE] == 1.0
-    assert set(est.sources()) == {LANGEVIN_SOURCE, "r", "a", "a'"}
+    assert set(est.sources()) == {LANGEVIN_SOURCE, (0, "r"), (0, "a"), (0, "a'")}
     from qunet import stage_estimator
 
     mu = stage_estimator(MICROSCOPE.stage, params.carrier_omega).weights
     for name in ("r", "a", "a'"):
-        assert est.weights[name] == g * mu[name]
+        assert est.weights[(0, name)] == g * mu[name]
 
 
 def test_servo_invariance_identical_and_perturbed():
     params = microscope_params()
     free = force_estimator_free(params, MICROSCOPE.stage, 1.0)
     assert servo_invariance_check(free, free) is True
-    bumped = ForceEstimator({**free.weights, "a": free.weights["a"] + 1e-3})
+    bumped = ForceEstimator({**free.weights, (0, "a"): free.weights[(0, "a")] + 1e-3})
     assert servo_invariance_check(free, bumped) is False
+    # the str Langevin key and the tuple chain keys both differ here: the
+    # message still lists them instead of failing to sort them
     with pytest.raises(ValueError, match="mismatch"):
-        servo_invariance_check(free, ForceEstimator({"r": 0j, "a": 0j}))
+        servo_invariance_check(free, ForceEstimator({(0, "r"): 0j, (0, "a"): 0j}))
+    with pytest.raises(ValueError, match="mismatch"):
+        servo_invariance_check(free, force_estimator_servo(params, MICROSCOPE.stage, 1.0))
 
 
 def test_servo_estimator_matches_free_on_shared_sources():

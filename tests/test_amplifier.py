@@ -217,6 +217,17 @@ def test_with_gain_magnitude_sets_gain():
         assert abs(gain(tuned, W0)) == pytest.approx(target, rel=1e-12)
 
 
+def test_stage_rejects_non_finite_omega():
+    # a C-feedback stage used to return a NaN total at nan or inf, and an
+    # X-feedback stage at 0 K returned 0.515 for nan
+    for feedback in (Feedback.capacitive(1e-12), Feedback.reactance(2.5e5)):
+        stage = OpAmpStage(50.0, 50.0, 50.0, feedback)
+        for bad in (0.0, math.nan, math.inf, -math.inf):
+            for per_point in (stage_added_noise, stage_estimator, stage_scattering):
+                with pytest.raises(ValueError, match="omega"):
+                    per_point(stage, bad)
+
+
 def test_noise_impedance_is_generator_psd_ratio():
     from qunet.amplifier import generator_psds
 

@@ -8,9 +8,9 @@ from qunet import (Feedback, OpAmpStage, StageChain, chain_added_noise,
                    chain_estimator, classical_gain_threshold,
                    downstream_noise_fraction, gain, merge_chain_estimators,
                    stage_added_noise, stage_estimator)
-from qunet.cascade import stage_source_names
 
 from helpers import random_omega, random_stage, stage_with_gain
+from oracles import chain_added_noise_recursion
 
 W0 = 2.0 * math.pi * 1e5
 
@@ -26,18 +26,19 @@ def test_single_stage_chain_reduces_to_stage_estimator():
         w = random_omega(rng)
         single = stage_estimator(stage, w)
         chained = chain_estimator(StageChain((stage,)), w)
-        assert chained.weights == single.weights
+        assert chained.weights == {(0, k): v for k, v in single.weights.items()}
         assert chained.gain == single.gain
-        assert chained.weights["l"] == 1.0
+        assert chained.weights[(0, "l")] == 1.0
 
 
 def test_two_stage_source_names_and_temperatures():
     chain = StageChain((
         stage_with_gain(10.0, noise_temp=1.0, conj_temp=2.0, readout_temp=3.0),
         stage_with_gain(20.0, noise_temp=4.0, conj_temp=5.0, readout_temp=6.0)))
-    assert chain.source_names() == ("r", "a", "a'", "r'", "b", "b'")
     temps = chain.temperatures()
-    assert temps == {"r": 3.0, "a": 1.0, "a'": 2.0, "r'": 6.0, "b": 4.0, "b'": 5.0}
+    assert tuple(temps) == ((0, "r"), (0, "a"), (0, "a'"), (1, "r"), (1, "a"), (1, "a'"))
+    assert temps == {(0, "r"): 3.0, (0, "a"): 1.0, (0, "a'"): 2.0,
+                     (1, "r"): 6.0, (1, "a"): 4.0, (1, "a'"): 5.0}
 
 
 def test_two_stage_weights_against_hand_recursion():
@@ -50,12 +51,12 @@ def test_two_stage_weights_against_hand_recursion():
     g2 = gain(chain.stages[1], w)
     est = chain_estimator(chain, w)
     expected = {
-        "r": -1.0 / g1,
-        "a": 1.0 / g1,
-        "a'": 1.0 - 1.0 / g1,
-        "r'": (1.0 / g1) * (-1.0 / g2),
-        "b": (1.0 / g1) * (1.0 / g2),
-        "b'": (1.0 / g1) * (1.0 - 1.0 / g2),
+        (0, "r"): -1.0 / g1,
+        (0, "a"): 1.0 / g1,
+        (0, "a'"): 1.0 - 1.0 / g1,
+        (1, "r"): (1.0 / g1) * (-1.0 / g2),
+        (1, "a"): (1.0 / g1) * (1.0 / g2),
+        (1, "a'"): (1.0 / g1) * (1.0 - 1.0 / g2),
     }
     for name, mu in expected.items():
         assert est.weights[name] == pytest.approx(mu, rel=1e-12)
@@ -65,19 +66,19 @@ def test_two_stage_weights_against_hand_recursion():
 def test_two_identical_stages_weight_magnitudes():
     chain = chain_of_gains(1e3, 1e3)
     est = chain_estimator(chain, W0)
-    assert 1e-7 < abs(est.weights["b"]) < 1e-5
-    assert abs(est.weights["a'"]) == pytest.approx(1.0, abs=2e-3)
+    assert 1e-7 < abs(est.weights[(1, "a")]) < 1e-5
+    assert abs(est.weights[(0, "a'")]) == pytest.approx(1.0, abs=2e-3)
 
 
 def test_large_first_gain_collapses_to_conjugate_source():
     chain = chain_of_gains(1e8, 5.0)
     est = chain_estimator(chain, W0)
     for name, mu in est.weights.items():
-        if name in ("l", "a'"):
+        if name in ((0, "l"), (0, "a'")):
             continue
         assert abs(mu) < 1e-6
-    assert abs(est.weights["a'"] - 1.0) < 1e-6
-    assert est.weights["l"] == 1.0
+    assert abs(est.weights[(0, "a'")] - 1.0) < 1e-6
+    assert est.weights[(0, "l")] == 1.0
 
 
 def test_recursive_composition_equals_flat():
@@ -113,15 +114,15 @@ def test_chain_matches_raw_scattering_substitution():
         r1 = stage_scattering(s1, w).row("r")
         r2 = stage_scattering(s2, w).row("r")
         g1, g2 = r1["l"], r2["l"]
-        total = {name: g2 * coeff for name, coeff in r1.items()}
-        total["r'"] = r2["r"]
-        total["b"] = r2["a"]
-        total["b'"] = r2["a'"]
+        total = {(0, name): g2 * coeff for name, coeff in r1.items()}
+        total[(1, "r")] = r2["r"]
+        total[(1, "a")] = r2["a"]
+        total[(1, "a'")] = r2["a'"]
         oracle = {k: v / (g1 * g2) for k, v in total.items()}
         est = chain_estimator(StageChain((s1, s2)), w)
-        assert abs(oracle["l"] - 1.0) < 1e-12
-        for name in ("r", "a", "a'", "r'", "b", "b'"):
-            assert abs(est.weights[name] - oracle[name]) < 1e-12
+        assert abs(oracle[(0, "l")] - 1.0) < 1e-12
+        for key in ((0, "r"), (0, "a"), (0, "a'"), (1, "r"), (1, "a"), (1, "a'")):
+            assert abs(est.weights[key] - oracle[key]) < 1e-12
         assert est.gain == pytest.approx(g1 * g2, rel=1e-12)
 
 
@@ -135,8 +136,8 @@ def test_downstream_fraction_brute_force_oracle():
     # the full weight table by hand
     chain = chain_of_gains(10.0, 10.0)
     est = chain_estimator(chain, W0)
-    contrib = {k: 0.5 * abs(mu) ** 2 for k, mu in est.weights.items() if k != "l"}
-    first = set(stage_source_names(0))
+    contrib = {k: 0.5 * abs(mu) ** 2 for k, mu in est.weights.items() if k != (0, "l")}
+    first = {(0, "r"), (0, "a"), (0, "a'")}
     oracle = (sum(v for k, v in contrib.items() if k not in first)
               / sum(contrib.values()))
     assert downstream_noise_fraction(chain, W0) == pytest.approx(oracle, rel=1e-12)
@@ -172,13 +173,21 @@ def test_classical_gain_threshold():
     assert classical_gain_threshold(StageChain((stage_with_gain(5.0),)), W0, eps) == 0.0
     with pytest.raises(ValueError):
         classical_gain_threshold(chain, W0, 0.0)
+    # nan used to come back as a nan threshold
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps"):
+            classical_gain_threshold(chain, W0, bad)
 
 
 def test_chain_temperature_overrides():
     chain = chain_of_gains(10.0, 10.0)
     cold = chain_added_noise(chain, W0).total
-    warm = chain_added_noise(chain, W0, temperatures={"a'": 300.0}).total
+    warm = chain_added_noise(chain, W0, temperatures={(0, "a'"): 300.0}).total
     assert warm > cold
+    # a name the chain does not have is an error, not a silent no-op
+    for stray in ("a'", (2, "a")):
+        with pytest.raises(KeyError, match="no chain source"):
+            chain_added_noise(chain, W0, temperatures={stray: 300.0})
 
 
 def test_impedance_continuity_enforced():
@@ -188,6 +197,21 @@ def test_impedance_continuity_enforced():
         StageChain((s1, s2))
     with pytest.raises(ValueError):
         StageChain(())
+
+
+def test_deep_chain_has_no_stage_cap():
+    # letter/prime source names used to stop a chain at 24 stages
+    rng = np.random.default_rng(40)
+    stages = [random_stage(rng, g_lo=-1.0, g_hi=3.0)]
+    for _ in range(39):
+        stages.append(replace(random_stage(rng, g_lo=-1.0, g_hi=3.0),
+                              r_left=stages[-1].r_right))
+    chain = StageChain(tuple(stages))
+    est = chain_estimator(chain, W0)
+    assert list(est.weights)[-3:] == [(39, "r"), (39, "a"), (39, "a'")]
+    assert set(chain.temperatures()) == set(est.weights) - {(0, "l")}
+    oracle = chain_added_noise_recursion(stages, W0)
+    assert chain_added_noise(chain, W0).total == pytest.approx(oracle, rel=1e-12)
 
 
 def test_chain_concatenation():

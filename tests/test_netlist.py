@@ -76,7 +76,17 @@ def test_error_battery_positions():
         "temperature=0\nopamp a left=l right=ground noise_impedance=10 "
         "noise_temp=0 conj_temp=0 feedback=C:1e-12",
     ]
-    for text in cases:
+    # two amplifiers sharing a port: the issue sits at the second one's
+    # left= or right= value
+    ports = "".join(f"line {p} impedance=50 temperature=0\n" for p in "lmsqt")
+    amp = "noise_impedance=50 noise_temp=0 conj_temp=0 feedback=C:1e-12"
+    shared = [(ports + f"opamp a left=l right=m {amp}\nopamp b left=m right=s {amp}",
+               (7, 14)),
+              (ports + f"opamp a left=l right=m {amp}\nopamp b left=s right=m {amp}",
+               (7, 22)),
+              (ports + f"opamp a left=l right=m {amp}\nopamp b left=s right=q {amp}\n"
+                       f"opamp c left=q right=t {amp}", (8, 14))]
+    for text in cases + [text for text, _ in shared]:
         with pytest.raises(NetlistError) as err:
             parse(text)
         for issue in err.value.issues:
@@ -92,6 +102,12 @@ def test_error_battery_positions():
         issue = err.value.issues[0]
         assert (issue.line, issue.column) == (line, col)
         assert name in issue.message and "ground" in issue.message
+    for (text, (line, col)), owner in zip(shared, "aab"):
+        with pytest.raises(NetlistError) as err:
+            parse(text)
+        (issue,) = err.value.issues
+        assert (issue.line, issue.column) == (line, col)
+        assert f"terminal of amplifier {owner!r}" in issue.message
 
 
 def test_sweep_point_count_is_capped():
@@ -247,14 +263,15 @@ def random_document_text(rng) -> str:
             "line", name,
             f"impedance={_fmt_number(rng, 10 ** rng.uniform(0, 6))}",
             f"temperature={_fmt_number(rng, rng.uniform(0, 400))}"]))
-    used_pairs = set()
+    # amplifiers never share a port: the network cannot build that
+    used_ports = set()
     for k in range(int(rng.integers(0, 3))):
         if len(names) < 2:
             break
         left, right = rng.choice(names, size=2, replace=False)
-        if (left, right) in used_pairs:
+        if left in used_ports or right in used_ports:
             continue
-        used_pairs.add((left, right))
+        used_ports.update((left, right))
         kind = rng.choice(["C", "L"])
         value = 10 ** rng.uniform(-12, -3)
         rows.append(_spaced(rng, [

@@ -1,5 +1,6 @@
 """Property tests: the stage relations against two independent references,
-and the finite/domain checks at every constructor and noise law."""
+the chain composition against itself and a per-stage recursion, and the
+finite/domain checks at every constructor and noise law."""
 
 import math
 
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qunet import (AcceleroParams, Capacitor, Feedback, OpAmp, OpAmpStage,
-                   PortSpec, QuantumNetwork, stage_added_noise,
+                   PortSpec, QuantumNetwork, StageChain, chain_added_noise,
+                   chain_estimator, merge_chain_estimators, stage_added_noise,
                    stage_estimator, stage_scattering, thermal_occupation)
 
-from oracles import added_noise_closed_form, estimator_weights_closed_form
+from oracles import (added_noise_closed_form, chain_added_noise_recursion,
+                     estimator_weights_closed_form)
 
 impedances = st.floats(0.7, 3.7).map(lambda e: 10.0 ** e)
 temperatures = st.one_of(st.just(0.0), st.floats(0.0, 300.0))
@@ -59,6 +62,41 @@ def test_stage_estimator_matches_oracle_weights(stage, w):
 def test_stage_added_noise_matches_closed_form(stage, w):
     total = stage_added_noise(stage, w).total
     oracle = added_noise_closed_form(stage, w)
+    assert abs(total - oracle) <= 1e-12 * oracle
+
+
+@st.composite
+def chains(draw):
+    """Impedance-continuous chain of 1 to 40 stages, |G| in 0.1..1e3 each."""
+    n = draw(st.integers(1, 40))
+    lines = [draw(impedances) for _ in range(n + 1)]
+    stages = []
+    for r_l, r_r in zip(lines, lines[1:]):
+        g = 10.0 ** draw(st.floats(-1.0, 3.0))
+        x = g * math.sqrt(r_l * r_r) / 2.0 * draw(st.sampled_from((1.0, -1.0)))
+        stages.append(OpAmpStage(r_l, r_r, draw(impedances), Feedback.reactance(x),
+                                 noise_temp=draw(temperatures),
+                                 conj_temp=draw(temperatures),
+                                 readout_temp=draw(temperatures)))
+    return StageChain(tuple(stages))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains(), omegas, st.data())
+def test_chain_composition_is_associative(chain, w, data):
+    whole = chain_estimator(chain, w)
+    if len(chain) > 1:
+        split = data.draw(st.integers(1, len(chain) - 1))
+        merged = merge_chain_estimators(chain_estimator(chain[:split], w), split,
+                                        chain_estimator(chain[split:], w))
+        assert merged.signal == whole.signal == (0, "l")
+        assert merged.weights.keys() == whole.weights.keys()
+        for key, mu in whole.weights.items():
+            assert abs(merged.weights[key] - mu) <= 1e-12 * abs(mu)
+        assert abs(merged.gain - whole.gain) <= 1e-12 * abs(whole.gain)
+    assert len(whole.weights) == 1 + 3 * len(chain)
+    total = chain_added_noise(chain, w).total
+    oracle = chain_added_noise_recursion(chain.stages, w)
     assert abs(total - oracle) <= 1e-12 * oracle
 
 

@@ -123,6 +123,12 @@ def test_johnson_psd_linear_in_resistance():
 def test_domain_errors():
     with pytest.raises(ValueError):
         thermal_occupation(0.0, 1.0)
+    # nan used to give the vacuum floor 0.5 at 0 K and a misleading
+    # "exceeds double range" at 300 K
+    for bad in (math.nan, math.inf, -math.inf):
+        for t in (0.0, 300.0):
+            with pytest.raises(ValueError, match="omega"):
+                thermal_occupation(bad, t)
     # NaN used to give a NaN spectrum, inf a bare ZeroDivisionError
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="temperature"):
