@@ -8,9 +8,8 @@ equivalent-input-noise budgets, chains stages, and ships a cold-damped
 accelerometer preset.
 """
 
-from .spectra import (HBAR, K_B, FrequencyGrid, bath_temperature,
-                      effective_temperature, johnson_voltage_psd,
-                      thermal_occupation)
+from .spectra import (HBAR, K_B, bath_temperature, effective_temperature,
+                      johnson_voltage_psd, thermal_occupation)
 from .network import (DEFAULT_TOLERANCE, Capacitor, Channel,
                       EstimatorCoefficients, Feedback, Inductor,
                       NoTransductionError, OpAmp, PortSpec, QuantumNetwork,

@@ -68,9 +68,8 @@ def acceleration_sensitivity(params: AcceleroParams,
 
     Uses the Langevin force PSD when no total is supplied.
     """
-    psd = langevin_force_psd(params) if force_psd is None else float(force_psd)
-    if psd < 0.0:
-        raise ValueError("force PSD must be >= 0")
+    psd = (langevin_force_psd(params) if force_psd is None
+           else require_finite(force_psd, "force PSD", closed=True))
     return math.sqrt(psd) / float(params.mass)
 
 
@@ -188,14 +187,12 @@ def cold_damped_temperature(params: AcceleroParams,
     (H_fb > H_m) and the detection noise below the Langevin term, this
     falls strictly below the physical bath temperature.
     """
-    if detection_force_psd < 0.0:
-        raise ValueError("detection force PSD must be >= 0")
-    if feedback_damping < 0.0:
-        raise ValueError("feedback damping must be >= 0 kg/s")
-    h_total = float(params.mech_damping) + float(feedback_damping)
+    psd = require_finite(detection_force_psd, "detection force PSD", closed=True)
+    h_total = float(params.mech_damping) + require_finite(
+        feedback_damping, "feedback damping (kg/s)", closed=True)
     if h_total == 0.0:
         raise ValueError("undamped mass has no stationary effective temperature")
-    return (langevin_force_psd(params) + float(detection_force_psd)) / (2.0 * K_B * h_total)
+    return (langevin_force_psd(params) + psd) / (2.0 * K_B * h_total)
 
 
 @dataclass(frozen=True)

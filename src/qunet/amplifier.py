@@ -182,9 +182,10 @@ def added_noise(estimator: EstimatorCoefficients, temperatures,
     for name, mu in estimator.weights.items():
         if name == estimator.signal:
             continue
-        if name not in temperatures:
+        t = temperatures.get(name)
+        if t is None:
             raise KeyError(f"no temperature given for noise source {name!r}")
-        contributions[name] = abs(mu) ** 2 * thermal_occupation(omega, temperatures[name])
+        contributions[name] = abs(mu) ** 2 * thermal_occupation(omega, t)
     return NoiseBudget.from_contributions(omega, contributions)
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import accelerometer as accel
 from . import netlist
-from .amplifier import stage_estimator, stage_scattering
-from .network import DEFAULT_TOLERANCE, NoTransductionError, check_commutators
+from .amplifier import stage_scattering
+from .network import DEFAULT_TOLERANCE, NoTransductionError, commutator_residual
 from .spectra import require_finite, thermal_occupation
 
 TWO_PI = 2.0 * math.pi
@@ -49,93 +49,74 @@ def _option(value, flag: str, low: float = 0.0) -> float | None:
 
 
 def _load_document(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        _err(str(exc))
-        return None
-    try:
-        return netlist.parse(text)
-    except netlist.NetlistError as exc:
-        for issue in exc.issues:
-            _err(str(issue))
-        return None
+    with open(path, "r", encoding="utf-8") as fh:
+        return netlist.parse(fh.read())
 
 
-def _preset_for(doc):
-    try:
-        return accel.get_preset(doc.preset)
-    except KeyError as exc:
-        _err(str(exc.args[0]))
-        return None
+def _scattering_stack(doc, grid=None, outputs=None):
+    """Scattering matrices of a document over angular frequencies ``grid``.
 
-
-def _scattering_maps(doc, freq_hz):
-    """Scattering maps of a document over --freq or its sweep directive."""
+    Returns the angular frequencies (F,), the stack S (F, m, k), the output
+    and input channels and the input temperatures.  ``grid`` None is the
+    document's own: a preset's carrier, a circuit's sweep directive.  A
+    preset is its detection stage, both rows; a circuit solves only the
+    rows named in ``outputs``, by default all.
+    """
     if doc.preset is not None:
-        preset = _preset_for(doc)
-        if preset is None:
-            return None
-        omegas = ([TWO_PI * freq_hz] if freq_hz else [preset.params.carrier_omega])
-        return [stage_scattering(preset.stage, w) for w in omegas]
+        preset = accel.get_preset(doc.preset)
+        ws = [preset.params.carrier_omega] if grid is None else grid
+        maps = [stage_scattering(preset.stage, w) for w in ws]
+        return (np.array([m.omega for m in maps]), np.array([m.matrix for m in maps]),
+                maps[0].outputs, maps[0].inputs, preset.stage.temperatures())
     net = netlist.to_network(doc)
-    if freq_hz:
-        return [net.scattering(TWO_PI * freq_hz)]
-    if doc.sweep is None:
-        _err("document has no sweep directive; pass --freq")
-        return None
-    return net.sweep(doc.sweep.to_grid())
+    if grid is None:
+        if doc.sweep is None:
+            raise ValueError("document has no sweep directive; pass --freq")
+        grid = doc.sweep.to_grid()
+    maps = net.sweep(grid, outputs)
+    return (maps.omegas, maps.matrices, maps.outputs, maps.inputs,
+            net.channel_temperatures())
 
 
 def cmd_check(args) -> int:
     tol, freq = _resolve_tol(args), _option(args.freq, "--freq")
     gain = _option(args.inject_gain, "--inject-gain", low=-math.inf)
     doc = _load_document(args.netlist)
-    if doc is None:
-        return 2
-    maps = _scattering_maps(doc, freq)
-    if maps is None:
-        return 2
+    omegas, s, outputs, inputs, _ = _scattering_stack(
+        doc, None if freq is None else [TWO_PI * freq])
     if gain is not None:
-        maps = [m.scaled(gain) for m in maps]
-    residual = max(check_commutators(m) for m in maps)
+        s = s * gain
+    residual = commutator_residual(s, [c.signature for c in inputs],
+                                   [c.signature for c in outputs])
     ok = residual < tol
-    print(f"max commutator residual: {residual!r} over {len(maps)} "
+    print(f"max commutator residual: {residual!r} over {len(omegas)} "
           f"frequency point(s); tolerance {tol!r}: {'OK' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
-def _rows(est, temps, omega):
-    """Budget rows [(name, |mu|^2, sigma)] of an estimator's noise sources."""
-    return [(name, abs(mu) ** 2, thermal_occupation(omega, temps[name]))
-            for name, mu in est.noise_weights().items()]
-
-
-def _circuit_budget(doc, grid):
-    """Noise budget of a circuit document over angular frequencies ``grid``.
+def _circuit_budget(doc, grid=None):
+    """Noise budget of a document's readout over angular frequencies ``grid``.
 
     Returns the angular frequencies (F,), the noise source names (k) and
     their |mu|^2 and sigma, each (k, F).  Only the readout row is solved.
+    A preset reads its stage's "r" row for the signal "l" at the carrier.
     """
-    signal, readout = doc.signal, doc.readout
+    signal, readout = ("l", "r") if doc.preset is not None else (doc.signal, doc.readout)
     if signal is None or readout is None:
         raise ValueError("a noise budget needs both a signal and a readout "
                          "designation")
-    net = netlist.to_network(doc)
-    maps = net.sweep(grid, outputs=(readout,))
-    names = [c.name for c in maps.inputs]
-    row = maps.matrices[:, 0, :].T
+    omegas, s, outputs, inputs, temps = _scattering_stack(doc, grid, (readout,))
+    names = [c.name for c in inputs]
+    row = s[:, [c.name for c in outputs].index(readout), :].T
     beta = row[names.index(signal)]
     if not beta.all():
         raise NoTransductionError(f"readout {readout!r} has zero coefficient on "
                                   f"signal {signal!r}: no transduction")
     noise = [i for i, name in enumerate(names) if name != signal]
-    temps, ws = net.channel_temperatures(), maps.omegas.tolist()
+    ws = omegas.tolist()
     sigma = np.array([[thermal_occupation(w, temps[names[i]]) for w in ws]
                       for i in noise])
-    return (maps.omegas, [names[i] for i in noise],
-            np.abs(row[noise] / beta) ** 2, sigma)
+    return omegas, [names[i] for i in noise], np.abs(row[noise] / beta) ** 2, sigma
 
 
 def _report_dict(freq_hz, units, rows):
@@ -165,27 +146,19 @@ def _print_report_table(report) -> None:
 def cmd_budget(args) -> int:
     freq = _option(args.freq, "--freq")
     doc = _load_document(args.netlist)
-    if doc is None:
-        return 2
-    if doc.preset is not None:
-        preset = _preset_for(doc)
-        if preset is None:
-            return 2
-        params, w_t = preset.params, preset.params.carrier_omega
-        g2 = preset.transduction_gain ** 2
-        rows = [(accel.LANGEVIN_SOURCE, 1.0, accel.langevin_force_psd(params))]
-        rows += [(name, g2 * mu2, sigma) for name, mu2, sigma in
-                 _rows(stage_estimator(preset.stage, w_t),
-                       preset.stage.temperatures(), w_t)]
+    if doc.preset is None and freq is None:
+        raise ValueError("a positive --freq in Hz is required for circuit budgets")
+    preset = None if doc.preset is None else accel.get_preset(doc.preset)
+    _, names, mu2, sigma = _circuit_budget(doc, [TWO_PI * freq] if preset is None else None)
+    rows = zip(names, mu2[:, 0].tolist(), sigma[:, 0].tolist())
+    if preset is None:
+        report = _report_dict(freq, "dimensionless quanta per mode", rows)
+    else:
+        params, g2 = preset.params, preset.transduction_gain ** 2
+        rows = [(accel.LANGEVIN_SOURCE, 1.0, accel.langevin_force_psd(params)),
+                *((name, g2 * m, sig) for name, m, sig in rows)]
         report = _report_dict(freq or params.measurement_omega / TWO_PI,
                               accel.FORCE_UNITS, rows)
-    elif freq is None:
-        _err("a positive --freq in Hz is required for circuit budgets")
-        return 2
-    else:
-        _, names, mu2, sigma = _circuit_budget(doc, [TWO_PI * freq])
-        rows = zip(names, mu2[:, 0].tolist(), sigma[:, 0].tolist())
-        report = _report_dict(freq, "dimensionless quanta per mode", rows)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -195,43 +168,28 @@ def cmd_budget(args) -> int:
 
 def cmd_sweep(args) -> int:
     doc = _load_document(args.netlist)
-    if doc is None:
-        return 2
     if doc.sweep is None:
-        _err("document has no sweep directive")
-        return 2
+        raise ValueError("document has no sweep directive")
     if doc.preset is not None:
-        _err(f"preset {doc.preset!r} is evaluated only at its carrier; "
-             "sweep needs a circuit document")
-        return 2
+        raise ValueError(f"preset {doc.preset!r} is evaluated only at its carrier; "
+                         "sweep needs a circuit document")
     omegas, names, mu2, sigma = _circuit_budget(doc, doc.sweep.to_grid())
     contrib = mu2 * sigma
     # Columns freq_hz, total, sources; the total adds the sources in order.
     table = np.vstack([omegas / TWO_PI, contrib.sum(axis=0), contrib])
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("freq_hz,total," + ",".join(names) + "\n")
-            for lo in range(0, len(omegas), CSV_BLOCK_ROWS):
-                rows = table[:, lo:lo + CSV_BLOCK_ROWS].T.tolist()
-                fh.write("".join(",".join(map(repr, r)) + "\n" for r in rows))
-    except OSError as exc:
-        _err(str(exc))
-        return 2
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write("freq_hz,total," + ",".join(names) + "\n")
+        for lo in range(0, len(omegas), CSV_BLOCK_ROWS):
+            rows = table[:, lo:lo + CSV_BLOCK_ROWS].T.tolist()
+            fh.write("".join(",".join(map(repr, r)) + "\n" for r in rows))
     print(f"wrote {len(omegas)} rows to {args.output}")
     return 0
 
 
 def cmd_accel(args) -> int:
-    try:
-        preset = accel.preset_with_overrides(
-            args.preset, mech_theta=args.theta_m, mech_damping=args.hm,
-            transduction_gain=args.transduction_gain)
-    except KeyError as exc:
-        _err(str(exc.args[0]))
-        return 2
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    preset = accel.preset_with_overrides(
+        args.preset, mech_theta=args.theta_m, mech_damping=args.hm,
+        transduction_gain=args.transduction_gain)
     params = preset.params
     budget = accel.accelerometer_budget(params, preset.stage,
                                         preset.transduction_gain)
@@ -325,9 +283,14 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ValueError, KeyError, RuntimeError, OSError) as exc:
+    except netlist.NetlistError as exc:
+        for issue in exc.issues:
+            _err(str(issue))
+    except KeyError as exc:     # str() of a KeyError quotes its message
+        _err(str(exc.args[0]))
+    except (ValueError, RuntimeError, OSError) as exc:
         _err(str(exc))
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

@@ -43,8 +43,10 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .network import GROUND_NAMES, Feedback, OpAmp, PortSpec, QuantumNetwork
-from .spectra import FrequencyGrid
+from .spectra import require_finite
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"\S+")
@@ -89,14 +91,40 @@ class Directive:
 
 @dataclass(frozen=True)
 class Sweep:
+    """``npoints`` frequencies from ``f_lo`` to ``f_hi`` Hz, evenly spaced
+    on a ``lin`` or ``log`` scale."""
+
     f_lo: float
     f_hi: float
     npoints: int
     scale: str
 
-    def to_grid(self) -> FrequencyGrid:
-        spaced = FrequencyGrid.log_hz if self.scale == "log" else FrequencyGrid.linear_hz
-        return spaced(self.f_lo, self.f_hi, self.npoints)
+    def __post_init__(self):
+        if not 2 <= self.npoints <= MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep needs 2 to {MAX_SWEEP_POINTS} points, "
+                             f"got {self.npoints!r}")
+        if self.scale not in SWEEP_SCALES:
+            raise ValueError(f"sweep scale must be lin or log, got {self.scale!r}")
+        f_lo = require_finite(self.f_lo, "sweep lower frequency")
+        if not require_finite(self.f_hi, "sweep upper frequency") > f_lo:
+            raise ValueError("sweep upper frequency must exceed the lower")
+
+    def to_grid(self) -> np.ndarray:
+        """The angular frequencies (rad/s), a read-only float64 array.
+
+        Log points are f_lo * ratio ** i in Python floats: numpy's power
+        rounds differently in the last bits.  The last point is f_hi exactly.
+        """
+        f_lo, f_hi, n = float(self.f_lo), float(self.f_hi), self.npoints
+        if self.scale == "log":
+            ratio = (f_hi / f_lo) ** (1.0 / (n - 1))
+            hz = np.array([f_lo * ratio ** i for i in range(n)])
+        else:
+            hz = f_lo + (f_hi - f_lo) / (n - 1) * np.arange(n)
+        hz[-1] = f_hi
+        grid = 2.0 * math.pi * hz
+        grid.setflags(write=False)
+        return grid
 
 
 @dataclass

@@ -114,9 +114,6 @@ class ScatteringMap:
         i = _index_of(self.outputs, out_name, "output")
         return {c.name: complex(v) for c, v in zip(self.inputs, self.matrix[i])}
 
-    def scaled(self, factor: complex) -> "ScatteringMap":
-        return ScatteringMap(self.omega, self.matrix * factor, self.outputs, self.inputs)
-
 
 def _index_of(channels, name: str, kind: str) -> int:
     for i, c in enumerate(channels):
@@ -126,24 +123,26 @@ def _index_of(channels, name: str, kind: str) -> int:
 
 
 def commutator_residual(matrix, j_in, j_out=None) -> float:
-    """Max-abs norm of S @ diag(j_in) @ S^dagger - diag(j_out)."""
+    """Max-abs norm of S @ diag(j_in) @ S^dagger - diag(j_out), the largest
+    over a stack (..., m, k) of matrices S."""
     s = np.asarray(matrix, dtype=complex)
     jin = np.asarray(j_in, dtype=float)
-    if s.ndim != 2:
-        raise ValueError("scattering matrix must be two dimensional")
-    if jin.shape != (s.shape[1],):
+    if s.ndim < 2:
+        raise ValueError("scattering matrix must be at least two dimensional")
+    rows, cols = s.shape[-2:]
+    if jin.shape != (cols,):
         raise ValueError(
-            f"signature length {jin.shape} does not match {s.shape[1]} input channels")
+            f"signature length {jin.shape} does not match {cols} input channels")
     if j_out is None:
-        if s.shape[0] != s.shape[1]:
+        if rows != cols:
             raise ValueError("square signature requires a square matrix")
         jout = jin
     else:
         jout = np.asarray(j_out, dtype=float)
-        if jout.shape != (s.shape[0],):
+        if jout.shape != (rows,):
             raise ValueError(
-                f"output signature length {jout.shape} does not match {s.shape[0]} rows")
-    m = (s * jin) @ s.conj().T
+                f"output signature length {jout.shape} does not match {rows} rows")
+    m = (s * jin) @ s.conj().swapaxes(-1, -2)
     return float(np.max(np.abs(m - np.diag(jout))))
 
 

@@ -16,7 +16,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # CODATA 2018 exact values.
 HBAR = 1.054571817e-34  # J s
@@ -94,13 +93,13 @@ def effective_temperature(omega: float, sigma: float) -> float:
     energy hbar|omega|/2 per mode (sigma = 1/2) and the classical k_B T per
     mode recovered at high temperature.
     """
-    w = abs(float(omega))
-    if w == 0.0:
-        raise ValueError("omega = 0 is outside the model")
-    s = float(sigma)
-    if s < 0.5:
-        raise ValueError(f"spectrum value {s!r} is below the vacuum floor 1/2")
-    return HBAR * w * s / K_B
+    w = require_finite(abs(float(omega)), "|omega|")
+    s = require_finite(sigma, "spectrum value", 0.5, closed=True)
+    theta = HBAR * w * s / K_B
+    if theta < math.inf:
+        return theta
+    raise ValueError(f"effective temperature at omega = {omega!r} rad/s and "
+                     f"sigma = {s!r} exceeds double range")
 
 
 def bath_temperature(omega: float, sigma: float) -> float:
@@ -108,15 +107,17 @@ def bath_temperature(omega: float, sigma: float) -> float:
 
     Returns 0 for sigma exactly at the vacuum floor 1/2.
     """
-    w = abs(float(omega))
-    if w == 0.0:
-        raise ValueError("omega = 0 is outside the model")
-    s = float(sigma)
-    if s < 0.5:
-        raise ValueError(f"spectrum value {s!r} is below the vacuum floor 1/2")
+    w = require_finite(abs(float(omega)), "|omega|")
+    s = require_finite(sigma, "spectrum value", 0.5, closed=True)
     if s == 0.5:
         return 0.0
-    return HBAR * w / (2.0 * K_B * math.atanh(1.0 / (2.0 * s)))
+    # 2 k_B atanh(1/2s) underflows to 0 for sigma beyond ~3e300.
+    x = 2.0 * K_B * math.atanh(1.0 / (2.0 * s))
+    t = HBAR * w / x if x > 0.0 else math.inf
+    if t < math.inf:
+        return t
+    raise ValueError(f"bath temperature at omega = {omega!r} rad/s and "
+                     f"sigma = {s!r} exceeds double range")
 
 
 def johnson_voltage_psd(resistance: float, omega: float,
@@ -127,71 +128,5 @@ def johnson_voltage_psd(resistance: float, omega: float,
     to 2 R k_B T in the classical limit (the one-sided engineering figure
     4 k_B T R is a factor 2 larger).
     """
-    r = float(resistance)
-    if r < 0.0:
-        raise ValueError(f"resistance must be >= 0 Ohm, got {r!r}")
+    r = require_finite(resistance, "resistance", closed=True)
     return 2.0 * r * HBAR * abs(float(omega)) * thermal_occupation(omega, temperature)
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Ordered grid of angular frequencies (rad/s), strictly positive.
-
-    Zero frequency is excluded by construction: the classical thermal
-    spectrum diverges there and nothing in the model is evaluated at DC.
-    """
-
-    points: tuple[float, ...]
-    scale: str = "linear"
-
-    def __post_init__(self):
-        if self.scale not in ("linear", "logarithmic"):
-            raise ValueError(f"unknown grid scale {self.scale!r}")
-        pts = tuple(float(p) for p in self.points)
-        if not pts:
-            raise ValueError("frequency grid must contain at least one point")
-        for p in pts:
-            if not math.isfinite(p) or p == 0.0:
-                raise ValueError(f"grid point {p!r} is not a finite nonzero frequency")
-        for a, b in zip(pts, pts[1:]):
-            if not b > a:
-                raise ValueError("grid points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def linear_hz(cls, f_lo: float, f_hi: float, n: int) -> "FrequencyGrid":
-        return cls(_spaced_hz(f_lo, f_hi, n, log=False), scale="linear")
-
-    @classmethod
-    def log_hz(cls, f_lo: float, f_hi: float, n: int) -> "FrequencyGrid":
-        return cls(_spaced_hz(f_lo, f_hi, n, log=True), scale="logarithmic")
-
-    @property
-    def hertz(self) -> tuple[float, ...]:
-        return tuple(p / (2.0 * math.pi) for p in self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-def _spaced_hz(f_lo: float, f_hi: float, n: int, log: bool) -> tuple[float, ...]:
-    f_lo, f_hi, n = float(f_lo), float(f_hi), int(n)
-    if f_lo <= 0.0:
-        raise ValueError(f"frequencies must be positive, got {f_lo!r} Hz")
-    if n < 1:
-        raise ValueError("grid needs at least one point")
-    if n == 1:
-        return (2.0 * math.pi * f_lo,)
-    if not f_hi > f_lo:
-        raise ValueError("upper frequency must exceed lower frequency")
-    if log:
-        ratio = (f_hi / f_lo) ** (1.0 / (n - 1))
-        hz = [f_lo * ratio ** i for i in range(n)]
-    else:
-        step = (f_hi - f_lo) / (n - 1)
-        hz = [f_lo + step * i for i in range(n)]
-    hz[-1] = f_hi
-    return tuple(2.0 * math.pi * f for f in hz)

@@ -50,6 +50,21 @@ def test_sensitivity_scales_inversely_with_mass():
     assert acceleration_sensitivity(params, 0.0) == 0.0
 
 
+def test_non_finite_force_inputs_raise():
+    # NaN used to give a NaN sensitivity or temperature, inf an inf one
+    params = microscope_params()
+    for bad in (-1e-25, math.nan, math.inf):
+        with pytest.raises(ValueError, match="force PSD"):
+            acceleration_sensitivity(params, bad)
+        with pytest.raises(ValueError, match="force PSD"):
+            cold_damped_temperature(params, bad, 1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="feedback damping"):
+            cold_damped_temperature(params, 1e-26, bad)
+    assert cold_damped_temperature(params, 0.0, 0.0) == pytest.approx(
+        params.mech_theta, rel=1e-15)
+
+
 def test_budget_without_detection_reduces_to_langevin():
     params = microscope_params()
     budget = accelerometer_budget(params)

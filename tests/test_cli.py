@@ -1,5 +1,11 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
+import sys
+import tempfile
 import warnings
 
 import pytest
@@ -7,6 +13,8 @@ import pytest
 from qunet.cli import main
 
 from helpers import CHECK_FIXTURE, PRESET_DOC, THREEDB_FIXTURE
+
+PINNED_STDOUT = os.path.join(os.path.dirname(__file__), "cli_stdout.json")
 
 
 @pytest.fixture
@@ -288,3 +296,82 @@ def test_accel_invalid_override_exits_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "transduction gain must be finite" in captured.err
+
+
+def test_unknown_preset_document_error_contract(tmp_path, capsys):
+    p = tmp_path / "nowhere.qnet"
+    p.write_text("preset nowhere\n")
+    for argv in (["check", str(p)], ["budget", str(p)], ["budget", str(p), "--json"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown preset 'nowhere'; available: microscope\n"
+
+
+def test_every_parse_issue_is_one_error_line(tmp_path, capsys):
+    p = tmp_path / "two.qnet"
+    p.write_text("line l impedance=-5 temperature=300\n"
+                 "line r impedance=50 temperature=nan\n")
+    for command in ("check", "budget", "sweep"):
+        extra = ["-o", str(tmp_path / "x.csv")] if command == "sweep" else []
+        assert main([command, str(p), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: line 1, col 18: nonpositive impedance '-5'",
+            "error: line 2, col 33: temperature must be finite, got 'nan'"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def pinned_commands():
+    """CLI commands whose stdout is pinned, with {name} standing for the
+    path of a fixture document."""
+    docs = {"CHECK_FIXTURE": ["--freq", "1e5"], "THREEDB_FIXTURE": ["--freq", "1e5"],
+            "PRESET_DOC": []}
+    return ([["check", f"{{{name}}}"] for name in docs]
+            + [["budget", f"{{{name}}}", *freq, *fmt]
+               for name, freq in docs.items() for fmt in ([], ["--json"])]
+            + [["accel"], ["accel", "--json"]])
+
+
+def run_pinned(workdir: str) -> tuple[dict, str]:
+    """Exit code and stdout of every pinned command, keyed by its argv, and
+    the sha256 of the CHECK_FIXTURE sweep CSV."""
+    paths = {}
+    for name, text in (("CHECK_FIXTURE", CHECK_FIXTURE),
+                       ("THREEDB_FIXTURE", THREEDB_FIXTURE), ("PRESET_DOC", PRESET_DOC)):
+        paths[name] = os.path.join(workdir, name + ".qnet")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    outputs = {}
+    for argv in pinned_commands():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([a.format(**paths) for a in argv])
+        outputs[" ".join(argv)] = [code, out.getvalue()]
+    csv = os.path.join(workdir, "sweep.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", paths["CHECK_FIXTURE"], "-o", csv]) == 0
+    with open(csv, "rb") as fh:
+        return outputs, hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_cli_output_is_pinned(tmp_path):
+    # Exit codes and full stdout of check, budget and accel and the bytes of
+    # one sweep CSV, as captured in cli_stdout.json: a change that moves a
+    # digit must say so and rewrite the file:
+    #     PYTHONPATH=src python tests/test_cli.py
+    with open(PINNED_STDOUT, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    outputs, sha = run_pinned(str(tmp_path))
+    assert outputs == pinned["stdout"]
+    assert sha == pinned["sweep_csv_sha256"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        stdout, sha = run_pinned(tmp)
+    with open(PINNED_STDOUT, "w", encoding="utf-8") as fh:
+        json.dump({"stdout": stdout, "sweep_csv_sha256": sha}, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(stdout)} outputs to {PINNED_STDOUT}", file=sys.stderr)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qunet import (Feedback, NetlistError, OpAmp, PortSpec, parse, serialize,
                    to_network)
-from qunet.netlist import MAX_SWEEP_POINTS
+from qunet.netlist import MAX_SWEEP_POINTS, Sweep
 from helpers import CHECK_FIXTURE, THREEDB_FIXTURE
 
 
@@ -119,6 +119,51 @@ def test_sweep_point_count_is_capped():
     (issue,) = err.value.issues
     assert (issue.line, issue.column) == (2, 11)
     assert "1000000" in issue.message and "1000000000" in issue.message
+
+
+def test_sweep_grid_constructors():
+    lin = Sweep(10.0, 100.0, 10, "lin").to_grid()
+    assert lin.shape == (10,) and lin.dtype == np.float64
+    assert not lin.flags.writeable
+    assert lin[0] / (2.0 * math.pi) == pytest.approx(10.0, rel=1e-15)
+    assert lin[-1] / (2.0 * math.pi) == pytest.approx(100.0, rel=1e-15)
+    log = Sweep(1e2, 1e6, 5, "log").to_grid()
+    assert np.all(np.abs(log[1:] / log[:-1] - 10.0) <= 1e-12 * 10.0)
+    assert log[-1] == 2.0 * math.pi * 1e6
+
+
+def spaced_hz_oracle(f_lo, f_hi, n, log):
+    """Point-by-point grid in Python floats, the CSV's frequency column."""
+    if log:
+        ratio = (f_hi / f_lo) ** (1.0 / (n - 1))
+        hz = [f_lo * ratio ** i for i in range(n)]
+    else:
+        step = (f_hi - f_lo) / (n - 1)
+        hz = [f_lo + step * i for i in range(n)]
+    hz[-1] = f_hi
+    return [2.0 * math.pi * f for f in hz]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-3.0, 9.0), st.floats(1e-6, 6.0), st.integers(2, 3000),
+       st.sampled_from(("lin", "log")))
+def test_sweep_grid_is_bit_identical_to_point_by_point(lo, decades, n, scale):
+    # numpy's power differs from Python's pow by a few ulp, which would move
+    # every digit of a sweep CSV
+    f_lo, f_hi = 10.0 ** lo, 10.0 ** (lo + decades)
+    grid = Sweep(f_lo, f_hi, n, scale).to_grid()
+    assert grid.tolist() == spaced_hz_oracle(f_lo, f_hi, n, scale == "log")
+
+
+def test_sweep_validation():
+    # directly built sweeps get the parser's range checks, as ValueError
+    for bad in ((-1.0, 10.0, 4, "lin"), (0.0, 10.0, 4, "log"), (10.0, 5.0, 4, "lin"),
+                (1000.0, 10.0, 5, "log"), (1.0, 1.0, 4, "log"), (1.0, 2.0, 4, "weird"),
+                (1.0, 2.0, 4, "linear"), (1.0, 2.0, 1, "lin"), (1.0, 2.0, 0, "log"),
+                (1.0, 2.0, MAX_SWEEP_POINTS + 1, "lin"), (math.nan, 2.0, 4, "lin"),
+                (1.0, math.inf, 4, "log"), (1.0, math.nan, 4, "log")):
+        with pytest.raises(ValueError):
+            Sweep(*bad)
 
 
 def test_resistive_feedback_strict_by_default():

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qunet import (HBAR, Capacitor, Channel, Feedback, Inductor,
+from qunet import (HBAR, MICROSCOPE, Capacitor, Channel, Feedback, Inductor,
                    NoTransductionError, OpAmp, PortSpec, QuantumNetwork, ScatteringMap,
                    SingularNetworkError, check_commutators,
                    commutator_residual, estimator_from_scattering,
                    johnson_voltage_psd, stage_scattering, thermal_occupation)
 from qunet.amplifier import OpAmpStage, added_noise
+from qunet.netlist import Sweep
 
 from helpers import random_passive_network, random_omega, random_stage
 
@@ -99,8 +102,55 @@ def test_commutator_residual_dimension_mismatch():
         commutator_residual(np.ones((2, 3)), [1.0, 1.0, 1.0], [1.0])
     with pytest.raises(ValueError):
         commutator_residual(np.ones((2, 3)), [1.0, 1.0, 1.0])  # needs j_out
+    # a stack is checked against its last two axes
+    stack = np.ones((5, 2, 3))
+    with pytest.raises(ValueError, match="signature length"):
+        commutator_residual(stack, [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="output signature"):
+        commutator_residual(stack, [1.0, 1.0, -1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="square"):
+        commutator_residual(stack, [1.0, 1.0, -1.0])
+    with pytest.raises(ValueError):
+        commutator_residual(np.ones(3), [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         ScatteringMap(W0, np.eye(3), (Channel("a"),), (Channel("b"),))
+
+
+def stacked_residual_equals_per_map(sweep):
+    """The one residual over a sweep's stack is the largest per-map one."""
+    jin = [c.signature for c in sweep.inputs]
+    jout = [c.signature for c in sweep.outputs]
+    return commutator_residual(sweep.matrices, jin, jout) == max(
+        check_commutators(m) for m in sweep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300))
+def test_stacked_residual_is_exact(seed, size):
+    rng = np.random.default_rng(seed)
+    grid = np.sort(2.0 * math.pi * 10.0 ** rng.uniform(3.0, 6.0, size))
+    passive = QuantumNetwork(*random_passive_network(rng))
+    assert stacked_residual_equals_per_map(passive.sweep(grid))
+    stages = [random_stage(rng) for _ in range(int(rng.integers(1, 4)))]
+    ports = [port for k, stage in enumerate(stages)
+             for port in (PortSpec(f"l{k}", stage.r_left), PortSpec(f"r{k}", stage.r_right))]
+    active = QuantumNetwork(ports, [
+        OpAmp(f"amp{k}", f"l{k}", f"r{k}", stage.noise_impedance, stage.feedback)
+        for k, stage in enumerate(stages)])
+    assert stacked_residual_equals_per_map(active.sweep(grid))
+    readouts = [port.name for port in ports[1::2]]
+    assert stacked_residual_equals_per_map(active.sweep(grid, outputs=readouts))
+
+
+def test_stacked_residual_of_the_microscope_stage():
+    stage = MICROSCOPE.stage
+    w_t = MICROSCOPE.params.carrier_omega
+    maps = [stage_scattering(stage, w) for w in w_t * np.array([0.5, 1.0, 2.0, 7.0])]
+    stack = np.array([m.matrix for m in maps])
+    jin = [c.signature for c in maps[0].inputs]
+    jout = [c.signature for c in maps[0].outputs]
+    assert commutator_residual(stack, jin, jout) == max(check_commutators(m) for m in maps)
+    assert commutator_residual(stack[1], jin, jout) == check_commutators(maps[1])
 
 
 def test_opamp_assembly_matches_analytic_stage():
@@ -139,11 +189,9 @@ def test_decorated_opamp_networks_stay_consistent():
 
 def test_assembled_network_sweep_order():
     net = QuantumNetwork([PortSpec("p", 50.0)], [])
-    from qunet import FrequencyGrid
-
-    grid = FrequencyGrid.log_hz(1e3, 1e5, 5)
+    grid = Sweep(1e3, 1e5, 5, "log").to_grid()
     maps = net.sweep(grid)
-    assert [m.omega for m in maps] == list(grid.points)
+    assert [m.omega for m in maps] == grid.tolist()
 
 
 def test_port_permutation_permutes_scattering():

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qunet import (HBAR, K_B, FrequencyGrid, bath_temperature,
-                   effective_temperature, johnson_voltage_psd,
-                   thermal_occupation)
+from qunet import (HBAR, K_B, bath_temperature, effective_temperature,
+                   johnson_voltage_psd, thermal_occupation)
 
 W0 = 2.0 * math.pi * 1e5
 
@@ -141,42 +140,29 @@ def test_domain_errors():
     # a subnormal argument: 0.5/tanh overflows to inf instead of raising
     with pytest.raises(ValueError, match="double range"):
         thermal_occupation(1.0, 1e308)
-    with pytest.raises(ValueError):
-        effective_temperature(0.0, 1.0)
-    with pytest.raises(ValueError):
-        effective_temperature(W0, 0.49)
-    with pytest.raises(ValueError):
-        bath_temperature(W0, 0.2)
-    with pytest.raises(ValueError):
-        johnson_voltage_psd(-1.0, W0, 1.0)
-
-
-def test_frequency_grid_constructors():
-    lin = FrequencyGrid.linear_hz(10.0, 100.0, 10)
-    assert len(lin) == 10
-    assert lin.hertz[0] == pytest.approx(10.0, rel=1e-15)
-    assert lin.hertz[-1] == pytest.approx(100.0, rel=1e-15)
-    log = FrequencyGrid.log_hz(1e2, 1e6, 5)
-    assert log.scale == "logarithmic"
-    hz = log.hertz
-    ratios = [hz[i + 1] / hz[i] for i in range(len(hz) - 1)]
-    assert all(r == pytest.approx(10.0, rel=1e-12) for r in ratios)
-    single = FrequencyGrid.linear_hz(42.0, 42.0, 1)
-    assert len(single) == 1
-
-
-def test_frequency_grid_validation():
-    with pytest.raises(ValueError):
-        FrequencyGrid((0.0, 1.0))
-    with pytest.raises(ValueError):
-        FrequencyGrid((2.0, 1.0))
-    with pytest.raises(ValueError):
-        FrequencyGrid((1.0, 1.0))
-    with pytest.raises(ValueError):
-        FrequencyGrid(())
-    with pytest.raises(ValueError):
-        FrequencyGrid.linear_hz(-1.0, 10.0, 4)
-    with pytest.raises(ValueError):
-        FrequencyGrid.linear_hz(10.0, 5.0, 4)
-    with pytest.raises(ValueError):
-        FrequencyGrid((1.0, 2.0), scale="weird")
+    # NaN used to pass through effective_temperature and bath_temperature,
+    # and bath_temperature(w, inf) raised a bare ZeroDivisionError
+    for convert in (effective_temperature, bath_temperature):
+        for bad in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="omega"):
+                convert(bad, 1.0)
+        for bad in (0.49, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="spectrum value"):
+                convert(W0, bad)
+        assert convert(-W0, 0.7) == convert(W0, 0.7)
+    # finite input whose result leaves double range
+    with pytest.raises(ValueError, match="double range"):
+        effective_temperature(1e300, 1e300)
+    with pytest.raises(ValueError, match="double range"):
+        bath_temperature(W0, 1e308)
+    with pytest.raises(ValueError, match="double range"):
+        bath_temperature(1e300, 1e250)
+    # resistance >= 0 closed; NaN used to give a NaN PSD
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="resistance"):
+            johnson_voltage_psd(bad, W0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="omega"):
+            johnson_voltage_psd(50.0, bad, 1.0)
+        with pytest.raises(ValueError, match="temperature"):
+            johnson_voltage_psd(50.0, W0, bad)

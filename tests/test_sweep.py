@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qunet import (Capacitor, Feedback, Inductor, OpAmp, PortSpec, QuantumNetwork,
-                   SingularNetworkError, estimator_from_scattering, netlist)
-from qunet.cli import _circuit_budget, _rows
+                   SingularNetworkError, estimator_from_scattering, netlist,
+                   thermal_occupation)
+from qunet.cli import _circuit_budget
 from qunet.network import SWEEP_BLOCK_ENTRIES
 
 from helpers import random_passive_network
@@ -142,10 +143,10 @@ def test_budget_arrays_equal_per_point_estimator_rows(specs, seed, size):
     temps = net.channel_temperatures()
     for i, w in enumerate(grid):
         est = estimator_from_scattering(net.scattering(w), doc.signal, doc.readout)
-        rows = _rows(est, temps, w)
-        assert names == [name for name, _, _ in rows]
-        assert sigma[:, i].tolist() == [s for _, _, s in rows]
-        ref = np.array([m for _, m, _ in rows])
+        noise = est.noise_weights()
+        assert names == list(noise)
+        assert sigma[:, i].tolist() == [thermal_occupation(w, temps[n]) for n in noise]
+        ref = np.array([abs(mu) ** 2 for mu in noise.values()])
         assert np.max(np.abs(mu2[:, i] - ref)) <= 1e-13 * np.max(ref)
 
 
