@@ -35,6 +35,11 @@ entries (D_r A D_c), and gets each requested row r of S as
 e_r^T D_c (D_r A D_c)^-1 D_r B: one solve of the transposed stack per row,
 whatever the number of inputs.  A block holds SWEEP_BLOCK_ENTRIES complex
 entries at most, so the solve's memory does not grow with the grid.
+
+Each connected part of the circuit (ground joins nothing) is one diagonal
+block of A, found once per network and solved alone: parts of equal size
+share one batched solve, every part is factored at every point, and an input
+of another part gets an exact zero.  A connected network is one part.
 """
 
 from __future__ import annotations
@@ -353,6 +358,8 @@ class QuantumNetwork:
             c for amp in self.opamps
             for c in (Channel(f"{amp.name}.a"), Channel(f"{amp.name}.a'", conjugated=True)))
         self._a, self._b = self._stamp()
+        self._parts, self._home = self._split()
+        self._step = max(1, SWEEP_BLOCK_ENTRIES // max(sum(a[0].size for a, _ in self._parts), 1))
 
     def channel_temperatures(self) -> dict[str, float]:
         temps = {p.name: float(p.temperature) for p in self.ports}
@@ -439,6 +446,38 @@ class QuantumNetwork:
             b[eq, nl + 2 * j + 1] -= uc
         return a, b
 
+    def _split(self):
+        """Per size m of connected parts, their stamp (3, P, m, m) and rows of B
+        (P, m, k); and a map from an unknown to its (group, part, position)."""
+        root = {n: n for n in self.nodes}          # union-find; ground joins nothing
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for a, b in ([(el.node_a, el.node_b) for el in (*self.capacitors, *self.inductors)]
+                     + [(amp.left, amp.right) for amp in self.opamps]):
+            if a in root and b in root:
+                root[find(a)] = find(b)
+        ids: dict = {}                             # a grounded port is a part alone
+        node, at = [ids.setdefault(find(n), len(ids)) for n in self.nodes], self._node_index
+        port = [node[at[p.attach_node]] if p.attach_node in at else ids.setdefault(k, len(ids))
+                for k, p in enumerate(self.ports)]
+        amp = [node[at[a.left]] for a in self.opamps]
+        if len(ids) == 1:                          # connected: the system as stamped
+            return [(self._a[:, None], self._b[None])], lambda i: (0, 0, i)
+        rows, cols, groups, place = [[] for _ in ids], [[] for _ in ids], [], {}
+        for i, (r, c) in enumerate(zip(port + node + amp, col_part := node + port + amp)):
+            rows[r].append(i)
+            cols[c].append(i)
+        for g, m in enumerate(sorted({len(r) for r in rows})):
+            ps = [q for q, r in enumerate(rows) if len(r) == m]
+            r, c = np.array([[rows[q] for q in ps], [cols[q] for q in ps]])
+            groups.append((self._a[:, r[:, :, None], c[:, None, :]], self._b[r]))
+            place.update((q, (g, j)) for j, q in enumerate(ps))
+        return groups, lambda i: (*place[col_part[i]], cols[col_part[i]].index(i))
+
     def scattering(self, omega: float) -> ScatteringMap:
         """Solve the network at one angular frequency (rad/s, > 0)."""
         return self.sweep([omega])[0]
@@ -456,33 +495,42 @@ class QuantumNetwork:
         chans = self.output_channels
         if outputs is not None:
             chans = tuple(chans[_index_of(chans, name, "output")] for name in outputs)
-        n = self._b.shape[0]
-        unit = np.eye(n, dtype=complex)[:, [len(self.nodes) + self.output_channels.index(c)
-                                           for c in chans]]
+        hits = [{} for _ in self._parts]           # per group: part -> [(output, unknown)]
+        for i, c in enumerate(chans):
+            g, q, pos = self._home(len(self.nodes) + self.output_channels.index(c))
+            hits[g].setdefault(q, []).append((i, pos))
+        plan = []
+        for (a3, b), parts in zip(self._parts, hits):
+            unit = np.zeros((*b.shape[:2], max(map(len, parts.values()), default=0)), complex)
+            reads = []   # (part, its B, k, rows of s): its k rows solve unit columns 0..k-1
+            for q, pairs in parts.items():
+                for j, (i, pos) in enumerate(pairs):
+                    unit[q, pos, j] = 1.0
+                reads.append((q, b[q], j + 1, slice(pairs[0][0], i + 1) if i - pairs[0][0] == j
+                              else [i for i, _ in pairs]))   # a slice when contiguous
+            plan.append((a3, unit, reads))
         s = np.empty((len(w), len(chans), self._b.shape[1]), dtype=complex)
-        step = max(1, SWEEP_BLOCK_ENTRIES // max(n * n, 1))
-        for lo in range(0, len(w), step):
-            s[lo:lo + step] = self._solve_block(w[lo:lo + step], unit)
+        for lo in range(0, len(w), self._step):
+            self._solve_block(w[lo:lo + self._step], plan, s[lo:lo + self._step])
         return ScatteringSweep(w, s, chans, self.input_channels)
 
-    def _solve_block(self, w: np.ndarray, unit: np.ndarray) -> np.ndarray:
-        """(F, m, k) stack of the rows of S that the columns of ``unit`` pick."""
-        wc = w[:, None, None]
+    def _solve_block(self, w: np.ndarray, plan, s: np.ndarray) -> None:
+        """Fill ``s`` (F, m, k) with the rows of S that ``plan`` asks for."""
+        finite = True
         # Overflow and singularity show as non-finite values, checked below.
         with np.errstate(all="ignore"):
-            a = self._a[0] + wc * self._a[1] + self._a[2] / wc
-            row = np.abs(a).max(axis=2)
-            ra = a / row[:, :, None]
-            col = np.abs(ra).max(axis=1)
-            e = ra / col[:, None, :]
-            try:
-                z = np.linalg.solve(e.transpose(0, 2, 1), unit / col[:, :, None])
-            except np.linalg.LinAlgError:
-                _raise_singular(a, e, w, None)
-            s = (z.transpose(0, 2, 1) / row[:, None, :]) @ self._b
-        if not np.isfinite(s).all():
-            _raise_singular(a, e, w, np.isfinite(s).all(axis=(1, 2)))
-        return s
+            for a3, unit, reads in plan:
+                _, row, col, e = _systems(a3, w)
+                try:
+                    z = np.linalg.solve(e.swapaxes(2, 3), unit / col[..., None])
+                except np.linalg.LinAlgError:
+                    _raise_singular(self._a, w, None)
+                # An unread part shows only here; a wholly read group relies on S.
+                finite &= len(reads) == len(unit) or np.isfinite(e).all()
+                for q, b, r, outs in reads:
+                    s[:, outs] = (z[:, q, :, :r].transpose(0, 2, 1) / row[:, q, None, :]) @ b
+        if not (finite and np.isfinite(s).all()):
+            _raise_singular(self._a, w, np.isfinite(s).all(axis=(1, 2)))
 
 
 class ScatteringSweep(Sequence):
@@ -502,10 +550,22 @@ class ScatteringSweep(Sequence):
         return ScatteringMap(self.omegas[i], self.matrices[i], self.outputs, self.inputs)
 
 
-def _raise_singular(a: np.ndarray, e: np.ndarray, w: np.ndarray, ok) -> NoReturn:
-    """Raise for the first point of a block that failed: ``a`` stacks its
-    systems, ``e`` their equilibrated form, ``ok`` flags the points with a
-    finite solution (None when the block's factorization failed)."""
+def _systems(a3: np.ndarray, w: np.ndarray):
+    """A(w) = A0 + w A1 + A2/w stacked over ``w`` (F,) for a stamp ``a3``
+    (3, ..., n, n); its row and column scales; its equilibrated form."""
+    wc = w.reshape((-1,) + (1,) * (a3.ndim - 1))
+    a = a3[0] + wc * a3[1] + a3[2] / wc
+    row = np.abs(a).max(axis=-1)
+    ra = a / row[..., None]
+    col = np.abs(ra).max(axis=-2)
+    return a, row, col, ra / col[..., None, :]
+
+
+def _raise_singular(a3: np.ndarray, w: np.ndarray, ok) -> NoReturn:
+    """Raise for the first failing point of a block: ``a3`` is the whole stamp, ``ok``
+    flags points whose solved rows are finite (None: a factorization failed)."""
+    with np.errstate(all="ignore"):
+        a, _, _, e = _systems(a3, w)
     finite = np.isfinite(a).all(axis=(1, 2))
     e = np.where(np.isfinite(e), e, 0.0)     # a zero row or column gives 0/0
     n = e.shape[-1]

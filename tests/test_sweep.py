@@ -1,6 +1,7 @@
 """The batched frequency sweep against the per-point oracle, and the CLI
 budget arrays against the per-map estimator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from qunet import (Capacitor, Feedback, Inductor, OpAmp, PortSpec, QuantumNetwor
                    SingularNetworkError, estimator_from_scattering, netlist,
                    thermal_occupation)
 from qunet.cli import _circuit_budget
-from qunet.network import SWEEP_BLOCK_ENTRIES
+from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES
 
 from helpers import random_passive_network
 from oracles import scattering_per_point
@@ -189,3 +190,87 @@ def test_overflow_is_not_reported_as_rank_loss():
     assert "overflow" in message and "1e-300 rad/s" in message
     assert "rank" not in message
 
+
+def renamed(prefix: str, ports, components):
+    """The same circuit with every name and proper node prefixed."""
+    node = lambda n: n if n in GROUND_NAMES else prefix + n
+    ports = [dataclasses.replace(p, name=prefix + p.name, node=node(p.attach_node))
+             for p in ports]
+    return ports, [dataclasses.replace(c, name=prefix + c.name, left=node(c.left),
+                                       right=node(c.right)) if isinstance(c, OpAmp)
+                   else dataclasses.replace(c, node_a=node(c.node_a), node_b=node(c.node_b))
+                   for c in components]
+
+
+@st.composite
+def disjoint_unions(draw):
+    """2-4 disjoint parts (random passive ladders and C/L/X stages) plus a
+    line on a ground node; each input channel's name mapped to its part."""
+    ports, comps, part_of = [PortSpec("g", draw(impedances), node="gnd")], [], {"g": 0}
+    for j in range(1, draw(st.integers(2, 4)) + 1):
+        if draw(st.booleans()):
+            p, c = random_passive_network(np.random.default_rng(draw(seeds)))
+        else:
+            r_l, r_r, r_a, kind, value, _ = draw(stage_specs())
+            p = [PortSpec("l", r_l), PortSpec("r", r_r)]
+            c = [OpAmp("amp", "l", "r", r_a, Feedback(kind, value))]
+        p, c = renamed(f"u{j}", p, c)
+        ports += p
+        comps += c
+        part_of.update({x.name: j for x in p})
+        part_of.update({f"{a.name}{t}": j for a in c if isinstance(a, OpAmp)
+                        for t in (".a", ".a'")})
+    return QuantumNetwork(ports, comps), part_of
+
+
+@settings(max_examples=40, deadline=None)
+@given(disjoint_unions(), seeds, st.integers(1, 300))
+def test_disjoint_parts_match_the_dense_oracle(union, seed, size):
+    net, part_of = union
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng, size)
+    one = int(rng.integers(len(net.ports)))
+    full, row = net.sweep(grid), net.sweep(grid, outputs=(net.ports[one].name,))
+    names = [c.name for c in net.input_channels]
+    parts = [(np.array([part_of[o.name] == j for o in full.outputs]),
+              np.array([part_of[i] == j for i in names])) for j in set(part_of.values())]
+    cross = ~np.logical_or.reduce([np.outer(rows, cols) for rows, cols in parts])
+    assert np.all(full.matrices[:, cross] == 0.0)
+    assert np.all(row.matrices[:, 0, cross[one]] == 0.0)
+    for i, w in enumerate(grid):
+        ref, cond = scattering_per_point(net, w)
+        # Each part against its own scale; two solves differ by about eps
+        # times the condition number, which is the whole system's here.
+        for rows, cols in parts:
+            blk = np.ix_(rows, cols)
+            tol = (1e-13 + 16.0 * EPS * cond) * np.max(np.abs(ref[blk]))
+            assert np.max(np.abs(full.matrices[i][blk] - ref[blk])) <= tol, (i, cond)
+            if rows[one]:
+                assert np.max(np.abs(row.matrices[i, 0, cols] - ref[one, cols])) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(reactive_specs, st.lists(reactive_specs, min_size=1, max_size=2), seeds,
+       st.integers(1, 40))
+def test_an_independent_stage_changes_nothing(spec, others, seed, size):
+    grid = random_grid(np.random.default_rng(seed), size)
+    _, names, mu2, sigma = _circuit_budget(netlist.parse(circuit_text([spec])), grid)
+    _, names_all, mu2_all, sigma_all = _circuit_budget(
+        netlist.parse(circuit_text([spec, *others])), grid)
+    mine = [names_all.index(n) for n in names]
+    assert np.array_equal(mu2_all[mine], mu2) and np.array_equal(sigma_all[mine], sigma)
+    added = [k for k, n in enumerate(names_all) if n not in names]
+    assert len(added) == 4 * len(others) and np.all(mu2_all[added] == 0.0)
+
+
+def test_a_singular_part_no_output_reaches_still_raises():
+    # Two stages and an isolated L = C = 1 tank, which has no input at all:
+    # its equation is 0 = 0 at 1 rad/s while the readout's part is regular.
+    ports, comps = [], [Capacitor("x", "gnd", 1.0), Inductor("x", "gnd", 1.0)]
+    for k in range(2):
+        ports += [PortSpec(f"l{k}", 50.0), PortSpec(f"r{k}", 50.0)]
+        comps.append(OpAmp(f"amp{k}", f"l{k}", f"r{k}", 50.0, Feedback.reactance(100.0)))
+    net = QuantumNetwork(ports, comps)
+    with pytest.raises(SingularNetworkError, match=r"omega = 1\.0 rad/s.*rank 10 < 11"):
+        net.sweep([0.5, 1.0, 2.0], outputs=("r0",))
+    assert len(net.sweep([0.5, 2.0], outputs=("r0",))) == 2
