@@ -14,11 +14,10 @@ from .network import (DEFAULT_TOLERANCE, Capacitor, Channel,
                       EstimatorCoefficients, Feedback, Inductor,
                       NoTransductionError, OpAmp, PortSpec, QuantumNetwork,
                       ScatteringMap, SingularNetworkError, check_commutators,
-                      commutator_residual, estimator_from_scattering)
+                      commutator_residual)
 from .amplifier import (MatchingResult, NoFeedbackError, NoiseBudget,
                         OpAmpStage, added_noise, gain, matching_scan,
-                        stage_added_noise, stage_estimator, stage_scattering,
-                        with_gain_magnitude)
+                        stage_added_noise, stage_estimator, stage_scattering)
 from .cascade import (StageChain, chain_added_noise, chain_estimator,
                       classical_gain_threshold, downstream_noise_fraction,
                       merge_chain_estimators)

@@ -84,22 +84,24 @@ def accelerometer_budget(params: AcceleroParams,
     The detection stage is evaluated at the carrier (the measurement band
     appears as sidebands of an ideal demodulation, which adds nothing
     beyond the stage model) and referred to force through
-    ``transduction_gain``.  Passing a stage without a transduction gain is
-    an error: the coupling is instrument physics this model refuses to
-    invent.
+    ``transduction_gain``: each detection source keeps its spectrum at the
+    carrier and its |mu|^2 times the squared gain.  The Langevin row has
+    weight one on the mechanical force PSD.  Passing a stage without a
+    transduction gain is an error: the coupling is instrument physics this
+    model refuses to invent.
     """
-    contributions: dict[str, float] = {LANGEVIN_SOURCE: langevin_force_psd(params)}
+    mu_abs2 = {LANGEVIN_SOURCE: 1.0}
+    sigma = {LANGEVIN_SOURCE: langevin_force_psd(params)}
     if stage is not None:
         if transduction_gain is None:
             raise ValueError(
                 "a detection stage needs an explicit transduction gain "
                 "(newton per normalized field unit) to be referred to force")
         g2 = float(transduction_gain) ** 2
-        w_t = float(params.carrier_omega)
-        detection = stage_added_noise(stage, w_t)
-        for name, value in detection.contributions.items():
-            contributions[name] = g2 * value
-    return NoiseBudget.from_contributions(params.measurement_omega, contributions)
+        detection = stage_added_noise(stage, float(params.carrier_omega))
+        mu_abs2.update((name, g2 * m) for name, m in detection.mu_abs2.items())
+        sigma.update(detection.sigma)
+    return NoiseBudget(params.measurement_omega, mu_abs2, sigma)
 
 
 def is_detection_limited(budget: NoiseBudget) -> bool:
@@ -168,6 +170,7 @@ def servo_invariance_check(estimator_free: ForceEstimator,
     lacks the feedback amplifier's sources, which enter it with weight
     zero); a mismatch is an error, not a False.
     """
+    tol = require_finite(tol, "tol", closed=True)
     a, b = estimator_free.weights, estimator_servo.weights
     if set(a) != set(b):
         missing = set(a) ^ set(b)

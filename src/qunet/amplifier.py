@@ -40,10 +40,10 @@ phase-insensitive amplification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .network import Channel, EstimatorCoefficients, Feedback, ScatteringMap
-from .spectra import require_finite, thermal_occupation
+from .spectra import HBAR, require_finite, thermal_occupation
 
 
 class NoFeedbackError(ValueError):
@@ -91,12 +91,6 @@ class OpAmpStage:
 SIGNAL = "l"
 
 
-def gain(stage: OpAmpStage, omega: float) -> complex:
-    """Normalized-field gain G = -2 Z_f / sqrt(R_r R_l)."""
-    zf = stage.feedback_impedance(omega)
-    return -2.0 * zf / math.sqrt(stage.r_right * stage.r_left)
-
-
 _INPUTS = (Channel("l"), Channel("r"), Channel("a"), Channel("a'", conjugated=True))
 _OUTPUTS = _INPUTS[:2]
 _NAMES = tuple(c.name for c in _INPUTS)
@@ -117,8 +111,14 @@ def _stage_rows(stage: OpAmpStage, omega: float) -> tuple[list, list]:
     kr = math.sqrt(ra / rr)
     amp_u = (1.0 + zf / rl) * kr           # U weight into r_out
     amp_i = zf / math.sqrt(ra * rr)        # I weight into r_out
+    g = -2.0 * zf / math.sqrt(rr * rl)     # normalized-field gain
     return ([-1.0, 0.0, kl, -kl],
-            [gain(stage, w), -1.0, amp_u - amp_i, -amp_u - amp_i])
+            [g, -1.0, amp_u - amp_i, -amp_u - amp_i])
+
+
+def gain(stage: OpAmpStage, omega: float) -> complex:
+    """Normalized-field gain G = -2 Z_f / sqrt(R_r R_l), the r_out <- l_in entry."""
+    return _stage_rows(stage, omega)[1][0]
 
 
 def stage_scattering(stage: OpAmpStage, omega: float) -> ScatteringMap:
@@ -152,22 +152,33 @@ def stage_estimator(stage: OpAmpStage, omega: float) -> EstimatorCoefficients:
 class NoiseBudget:
     """Per-source equivalent input noise at one frequency.
 
-    ``total`` is the plain sum of the contributions (the sources are
+    Each source keeps its squared weight ``mu_abs2`` and the spectrum
+    ``sigma`` of its line; its contribution is their product.  ``total`` is
+    the plain sum of the contributions in source order (the sources are
     mutually uncorrelated), so additivity is exact by construction.
     """
 
     omega: float
-    contributions: dict[str, float]
-    total: float
+    mu_abs2: dict
+    sigma: dict
+    contributions: dict = field(init=False)
+    total: float = field(init=False)
 
-    @classmethod
-    def from_contributions(cls, omega: float, contributions: dict[str, float]):
-        contributions = dict(contributions)
-        return cls(omega=float(omega), contributions=contributions,
-                   total=sum(contributions.values()))
+    def __post_init__(self):
+        contributions = {k: m * self.sigma[k] for k, m in self.mu_abs2.items()}
+        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "contributions", contributions)
+        object.__setattr__(self, "total", sum(contributions.values()))
 
-    def sorted_items(self) -> list[tuple[str, float]]:
+    def sorted_items(self) -> list[tuple]:
+        """(source, contribution) pairs, largest first, ties by source."""
         return sorted(self.contributions.items(), key=lambda kv: (-kv[1], kv[0]))
+
+    def shares(self) -> dict:
+        """Each source's percentage of the total; all 0 for a zero total."""
+        t = self.total
+        return {k: 100.0 * v / t if t > 0.0 else 0.0
+                for k, v in self.contributions.items()}
 
 
 def added_noise(estimator: EstimatorCoefficients, temperatures,
@@ -178,36 +189,21 @@ def added_noise(estimator: EstimatorCoefficients, temperatures,
     bath temperature of its line; a missing entry is an error naming the
     source.
     """
-    contributions: dict[str, float] = {}
+    mu_abs2, sigma = {}, {}
     for name, mu in estimator.weights.items():
         if name == estimator.signal:
             continue
         t = temperatures.get(name)
         if t is None:
             raise KeyError(f"no temperature given for noise source {name!r}")
-        contributions[name] = abs(mu) ** 2 * thermal_occupation(omega, t)
-    return NoiseBudget.from_contributions(omega, contributions)
+        mu_abs2[name] = abs(mu) ** 2
+        sigma[name] = thermal_occupation(omega, t)
+    return NoiseBudget(omega, mu_abs2, sigma)
 
 
 def stage_added_noise(stage: OpAmpStage, omega: float) -> NoiseBudget:
     """Added noise of a stage with its own line temperatures."""
     return added_noise(stage_estimator(stage, omega), stage.temperatures(), omega)
-
-
-def with_gain_magnitude(stage: OpAmpStage, omega: float,
-                        gain_magnitude: float) -> OpAmpStage:
-    """Replace the feedback by a constant reactance giving |G(omega)| as asked.
-
-    The sign of the reactance follows the current feedback when it is
-    reactive, defaulting to positive.
-    """
-    if gain_magnitude <= 0.0:
-        raise ValueError("gain magnitude must be > 0")
-    x = gain_magnitude * math.sqrt(stage.r_right * stage.r_left) / 2.0
-    current = stage.feedback_impedance(omega)
-    if current.imag < 0:
-        x = -x
-    return replace(stage, feedback=Feedback.reactance(x))
 
 
 @dataclass(frozen=True)
@@ -248,8 +244,6 @@ def generator_psds(stage: OpAmpStage, omega: float) -> tuple[float, float]:
     counterpart with R_a below the bar; their ratio is R_a^2 regardless of
     the temperatures, which is what defines the noise impedance.
     """
-    from .spectra import HBAR
-
     w = abs(float(omega))
     occ = (thermal_occupation(w, stage.noise_temp)
            + thermal_occupation(w, stage.conj_temp))

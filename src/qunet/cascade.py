@@ -154,7 +154,7 @@ def classical_gain_threshold(chain: StageChain, omega: float,
     one evaluation of the chain.
     """
     eps = require_finite(eps, "eps")
+    g1 = abs(gain(chain.stages[0], omega))
     if len(chain) < 2:
         return 0.0
-    g1 = abs(gain(chain.stages[0], omega))
     return g1 * math.sqrt(_downstream(chain_added_noise(chain, omega)) / eps)

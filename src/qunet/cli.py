@@ -17,7 +17,7 @@ import numpy as np
 
 from . import accelerometer as accel
 from . import netlist
-from .amplifier import stage_scattering
+from .amplifier import NoiseBudget, stage_scattering
 from .network import DEFAULT_TOLERANCE, NoTransductionError, commutator_residual
 from .spectra import require_finite, thermal_occupation
 
@@ -99,9 +99,8 @@ def _circuit_budget(doc, grid=None):
 
     Returns the angular frequencies (F,), the noise source names (k) and
     their |mu|^2 and sigma, each (k, F).  Only the readout row is solved.
-    A preset reads its stage's "r" row for the signal "l" at the carrier.
     """
-    signal, readout = ("l", "r") if doc.preset is not None else (doc.signal, doc.readout)
+    signal, readout = doc.signal, doc.readout
     if signal is None or readout is None:
         raise ValueError("a noise budget needs both a signal and a readout "
                          "designation")
@@ -119,14 +118,12 @@ def _circuit_budget(doc, grid=None):
     return omegas, [names[i] for i in noise], np.abs(row[noise] / beta) ** 2, sigma
 
 
-def _report_dict(freq_hz, units, rows):
-    entries = [{"name": name, "mu_abs2": mu2, "sigma": sigma,
-                "contribution": mu2 * sigma} for name, mu2, sigma in rows]
-    total = sum(e["contribution"] for e in entries)
-    for e in entries:
-        e["percent"] = (100.0 * e["contribution"] / total) if total > 0.0 else 0.0
-    entries.sort(key=lambda e: (-e["contribution"], e["name"]))
-    return {"freq_hz": freq_hz, "total": total, "units": units,
+def _report_dict(freq_hz, units, budget: NoiseBudget):
+    shares = budget.shares()
+    entries = [{"name": name, "mu_abs2": budget.mu_abs2[name],
+                "sigma": budget.sigma[name], "contribution": value,
+                "percent": shares[name]} for name, value in budget.sorted_items()]
+    return {"freq_hz": freq_hz, "total": budget.total, "units": units,
             "convention": CONVENTION_NOTE, "sources": entries}
 
 
@@ -146,19 +143,18 @@ def _print_report_table(report) -> None:
 def cmd_budget(args) -> int:
     freq = _option(args.freq, "--freq")
     doc = _load_document(args.netlist)
-    if doc.preset is None and freq is None:
+    if doc.preset is not None:
+        preset = accel.get_preset(doc.preset)
+        budget = accel.accelerometer_budget(preset.params, preset.stage,
+                                            preset.transduction_gain)
+        report = _report_dict(freq or budget.omega / TWO_PI, accel.FORCE_UNITS, budget)
+    elif freq is None:
         raise ValueError("a positive --freq in Hz is required for circuit budgets")
-    preset = None if doc.preset is None else accel.get_preset(doc.preset)
-    _, names, mu2, sigma = _circuit_budget(doc, [TWO_PI * freq] if preset is None else None)
-    rows = zip(names, mu2[:, 0].tolist(), sigma[:, 0].tolist())
-    if preset is None:
-        report = _report_dict(freq, "dimensionless quanta per mode", rows)
     else:
-        params, g2 = preset.params, preset.transduction_gain ** 2
-        rows = [(accel.LANGEVIN_SOURCE, 1.0, accel.langevin_force_psd(params)),
-                *((name, g2 * m, sig) for name, m, sig in rows)]
-        report = _report_dict(freq or params.measurement_omega / TWO_PI,
-                              accel.FORCE_UNITS, rows)
+        omegas, names, mu2, sigma = _circuit_budget(doc, [TWO_PI * freq])
+        budget = NoiseBudget(omegas[0], dict(zip(names, mu2[:, 0].tolist())),
+                             dict(zip(names, sigma[:, 0].tolist())))
+        report = _report_dict(freq, "dimensionless quanta per mode", budget)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -227,9 +223,9 @@ def cmd_accel(args) -> int:
         print("detection-limited: detection noise exceeds the mechanical "
               "Langevin term")
     print("budget:")
+    shares = budget.shares()
     for k, v in budget.sorted_items():
-        share = 100.0 * v / budget.total if budget.total > 0 else 0.0
-        print(f"  {k}  {v!r}  {share!r}%")
+        print(f"  {k}  {v!r}  {shares[k]!r}%")
     return 0
 
 

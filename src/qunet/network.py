@@ -599,28 +599,3 @@ class EstimatorCoefficients:
 
     def noise_weights(self) -> dict[str, complex]:
         return {k: v for k, v in self.weights.items() if k != self.signal}
-
-
-def estimator_from_scattering(smap: ScatteringMap, signal: str,
-                              readout: str) -> EstimatorCoefficients:
-    """Normalize the readout row of a scattering map into an estimator.
-
-    The readout output is divided by its signal coefficient, so the result
-    reads as true signal plus weighted input noises.  Raises
-    :class:`NoTransductionError` when the readout does not see the signal.
-    """
-    row = smap.row(readout)
-    if signal not in row:
-        raise KeyError(f"no input channel named {signal!r}")
-    beta = row[signal]
-    if beta == 0:
-        raise NoTransductionError(
-            f"readout {readout!r} has zero coefficient on signal {signal!r}: "
-            "no transduction")
-    weights = {name: value / beta for name, value in row.items()}
-    weights[signal] = 1.0
-    back = None
-    if any(c.name == signal for c in smap.outputs):
-        back = smap.row(signal)
-    return EstimatorCoefficients(signal=signal, weights=weights,
-                                 gain=complex(beta), back_action=back)

@@ -5,6 +5,8 @@ The package derives every stage quantity from the two scattering rows in
 the ideal op-amp stage instead.  The package solves a network for a whole
 frequency grid at once; ``scattering_per_point`` stamps and solves one
 frequency at a time.  So the tests compare two independent implementations.
+``estimator_from_scattering`` normalizes one scattering map's readout row,
+the per-point counterpart of the CLI's budget over a grid.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import math
 
 import numpy as np
 
-from qunet import NoFeedbackError, thermal_occupation
+from qunet import (EstimatorCoefficients, NoFeedbackError, NoTransductionError,
+                   thermal_occupation)
 
 
 def estimator_weights_closed_form(stage, omega: float) -> dict[str, complex]:
@@ -145,3 +148,27 @@ def scattering_per_point(net, omega: float) -> tuple[np.ndarray, float]:
     e = ra / col[None, :]
     y = np.linalg.solve(e, b / row[:, None])
     return (y / col[:, None])[nn:nn + nl], float(np.linalg.cond(e))
+
+
+def estimator_from_scattering(smap, signal: str, readout: str) -> EstimatorCoefficients:
+    """Normalize the readout row of a scattering map into an estimator.
+
+    The readout output is divided by its signal coefficient, so the result
+    reads as true signal plus weighted input noises.  Raises
+    :class:`NoTransductionError` when the readout does not see the signal.
+    """
+    row = smap.row(readout)
+    if signal not in row:
+        raise KeyError(f"no input channel named {signal!r}")
+    beta = row[signal]
+    if beta == 0:
+        raise NoTransductionError(
+            f"readout {readout!r} has zero coefficient on signal {signal!r}: "
+            "no transduction")
+    weights = {name: value / beta for name, value in row.items()}
+    weights[signal] = 1.0
+    back = None
+    if any(c.name == signal for c in smap.outputs):
+        back = smap.row(signal)
+    return EstimatorCoefficients(signal=signal, weights=weights,
+                                 gain=complex(beta), back_action=back)

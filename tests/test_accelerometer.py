@@ -3,13 +3,13 @@ from dataclasses import replace
 
 import pytest
 
-from qunet import (K_B, MICROSCOPE, ForceEstimator, acceleration_sensitivity,
-                   accelerometer_budget, cold_damped_temperature,
-                   effective_temperature, force_estimator_free,
-                   force_estimator_servo, gain, get_preset,
-                   is_detection_limited, langevin_force_psd,
+from qunet import (K_B, MICROSCOPE, Feedback, ForceEstimator,
+                   acceleration_sensitivity, accelerometer_budget,
+                   cold_damped_temperature, effective_temperature,
+                   force_estimator_free, force_estimator_servo, gain,
+                   get_preset, is_detection_limited, langevin_force_psd,
                    servo_invariance_check, stage_added_noise,
-                   thermal_occupation, with_gain_magnitude)
+                   thermal_occupation)
 from qunet.accelerometer import LANGEVIN_SOURCE, preset_with_overrides
 
 
@@ -93,6 +93,8 @@ def test_budget_additivity_is_exact():
     budget = accelerometer_budget(microscope_params(), MICROSCOPE.stage,
                                   MICROSCOPE.transduction_gain)
     assert budget.total == sum(budget.contributions.values())
+    for name, contribution in budget.contributions.items():
+        assert contribution == budget.mu_abs2[name] * budget.sigma[name]
 
 
 def test_budget_detection_limited_flag_flips_ordering():
@@ -132,6 +134,11 @@ def test_servo_invariance_identical_and_perturbed():
         servo_invariance_check(free, ForceEstimator({(0, "r"): 0j, (0, "a"): 0j}))
     with pytest.raises(ValueError, match="mismatch"):
         servo_invariance_check(free, force_estimator_servo(params, MICROSCOPE.stage, 1.0))
+    # a tolerance must be finite and >= 0: nan would compare False everywhere
+    for bad in (-1e-10, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            servo_invariance_check(free, free, tol=bad)
+    assert servo_invariance_check(free, free, tol=0.0) is True
 
 
 def test_servo_estimator_matches_free_on_shared_sources():
@@ -147,10 +154,10 @@ def test_servo_convergence_scales_with_loop_gain():
     # the detection stage sits inside the loop, so its gain at the carrier
     # is the loop gain; the feedback amplifier's sources shrink as 1/loop
     params = microscope_params()
-    w_t = params.carrier_omega
 
     def tables(loop_gain):
-        stage = with_gain_magnitude(MICROSCOPE.stage, w_t, loop_gain)
+        stage = replace(MICROSCOPE.stage, feedback=Feedback.reactance(
+            loop_gain * MICROSCOPE.stage.r_left / 2.0))
         free = force_estimator_free(params, stage, 1.0)
         servo = force_estimator_servo(params, stage, 1.0)
         # the open-loop table lacks the feedback amplifier's sources:

@@ -8,7 +8,6 @@ import pytest
 from qunet import (Feedback, NoFeedbackError, OpAmpStage, added_noise,
                    check_commutators, gain, matching_scan, stage_added_noise,
                    stage_estimator, stage_scattering, thermal_occupation)
-from qunet.amplifier import with_gain_magnitude
 from qunet.network import EstimatorCoefficients
 
 from helpers import random_omega, random_stage, stage_with_gain
@@ -210,22 +209,28 @@ def test_matching_scan_boundary_cases():
         matching_scan(stage, [], W0)
 
 
-def test_with_gain_magnitude_sets_gain():
-    stage = OpAmpStage(50.0, 200.0, 75.0, Feedback.capacitive(1e-12))
-    for target in (0.5, 42.0, 1e5):
-        tuned = with_gain_magnitude(stage, W0, target)
-        assert abs(gain(tuned, W0)) == pytest.approx(target, rel=1e-12)
-
-
 def test_stage_rejects_non_finite_omega():
     # a C-feedback stage used to return a NaN total at nan or inf, and an
     # X-feedback stage at 0 K returned 0.515 for nan
     for feedback in (Feedback.capacitive(1e-12), Feedback.reactance(2.5e5)):
         stage = OpAmpStage(50.0, 50.0, 50.0, feedback)
         for bad in (0.0, math.nan, math.inf, -math.inf):
-            for per_point in (stage_added_noise, stage_estimator, stage_scattering):
+            for per_point in (stage_added_noise, stage_estimator, stage_scattering,
+                              gain):
                 with pytest.raises(ValueError, match="omega"):
                     per_point(stage, bad)
+
+
+def test_gain_is_the_scattering_entry_at_both_signs_of_omega():
+    # the gain is the map's r <- l entry, so like the map it is even in omega
+    rng = np.random.default_rng(12)
+    stages = [OpAmpStage(50.0, 50.0, 50.0, Feedback.capacitive(1e-12)),
+              *(random_stage(rng) for _ in range(10))]
+    for stage in stages:
+        w = random_omega(rng)
+        for signed in (w, -w):
+            assert gain(stage, signed) == stage_scattering(stage, signed).coefficient("r", "l")
+        assert gain(stage, -w) == gain(stage, w)
 
 
 def test_noise_impedance_is_generator_psd_ratio():

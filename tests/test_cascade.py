@@ -177,6 +177,11 @@ def test_classical_gain_threshold():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="eps"):
             classical_gain_threshold(chain, W0, bad)
+    # an omega outside the model is a ValueError, for a single stage too
+    for short in (chain, chain[:1]):
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="omega"):
+                classical_gain_threshold(short, bad, eps)
 
 
 def test_chain_temperature_overrides():

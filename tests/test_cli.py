@@ -208,6 +208,20 @@ def test_sweep_rejects_preset(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_preset_budget_is_the_accel_force_budget(preset_path, capsys):
+    # budget on a preset document and accel print one force budget: the
+    # same sources in the same order, contributions and total bit for bit
+    assert main(["budget", preset_path, "--json"]) == 0
+    budget = json.loads(capsys.readouterr().out)
+    assert main(["accel", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert ([(e["name"], e["contribution"]) for e in budget["sources"]]
+            == [(e["name"], e["contribution"]) for e in report["budget"]])
+    assert budget["total"] == report["force_psd_total"]
+    for e in budget["sources"]:
+        assert e["contribution"] == e["mu_abs2"] * e["sigma"]
+
+
 def test_accel_default_report(capsys):
     assert main(["accel"]) == 0
     out = capsys.readouterr().out
@@ -369,8 +383,19 @@ def test_cli_output_is_pinned(tmp_path):
 
 
 if __name__ == "__main__":
+    # Rewrite cli_stdout.json, naming each command whose exit code or
+    # stdout moved and whether the sweep CSV's sha256 did.
+    with open(PINNED_STDOUT, encoding="utf-8") as fh:
+        old = json.load(fh)
     with tempfile.TemporaryDirectory() as tmp:
         stdout, sha = run_pinned(tmp)
+    for argv, result in stdout.items():
+        if old["stdout"].get(argv) != result:
+            print(f"changed: {argv}", file=sys.stderr)
+    for argv in old["stdout"].keys() - stdout.keys():
+        print(f"dropped: {argv}", file=sys.stderr)
+    moved = "changed" if sha != old["sweep_csv_sha256"] else "unchanged"
+    print(f"sweep CSV sha256 {moved}", file=sys.stderr)
     with open(PINNED_STDOUT, "w", encoding="utf-8") as fh:
         json.dump({"stdout": stdout, "sweep_csv_sha256": sha}, fh, indent=1)
         fh.write("\n")

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from qunet import (HBAR, MICROSCOPE, Capacitor, Channel, Feedback, Inductor,
                    NoTransductionError, OpAmp, PortSpec, QuantumNetwork, ScatteringMap,
                    SingularNetworkError, check_commutators,
-                   commutator_residual, estimator_from_scattering,
-                   johnson_voltage_psd, stage_scattering, thermal_occupation)
+                   commutator_residual, johnson_voltage_psd, stage_scattering, thermal_occupation)
 from qunet.amplifier import OpAmpStage, added_noise
 from qunet.netlist import Sweep
 
 from helpers import random_passive_network, random_omega, random_stage
+from oracles import estimator_from_scattering
 
 W0 = 2.0 * math.pi * 1e5
 

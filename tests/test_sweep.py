@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qunet import (Capacitor, Feedback, Inductor, OpAmp, PortSpec, QuantumNetwork,
-                   SingularNetworkError, estimator_from_scattering, netlist,
-                   thermal_occupation)
+                   SingularNetworkError, netlist, thermal_occupation)
 from qunet.cli import _circuit_budget
 from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES
 
 from helpers import random_passive_network
-from oracles import scattering_per_point
+from oracles import estimator_from_scattering, scattering_per_point
 
 EPS = np.finfo(float).eps
 TWO_PI = 2.0 * math.pi
