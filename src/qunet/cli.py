@@ -112,9 +112,8 @@ def _circuit_budget(doc, grid=None):
         raise NoTransductionError(f"readout {readout!r} has zero coefficient on "
                                   f"signal {signal!r}: no transduction")
     noise = [i for i, name in enumerate(names) if name != signal]
-    ws = omegas.tolist()
-    sigma = np.array([[thermal_occupation(w, temps[names[i]]) for w in ws]
-                      for i in noise])
+    sigma = thermal_occupation(omegas[None, :],
+                               np.array([temps[names[i]] for i in noise])[:, None])
     return omegas, [names[i] for i in noise], np.abs(row[noise] / beta) ** 2, sigma
 
 

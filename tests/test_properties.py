@@ -5,6 +5,7 @@ finite/domain checks at every constructor and noise law."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +112,61 @@ def test_thermal_occupation_is_total(w, t):
     else:
         assert 0.0 <= t < math.inf
         assert 0.5 <= sigma < math.inf
+
+
+signed_omegas = st.builds(lambda s, e: s * 10.0 ** e, st.sampled_from((1.0, -1.0)),
+                          st.floats(-10.0, 15.0))
+bath_temperatures = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 2.2e-308)),
+                              st.floats(-10.0, 10.0).map(lambda e: 10.0 ** e))
+bad_omegas = st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300))
+bad_temperatures = st.sampled_from((-1.0, -5e-324, -math.inf, math.nan, math.inf, 1e10))
+
+
+def float_occupations(ws, ts):
+    """(k, F) float calls of ``thermal_occupation``, or the first error's text
+    in row-major order."""
+    out = np.empty((len(ts), len(ws)))
+    for i, t in enumerate(ts):
+        for j, w in enumerate(ws):
+            try:
+                out[i, j] = thermal_occupation(w, t)
+            except ValueError as exc:
+                return str(exc)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(signed_omegas, min_size=1, max_size=12),
+       st.lists(bath_temperatures, min_size=1, max_size=12))
+def test_batched_occupation_matches_float_calls(ws, ts):
+    expected = float_occupations(ws, ts)
+    sigma = thermal_occupation(np.array(ws)[None, :], np.array(ts)[:, None])
+    assert type(sigma) is np.ndarray and sigma.shape == (len(ts), len(ws))
+    # np.tanh reaches 1 a little before math.tanh (x ~ 18.99 against 19.06)
+    assert np.all(sigma[expected == 0.5] == 0.5)
+    assert np.all(np.abs(sigma - expected) <= 1e-15 * expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(signed_omegas, min_size=1, max_size=6),
+       st.lists(bath_temperatures, min_size=1, max_size=6),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 5), st.one_of(bad_omegas,
+                                                                     bad_temperatures)),
+                min_size=1, max_size=3))
+def test_batched_occupation_with_bad_entries_acts_as_float_calls(ws, ts, bad):
+    # Each bad value replaces an omega (True) or a temperature (False); the
+    # pair (1e-300 rad/s, 1e10 K) is the argument's underflow.
+    for on_omega, at, value in bad:
+        axis = ws if on_omega else ts
+        axis[at % len(axis)] = value
+    expected = float_occupations(ws, ts)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            thermal_occupation(np.array(ws)[None, :], np.array(ts)[:, None])
+        assert str(exc.value) == expected
+    else:   # every bad value landed in the domain: 1e-300 rad/s at 0 K, 1e10 K
+        sigma = thermal_occupation(np.array(ws)[None, :], np.array(ts)[:, None])
+        assert np.all(np.abs(sigma - expected) <= 1e-15 * expected)
 
 
 @given(any_float)

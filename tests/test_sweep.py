@@ -145,9 +145,29 @@ def test_budget_arrays_equal_per_point_estimator_rows(specs, seed, size):
         est = estimator_from_scattering(net.scattering(w), doc.signal, doc.readout)
         noise = est.noise_weights()
         assert names == list(noise)
-        assert sigma[:, i].tolist() == [thermal_occupation(w, temps[n]) for n in noise]
+        # np.tanh may differ from math.tanh in the last place
+        ref = np.array([thermal_occupation(w, temps[n]) for n in noise])
+        assert np.all(np.abs(sigma[:, i] - ref) <= 1e-15 * ref)
         ref = np.array([abs(mu) ** 2 for mu in noise.values()])
         assert np.max(np.abs(mu2[:, i] - ref)) <= 1e-13 * np.max(ref)
+
+
+def test_budget_takes_its_occupations_in_one_call(monkeypatch):
+    # qunet.cli.thermal_occupation is the name the benchmark's corruption
+    # test patches: every occupation of a budget must pass through it.
+    calls = []
+
+    def spy(omega, temperature):
+        calls.append((np.shape(omega), np.shape(temperature)))
+        return thermal_occupation(omega, temperature)
+
+    monkeypatch.setattr("qunet.cli.thermal_occupation", spy)
+    specs = [(50.0, 75.0, 60.0, "C", 1e-9, [0.0, 4.0, 30.0, 0.0]),
+             (20.0, 90.0, 40.0, "L", 1e-3, [1.0, 0.0, 2.0, 300.0])]
+    grid = random_grid(np.random.default_rng(5), 9)
+    _, names, _, sigma = _circuit_budget(netlist.parse(circuit_text(specs)), grid)
+    assert len(names) == 7 and sigma.shape == (7, 9)
+    assert calls == [((1, 9), (7, 1))]
 
 
 def test_sweep_is_a_read_only_sequence():
