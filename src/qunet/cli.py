@@ -146,7 +146,7 @@ def cmd_budget(args) -> int:
         preset = accel.get_preset(doc.preset)
         budget = accel.accelerometer_budget(preset.params, preset.stage,
                                             preset.transduction_gain)
-        report = _report_dict(freq or budget.omega / TWO_PI, accel.FORCE_UNITS, budget)
+        report = _report_dict(budget.omega / TWO_PI, accel.FORCE_UNITS, budget)
     elif freq is None:
         raise ValueError("a positive --freq in Hz is required for circuit budgets")
     else:

@@ -164,6 +164,11 @@ class _Parser:
         self.port_names: set[str] = set()
         self.opamp_names: set[str] = set()
         self.terminals: dict[str, str] = {}     # port -> amplifier using it
+        self.handlers = {
+            "qnet": self._header, "line": self._line, "opamp": self._opamp,
+            "signal": self._port_designation, "readout": self._port_designation,
+            "sweep": self._sweep, "preset": self._preset,
+        }
 
     def error(self, line: int, column: int, message: str) -> None:
         self.issues.append(Issue(line, column, message))
@@ -218,11 +223,7 @@ class _Parser:
 
     def _statement(self, lineno: int, toks) -> None:
         col0, keyword = toks[0]
-        handler = {
-            "qnet": self._header, "line": self._line, "opamp": self._opamp,
-            "signal": self._port_designation, "readout": self._port_designation,
-            "sweep": self._sweep, "preset": self._preset,
-        }.get(keyword)
+        handler = self.handlers.get(keyword)
         if handler is None:
             self.error(lineno, col0, f"unknown keyword {keyword!r}")
             return
@@ -246,22 +247,14 @@ class _Parser:
         return text
 
     def _number(self, lineno: int, col: int, text: str, what: str,
-                positive: bool = False, nonnegative: bool = False) -> float | None:
+                closed: bool = False) -> float | None:
+        """``text`` as a number finite and > 0 (>= 0 if ``closed``), or None
+        with :func:`~qunet.spectra.require_finite`'s refusal at ``col``."""
         try:
-            value = float(text)
-        except ValueError:
-            self.error(lineno, col, f"malformed number {text!r} for {what}")
+            return require_finite(text, what, closed=closed)
+        except ValueError as exc:
+            self.error(lineno, col, str(exc))
             return None
-        if not math.isfinite(value):
-            self.error(lineno, col, f"{what} must be finite, got {text!r}")
-            return None
-        if positive and value <= 0.0:
-            self.error(lineno, col, f"nonpositive {what} {text!r}")
-            return None
-        if nonnegative and value < 0.0:
-            self.error(lineno, col, f"negative {what} {text!r}")
-            return None
-        return value
 
     def _keyvals(self, lineno: int, toks, expected: tuple[str, ...]):
         """Parse key=value tokens; returns {key: (value_col, value_text)}."""
@@ -303,9 +296,9 @@ class _Parser:
         if name in self.port_names:
             self.error(lineno, toks[1][0], f"duplicate port name {name!r}")
             return
-        impedance = self._number(lineno, *fields["impedance"], "impedance", positive=True)
-        temperature = self._number(lineno, *fields["temperature"], "temperature",
-                                   nonnegative=True)
+        impedance = self._number(lineno, *fields["impedance"], f"port {name!r}: impedance")
+        temperature = self._number(lineno, *fields["temperature"],
+                                   f"port {name!r}: temperature", closed=True)
         if impedance is None or temperature is None:
             return
         port = self._build(lineno, toks[0][0],
@@ -349,17 +342,18 @@ class _Parser:
                            "cascade tools instead of wiring ideal amplifiers "
                            "back to back")
                 ok = False
-        r_a = self._number(lineno, *fields["noise_impedance"], "impedance", positive=True)
-        t_n = self._number(lineno, *fields["noise_temp"], "temperature", nonnegative=True)
-        t_c = self._number(lineno, *fields["conj_temp"], "temperature", nonnegative=True)
+        what = f"amplifier {name!r}:"
+        r_a = self._number(lineno, *fields["noise_impedance"], f"{what} noise impedance")
+        t_n = self._number(lineno, *fields["noise_temp"], f"{what} noise_temp", closed=True)
+        t_c = self._number(lineno, *fields["conj_temp"], f"{what} conj_temp", closed=True)
         col_f, txt_f = fields["feedback"]
         kind, _, value_txt = txt_f.partition(":")
         if kind not in FEEDBACK_KINDS or not value_txt:
             self.error(lineno, col_f,
                        f"feedback must be <R|C|L>:<value>, got {txt_f!r}")
             return
-        value = self._number(lineno, col_f + 2, value_txt, "feedback value",
-                             positive=True)
+        value = self._number(lineno, col_f + 2, value_txt,
+                             f"feedback element {kind} value")
         if kind == "R" and not self.allow_resistive:
             self.error(lineno, col_f,
                        "dissipative feedback (R) rejected: the amplifier model "
@@ -390,8 +384,8 @@ class _Parser:
             self.error(lineno, toks[0][0],
                        "sweep takes <f_lo_Hz> <f_hi_Hz> <npoints> <lin|log>")
             return
-        f_lo = self._number(lineno, *toks[1], "frequency", positive=True)
-        f_hi = self._number(lineno, *toks[2], "frequency", positive=True)
+        f_lo = self._number(lineno, *toks[1], "sweep lower frequency")
+        f_hi = self._number(lineno, *toks[2], "sweep upper frequency")
         col_n, txt_n = toks[3]
         try:
             npoints = int(txt_n)

@@ -358,15 +358,13 @@ class QuantumNetwork:
             c for amp in self.opamps
             for c in (Channel(f"{amp.name}.a"), Channel(f"{amp.name}.a'", conjugated=True)))
         self._a, self._b = self._stamp()
-        self._parts, self._home = self._split()
+        self._parts, self._outward = self._split()
         self._step = max(1, SWEEP_BLOCK_ENTRIES // max(sum(a[0].size for a, _ in self._parts), 1))
 
     def channel_temperatures(self) -> dict[str, float]:
-        temps = {p.name: float(p.temperature) for p in self.ports}
-        for amp in self.opamps:
-            temps[f"{amp.name}.a"] = float(amp.noise_temp)
-            temps[f"{amp.name}.a'"] = float(amp.conj_temp)
-        return temps
+        temps = [p.temperature for p in self.ports] + [
+            t for amp in self.opamps for t in (amp.noise_temp, amp.conj_temp)]
+        return {c.name: float(t) for c, t in zip(self.input_channels, temps)}
 
     def _stamp(self):
         """The stack [A0, A1, A2] of A(w) = A0 + w A1 + A2/w, and B."""
@@ -448,7 +446,8 @@ class QuantumNetwork:
 
     def _split(self):
         """Per size m of connected parts, their stamp (3, P, m, m) and rows of B
-        (P, m, k); and a map from an unknown to its (group, part, position)."""
+        (P, m, k); and, per port, the (group, part, position) of its outward
+        field among that part's unknowns."""
         root = {n: n for n in self.nodes}          # union-find; ground joins nothing
 
         def find(x):
@@ -465,18 +464,20 @@ class QuantumNetwork:
         port = [node[at[p.attach_node]] if p.attach_node in at else ids.setdefault(k, len(ids))
                 for k, p in enumerate(self.ports)]
         amp = [node[at[a.left]] for a in self.opamps]
-        if len(ids) == 1:                          # connected: the system as stamped
-            return [(self._a[:, None], self._b[None])], lambda i: (0, 0, i)
-        rows, cols, groups, place = [[] for _ in ids], [[] for _ in ids], [], {}
-        for i, (r, c) in enumerate(zip(port + node + amp, col_part := node + port + amp)):
+        rows, cols = [[] for _ in ids], [[] for _ in ids]
+        for i, (r, c) in enumerate(zip(port + node + amp, node + port + amp)):
             rows[r].append(i)
             cols[c].append(i)
+        nn, groups, outward = len(node), [], [None] * len(port)
         for g, m in enumerate(sorted({len(r) for r in rows})):
             ps = [q for q, r in enumerate(rows) if len(r) == m]
             r, c = np.array([[rows[q] for q in ps], [cols[q] for q in ps]])
             groups.append((self._a[:, r[:, :, None], c[:, None, :]], self._b[r]))
-            place.update((q, (g, j)) for j, q in enumerate(ps))
-        return groups, lambda i: (*place[col_part[i]], cols[col_part[i]].index(i))
+            for j, q in enumerate(ps):
+                for pos, i in enumerate(cols[q]):
+                    if nn <= i < nn + len(port):   # port i - nn's outward field
+                        outward[i - nn] = (g, j, pos)
+        return groups, outward
 
     def scattering(self, omega: float) -> ScatteringMap:
         """Solve the network at one angular frequency (rad/s, > 0)."""
@@ -497,17 +498,16 @@ class QuantumNetwork:
             chans = tuple(chans[_index_of(chans, name, "output")] for name in outputs)
         hits = [{} for _ in self._parts]           # per group: part -> [(output, unknown)]
         for i, c in enumerate(chans):
-            g, q, pos = self._home(len(self.nodes) + self.output_channels.index(c))
+            g, q, pos = self._outward[self.output_channels.index(c)]
             hits[g].setdefault(q, []).append((i, pos))
         plan = []
         for (a3, b), parts in zip(self._parts, hits):
             unit = np.zeros((*b.shape[:2], max(map(len, parts.values()), default=0)), complex)
             reads = []   # (part, its B, k, rows of s): its k rows solve unit columns 0..k-1
             for q, pairs in parts.items():
-                for j, (i, pos) in enumerate(pairs):
+                for j, (_, pos) in enumerate(pairs):
                     unit[q, pos, j] = 1.0
-                reads.append((q, b[q], j + 1, slice(pairs[0][0], i + 1) if i - pairs[0][0] == j
-                              else [i for i, _ in pairs]))   # a slice when contiguous
+                reads.append((q, b[q], len(pairs), [i for i, _ in pairs]))
             plan.append((a3, unit, reads))
         s = np.empty((len(w), len(chans), self._b.shape[1]), dtype=complex)
         for lo in range(0, len(w), self._step):

@@ -224,3 +224,4 @@ def test_chain_concatenation():
     b = StageChain((stage_with_gain(20.0),))
     assert len(a + b) == 2
     assert (a + b).stages == (a.stages[0], b.stages[0])
+    assert (a + b)[1] is b.stages[0]

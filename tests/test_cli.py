@@ -212,7 +212,8 @@ def test_preset_budget_is_the_accel_force_budget(preset_path, capsys):
     # budget on a preset document and accel print one force budget: the
     # same sources in the same order, contributions and total bit for bit
     assert main(["budget", preset_path, "--json"]) == 0
-    budget = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    budget = json.loads(text)
     assert main(["accel", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert ([(e["name"], e["contribution"]) for e in budget["sources"]]
@@ -220,6 +221,10 @@ def test_preset_budget_is_the_accel_force_budget(preset_path, capsys):
     assert budget["total"] == report["force_psd_total"]
     for e in budget["sources"]:
         assert e["contribution"] == e["mu_abs2"] * e["sigma"]
+    # a preset fixes its own frequencies: --freq is checked, not applied
+    assert budget["freq_hz"] == report["measurement_freq_hz"]
+    assert main(["budget", preset_path, "--freq", "12345", "--json"]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_accel_default_report(capsys):
@@ -277,6 +282,14 @@ def test_budget_without_transduction_path_exits_2(tmp_path, capsys):
                  "signal l\nreadout r\n")
     assert main(["budget", str(p), "--freq", "1e5"]) == 2
     assert "no transduction" in capsys.readouterr().err
+    # without a signal or a readout there is no estimator at all
+    for drop in ("signal", "readout"):
+        p.write_text("".join(l + "\n" for l in p.read_text().splitlines()
+                             if not l.startswith(drop)))
+        assert main(["budget", str(p), "--freq", "1e5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs both a signal and a readout" in captured.err
 
 
 def test_budget_overflow_is_one_error_without_warnings(check_path, capsys):
@@ -332,8 +345,9 @@ def test_every_parse_issue_is_one_error_line(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: line 1, col 18: nonpositive impedance '-5'",
-            "error: line 2, col 33: temperature must be finite, got 'nan'"]
+            "error: line 1, col 18: port 'l': impedance must be finite and > 0, got '-5'",
+            "error: line 2, col 33: port 'r': temperature must be finite and >= 0, "
+            "got 'nan'"]
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qunet import (Feedback, NetlistError, OpAmp, PortSpec, parse, serialize,
                    to_network)
 from qunet.netlist import MAX_SWEEP_POINTS, Sweep
+from qunet.spectra import require_finite
 from helpers import CHECK_FIXTURE, THREEDB_FIXTURE
 
 
@@ -38,7 +39,7 @@ def test_nonpositive_impedance_error_position():
     issue = err.value.issues[0]
     assert issue.line == 1
     assert issue.column == 18
-    assert "nonpositive impedance" in issue.message
+    assert issue.message == "port 'l': impedance must be finite and > 0, got '-5'"
 
 
 def test_error_battery_positions():
@@ -71,6 +72,15 @@ def test_error_battery_positions():
         "qnet 2",                                 # bad version
         "line l impedance=50 temperature=0\nqnet 1",  # header not first
         "line l impedance=50 temperature=inf",    # non-finite number
+        "line l impedance=50 temperature=0 stray",  # expected key=value
+        "line l impedance=50 temperature=0\nline r impedance=50 temperature=0\n"
+        "opamp",                                  # opamp without a name
+        "line l impedance=50 temperature=0\nline r impedance=50 temperature=0\n"
+        "line s impedance=50 temperature=0\nline t impedance=50 temperature=0\n"
+        "opamp a left=l right=r noise_impedance=10 noise_temp=0 conj_temp=0 "
+        "feedback=C:1e-12\nopamp a left=s right=t noise_impedance=10 "
+        "noise_temp=0 conj_temp=0 feedback=C:1e-12",   # duplicate opamp name
+        "preset microscope extra",                # preset with two names
         "line gnd impedance=50 temperature=0",    # ground name as a port
         "line l impedance=50 temperature=0\n  line  ground impedance=50 "
         "temperature=0\nopamp a left=l right=ground noise_impedance=10 "
@@ -108,6 +118,31 @@ def test_error_battery_positions():
         (issue,) = err.value.issues
         assert (issue.line, issue.column) == (line, col)
         assert f"terminal of amplifier {owner!r}" in issue.message
+    # a bad number is refused in require_finite's words, at the value: each
+    # template holds one {} for the value and names the field's bound
+    lr = "line l impedance=50 temperature=0\nline r impedance=50 temperature=0\n"
+    amp = ("opamp a left=l right=r noise_impedance={} noise_temp={} conj_temp={} "
+           "feedback=C:{}")
+    numbers = [
+        ("line l impedance={} temperature=0", "port 'l': impedance", False),
+        ("line l impedance=50 temperature={}", "port 'l': temperature", True),
+        (lr + amp.format("{}", 0, 0, 1e-12), "amplifier 'a': noise impedance", False),
+        (lr + amp.format(10, "{}", 0, 1e-12), "amplifier 'a': noise_temp", True),
+        (lr + amp.format(10, 0, "{}", 1e-12), "amplifier 'a': conj_temp", True),
+        (lr + amp.format(10, 0, 0, "{}"), "feedback element C value", False),
+        ("sweep {} 1000 5 log", "sweep lower frequency", False),
+        ("sweep 10 {} 5 log", "sweep upper frequency", False),
+    ]
+    for template, what, closed in numbers:
+        head = template[:template.index("{}")]
+        at = (head.count("\n") + 1, len(head) - head.rfind("\n"))
+        for bad in ("abc", "nan", "-inf", "-5") + (() if closed else ("0",)):
+            with pytest.raises(ValueError) as want:
+                require_finite(bad, what, closed=closed)
+            with pytest.raises(NetlistError) as err:
+                parse(template.format(bad))
+            (issue,) = err.value.issues
+            assert ((issue.line, issue.column), issue.message) == (at, str(want.value))
 
 
 def test_sweep_point_count_is_capped():

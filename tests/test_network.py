@@ -110,6 +110,10 @@ def test_commutator_residual_dimension_mismatch():
         commutator_residual(stack, [1.0, 1.0, -1.0], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="square"):
         commutator_residual(stack, [1.0, 1.0, -1.0])
+    # a square stack without j_out is checked against j_in
+    square = np.stack([np.eye(2), np.eye(2)[::-1], 2.0 * np.eye(2)])
+    assert commutator_residual(square[:2], [1.0, 1.0]) == 0.0
+    assert commutator_residual(square, [1.0, -1.0]) == 3.0
     with pytest.raises(ValueError):
         commutator_residual(np.ones(3), [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
@@ -213,6 +217,10 @@ def test_port_permutation_permutes_scattering():
 def test_construction_validation():
     with pytest.raises(ValueError):
         QuantumNetwork([PortSpec("p", 50.0), PortSpec("p", 75.0)], [])
+    with pytest.raises(ValueError, match="duplicate amplifier names"):
+        QuantumNetwork([PortSpec(p, 50.0) for p in "lmrs"],
+                       [OpAmp("a", "l", "m", 50.0, Feedback.reactance(10.0)),
+                        OpAmp("a", "r", "s", 50.0, Feedback.reactance(10.0))])
     with pytest.raises(ValueError):
         PortSpec("p", 0.0)
     with pytest.raises(ValueError):
