@@ -30,11 +30,16 @@ Solving over a frequency grid.  Rescaling hbar|w|/2 -> 1 (S depends only on
 impedance ratios) gives A(w) x = B a_in with B constant and A(w) = A0 + w A1
 + A2/w: -iwC admittances and -iwL feedback in A1, i/(wL) admittances and
 i/(wC) feedback in A2, the rest in A0, stamped once per network.  A sweep
-stacks A over a block of points, scales rows and columns by their largest
-entries (D_r A D_c), and gets each requested row r of S as
-e_r^T D_c (D_r A D_c)^-1 D_r B: one solve of the transposed stack per row,
-whatever the number of inputs.  A block holds SWEEP_BLOCK_ENTRIES complex
-entries at most, so the solve's memory does not grow with the grid.
+scales the rows and columns of A by their largest entries (D_r A D_c) and
+gets each requested row r of S as e_r^T D_c (D_r A D_c)^-1 D_r B: one solve
+of the transposed stack per row, whatever the number of inputs.  Only the
+rows holding an A1 or A2 entry change with w.  A sweep of more than one
+block scales every other row once, with its share of each column scale, and
+each block forms and scales only the changing rows, from the first to the
+last of them; a one-block sweep forms every row, which costs fewer numpy
+calls.  Either way every entry gets the bits the whole formula gives it.  A
+block holds SWEEP_BLOCK_ENTRIES complex entries at most, so the solve's
+memory does not grow with the grid.
 
 Each connected part of the circuit (ground joins nothing) is one diagonal
 block of A, found once per network and solved alone: parts of equal size
@@ -490,7 +495,7 @@ class QuantumNetwork:
         ``outputs`` names the output channels to solve for, by default all.
         """
         w = np.fromiter(grid, dtype=float)
-        if len(w) and not (w.min() > 0.0 and w.max() < math.inf):
+        if len(w) and not (np.minimum.reduce(w) > 0.0 and np.maximum.reduce(w) < math.inf):
             bad = w[~((w > 0.0) & (w < math.inf))][0]
             raise ValueError(f"angular frequency must be positive and finite, got {bad.item()!r}")
         chans = self.output_channels
@@ -501,14 +506,20 @@ class QuantumNetwork:
             g, q, pos = self._outward[self.output_channels.index(c)]
             hits[g].setdefault(q, []).append((i, pos))
         plan = []
+        # Over more than one block, the rows without A1 or A2 entries are
+        # equilibrated once per sweep; within one, forming them costs less.
+        planned = len(w) > self._step
         for (a3, b), parts in zip(self._parts, hits):
+            system = _plan(a3, planned)
             unit = np.zeros((*b.shape[:2], max(map(len, parts.values()), default=0)), complex)
             reads = []   # (part, its B, k, rows of s): its k rows solve unit columns 0..k-1
             for q, pairs in parts.items():
                 for j, (_, pos) in enumerate(pairs):
                     unit[q, pos, j] = 1.0
-                reads.append((q, b[q], len(pairs), [i for i, _ in pairs]))
-            plan.append((a3, unit, reads))
+                outs = [i for i, _ in pairs]          # ascending: a slice if contiguous
+                reads.append((q, b[q], len(pairs),
+                              _span(outs) if outs[-1] - outs[0] < len(outs) else outs))
+            plan.append((system, unit, reads))
         s = np.empty((len(w), len(chans), self._b.shape[1]), dtype=complex)
         for lo in range(0, len(w), self._step):
             self._solve_block(w[lo:lo + self._step], plan, s[lo:lo + self._step])
@@ -519,16 +530,24 @@ class QuantumNetwork:
         finite = True
         # Overflow and singularity show as non-finite values, checked below.
         with np.errstate(all="ignore"):
-            for a3, unit, reads in plan:
-                _, row, col, e = _systems(a3, w)
+            for system, unit, reads in plan:
+                row, col, e = _systems(system, w)
+                inv_col = 1.0 / col
+                # numpy divides a complex number by a real r as (re, im) * (1/r):
+                # the same bits come from scaling float views by 1/r.
+                rhs = (unit.view(float) * inv_col[..., None]).view(complex)
                 try:
-                    z = np.linalg.solve(e.swapaxes(2, 3), unit / col[..., None])
+                    z = np.linalg.solve(e.swapaxes(2, 3), rhs).view(float)
                 except np.linalg.LinAlgError:
                     _raise_singular(self._a, w, None)
-                # An unread part shows only here; a wholly read group relies on S.
-                finite &= len(reads) == len(unit) or np.isfinite(e).all()
-                for q, b, r, outs in reads:
-                    s[:, outs] = (z[:, q, :, :r].transpose(0, 2, 1) / row[:, q, None, :]) @ b
+                # An unread part shows only here, a wholly read group in S.  A
+                # column scale is at most 1 or NaN, so e is finite exactly where
+                # every 1/col is.
+                finite &= len(reads) == len(unit) or np.isfinite(inv_col).all()
+                inv_row = 1.0 / row
+                for q, b, k, outs in reads:
+                    y = (z[:, q, :, :2 * k] * inv_row[:, q, :, None]).view(complex)
+                    s[:, outs] = y.transpose(0, 2, 1) @ b
         if not (finite and np.isfinite(s).all()):
             _raise_singular(self._a, w, np.isfinite(s).all(axis=(1, 2)))
 
@@ -550,22 +569,66 @@ class ScatteringSweep(Sequence):
         return ScatteringMap(self.omegas[i], self.matrices[i], self.outputs, self.inputs)
 
 
-def _systems(a3: np.ndarray, w: np.ndarray):
-    """A(w) = A0 + w A1 + A2/w stacked over ``w`` (F,) for a stamp ``a3``
-    (3, ..., n, n); its row and column scales; its equilibrated form."""
-    wc = w.reshape((-1,) + (1,) * (a3.ndim - 1))
-    a = a3[0] + wc * a3[1] + a3[2] / wc
-    row = np.abs(a).max(axis=-1)
-    ra = a / row[..., None]
-    col = np.abs(ra).max(axis=-2)
-    return a, row, col, ra / col[..., None, :]
+def _span(rows) -> slice:
+    """The rows from the first to the last of ascending ``rows``; the first row
+    alone if there are none, so that every group forms a row and a point where
+    0/w is NaN (w below 1/DBL_MAX) overflows as the whole formula does."""
+    return slice(rows[0], rows[-1] + 1) if len(rows) else slice(0, 1)
+
+
+def _plan(a3: np.ndarray, fixed: bool):
+    """What of A(w) = A0 + w A1 + A2/w does not change with w, for a stamp
+    ``a3`` (3, P, m, m).  The rows from the first to the last holding an A1 or
+    A2 entry are its span: their stamp (3, P, V, m) is formed per point.  For
+    the other rows: their scales (ones in the span), their row-scaled entries
+    (zeros in the span) and their share of each column scale, where A0 + 0.0
+    is such a row's A0 + w*0 + 0/w, -0 made +0.  ``fixed`` False forms every
+    row: the stamp alone, nothing fixed."""
+    if not fixed:
+        return a3, slice(None), None, None, None
+    span = _span(np.flatnonzero(a3[1:].any(axis=(0, 1, 3))))
+    a = a3[0] + 0.0
+    a[:, span] = 0.0
+    row = np.maximum.reduce(np.abs(a), axis=-1)
+    row[:, span] = 1.0
+    ra = np.divide(a, row[..., None], out=a)
+    return (np.ascontiguousarray(a3[:, :, span]), span, row, ra,
+            np.maximum.reduce(np.abs(ra), axis=-2))
+
+
+def _systems(plan, w: np.ndarray):
+    """Row scales D_r, column scales D_c (F, P, m) and the equilibrated stack
+    D_r A D_c (F, P, m, m) of A(w) over ``w`` (F,): only the plan's span of
+    rows is formed and row-scaled, the other rows come from the plan."""
+    stamp, span, row0, ra0, col0 = plan
+    (_, p, v, m), f, wc = stamp.shape, len(w), w[:, None]
+    # Flat operands keep numpy's per-call cost low on small blocks.
+    s = stamp.reshape(3, -1)
+    a = (s[0] + wc * s[1] + s[2] / wc).reshape(-1, m)
+    scale = np.maximum.reduce(np.abs(a), axis=-1)
+    a /= scale[:, None]
+    a = a.reshape(f, p, v, m)
+    col = np.maximum.reduce(np.abs(a), axis=2, initial=0.0)
+    if row0 is None:                          # every row formed
+        return scale.reshape(f, p, m), col, np.divide(a, col[:, :, None, :], out=a)
+    np.maximum(col, col0, out=col)
+    row = row0[None].repeat(f, axis=0)
+    row[:, :, span] = scale.reshape(f, p, v)
+    # numpy divides a complex number by a real r as ((re + im*0) s, (im - re*0) s)
+    # with s = 1/r: the bits of (re, im) * s unless a part is -0.  The plan's rows
+    # hold no -0; a formed row scaled by an infinite scale may, so it is divided.
+    e = ra0 * (1.0 / col)[:, :, None, :]
+    np.divide(a, col[:, :, None, :], out=e[:, :, span])
+    return row, col, e
 
 
 def _raise_singular(a3: np.ndarray, w: np.ndarray, ok) -> NoReturn:
     """Raise for the first failing point of a block: ``a3`` is the whole stamp, ``ok``
     flags points whose solved rows are finite (None: a factorization failed)."""
     with np.errstate(all="ignore"):
-        a, _, _, e = _systems(a3, w)
+        wc = w[:, None, None]
+        a = a3[0] + wc * a3[1] + a3[2] / wc      # dense A(w), for its finiteness and rank
+        e = _systems(_plan(a3[:, None], False), w)[2][:, 0]
     finite = np.isfinite(a).all(axis=(1, 2))
     e = np.where(np.isfinite(e), e, 0.0)     # a zero row or column gives 0/0
     n = e.shape[-1]

@@ -6,7 +6,9 @@ the ideal op-amp stage instead.  The package solves a network for a whole
 frequency grid at once; ``scattering_per_point`` stamps and solves one
 frequency at a time.  So the tests compare two independent implementations.
 ``estimator_from_scattering`` normalizes one scattering map's readout row,
-the per-point counterpart of the CLI's budget over a grid.
+the per-point counterpart of the CLI's budget over a grid.  ``dense_systems``
+forms and equilibrates every row of A(w) at every point, where the package
+forms only the rows that change with w.
 """
 
 from __future__ import annotations
@@ -148,6 +150,17 @@ def scattering_per_point(net, omega: float) -> tuple[np.ndarray, float]:
     e = ra / col[None, :]
     y = np.linalg.solve(e, b / row[:, None])
     return (y / col[:, None])[nn:nn + nl], float(np.linalg.cond(e))
+
+
+def dense_systems(a3: np.ndarray, w: np.ndarray):
+    """A(w) = A0 + w A1 + A2/w stacked over ``w`` (F,) for a stamp ``a3``
+    (3, ..., n, n); its row and column scales; its equilibrated form."""
+    wc = w.reshape((-1,) + (1,) * (a3.ndim - 1))
+    a = a3[0] + wc * a3[1] + a3[2] / wc
+    row = np.abs(a).max(axis=-1)
+    ra = a / row[..., None]
+    col = np.abs(ra).max(axis=-2)
+    return a, row, col, ra / col[..., None, :]
 
 
 def estimator_from_scattering(smap, signal: str, readout: str) -> EstimatorCoefficients:

@@ -1,26 +1,31 @@
 """Property tests: the stage relations against two independent references,
-the chain composition against itself and a per-stage recursion, and the
-finite/domain checks at every constructor and noise law."""
+the chain composition against itself and a per-stage recursion, the noise
+bounds of the network solve, and the finite/domain checks at every
+constructor and noise law."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qunet import (AcceleroParams, Capacitor, Feedback, OpAmp, OpAmpStage,
                    PortSpec, QuantumNetwork, StageChain, chain_added_noise,
-                   chain_estimator, merge_chain_estimators, stage_added_noise,
-                   stage_estimator, stage_scattering, thermal_occupation)
+                   chain_estimator, merge_chain_estimators, netlist,
+                   stage_added_noise, stage_estimator, stage_scattering,
+                   thermal_occupation)
+from qunet.cli import _circuit_budget
 
+from helpers import random_passive_network
 from oracles import (added_noise_closed_form, chain_added_noise_recursion,
-                     estimator_weights_closed_form)
+                     estimator_weights_closed_form, scattering_per_point)
 
 impedances = st.floats(0.7, 3.7).map(lambda e: 10.0 ** e)
 temperatures = st.one_of(st.just(0.0), st.floats(0.0, 300.0))
 omegas = st.floats(3.0, 6.0).map(lambda e: 2.0 * math.pi * 10.0 ** e)
 any_float = st.floats(allow_nan=True, allow_infinity=True)
+EPS = np.finfo(float).eps
 
 
 @st.composite
@@ -99,6 +104,64 @@ def test_chain_composition_is_associative(chain, w, data):
     total = chain_added_noise(chain, w).total
     oracle = chain_added_noise_recursion(chain.stages, w)
     assert abs(total - oracle) <= 1e-12 * oracle
+
+
+@st.composite
+def stage_documents(draw):
+    """1-3 independent stages with C, L or X feedback, |G| in 1e-2..1e6 at a
+    frequency inside 1 kHz..1 MHz; signal l0, readout r0.  X feedback has no
+    .qnet form, so the document is built, not parsed."""
+    lines, amps = [], []
+    for k in range(draw(st.integers(1, 3))):
+        r_l, r_r, r_a = draw(impedances), draw(impedances), draw(impedances)
+        z = 10.0 ** draw(st.floats(-2.0, 6.0)) * math.sqrt(r_l * r_r) / 2.0
+        w_ref = draw(omegas)
+        kind = draw(st.sampled_from("CLX"))
+        value = {"C": 1.0 / (w_ref * z), "L": z / w_ref,
+                 "X": z * draw(st.sampled_from((1.0, -1.0)))}[kind]
+        lines += [PortSpec(f"l{k}", r_l, draw(temperatures)),
+                  PortSpec(f"r{k}", r_r, draw(temperatures))]
+        amps.append(OpAmp(f"amp{k}", f"l{k}", f"r{k}", r_a, Feedback(kind, value),
+                          noise_temp=draw(temperatures), conj_temp=draw(temperatures)))
+    return netlist.NetlistDocument(lines=lines, opamps=amps, signal="l0", readout="r0")
+
+
+@settings(max_examples=150, deadline=None)
+@given(stage_documents(), st.lists(omegas, min_size=1, max_size=8))
+def test_budget_meets_the_amplifier_bound(doc, grid):
+    # Caves: a phase-insensitive amplifier of power gain |G|^2 adds at least
+    # (1 - 1/|G|^2)/2 quanta, whatever its temperatures.  |G| of stage 0 comes
+    # from its feedback alone: 2 |Z_f| / sqrt(R_l R_r).
+    w, _, mu2, sigma = _circuit_budget(doc, np.array(grid))
+    total = (mu2 * sigma).sum(axis=0)
+    r_lr = math.sqrt(doc.lines[0].impedance * doc.lines[1].impedance)
+    gain = np.array([2.0 * abs(doc.opamps[0].feedback.impedance(x)) / r_lr for x in w])
+    bound = 0.5 * (1.0 - 1.0 / gain ** 2)
+    assert np.all(total >= bound - 1e-12 * np.maximum(total, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 300.0),
+       st.lists(omegas, min_size=1, max_size=8))
+def test_passive_budget_is_the_bath_seen_through_the_gain(seed, t, grid):
+    # A lossless network at one temperature T: the row of S is a unit vector,
+    # so the noise referred to the input is sigma(T) (1/|beta|^2 - 1).
+    rng = np.random.default_rng(seed)
+    ports, comps = random_passive_network(rng)
+    net = QuantumNetwork([PortSpec(p.name, p.impedance, t, node=p.node) for p in ports],
+                         comps)
+    signal, readout = (ports[int(i)].name for i in rng.integers(len(ports), size=2))
+    sweep = net.sweep(grid, outputs=(readout,))
+    names = [c.name for c in sweep.inputs]
+    for w, row in zip(sweep.omegas, sweep.matrices[:, 0]):
+        beta = row[names.index(signal)]
+        assume(beta != 0)
+        mu2 = np.abs(np.delete(row, names.index(signal)) / beta) ** 2
+        sigma = thermal_occupation(w, t)
+        _, cond = scattering_per_point(net, w)
+        tol = 1e-13 + 16.0 * EPS * cond
+        expected = sigma * (1.0 / abs(beta) ** 2 - 1.0)
+        assert abs(mu2.sum() * sigma - expected) <= tol * sigma / abs(beta) ** 2
 
 
 @given(omegas, any_float)

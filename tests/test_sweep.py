@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from qunet import (Capacitor, Feedback, Inductor, OpAmp, PortSpec, QuantumNetwork,
                    SingularNetworkError, netlist, thermal_occupation)
 from qunet.cli import _circuit_budget
-from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES
+from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES, _plan, _systems
 
 from helpers import random_passive_network
-from oracles import estimator_from_scattering, scattering_per_point
+from oracles import dense_systems, estimator_from_scattering, scattering_per_point
 
 EPS = np.finfo(float).eps
 TWO_PI = 2.0 * math.pi
@@ -293,3 +293,64 @@ def test_a_singular_part_no_output_reaches_still_raises():
     with pytest.raises(SingularNetworkError, match=r"omega = 1\.0 rad/s.*rank 10 < 11"):
         net.sweep([0.5, 1.0, 2.0], outputs=("r0",))
     assert len(net.sweep([0.5, 2.0], outputs=("r0",))) == 2
+
+
+# Points where w A1 or A2/w leave double range or come near it.  Below
+# 1/DBL_MAX (about 5.6e-309) 1/w overflows and 0/w is NaN, so every entry
+# is NaN: both formations give NaN there, though not the same NaN bits.
+EXTREME_OMEGAS = (1e-300, 2.2250738585072014e-308, 1e300, 1.7e308)
+
+
+@st.composite
+def solved_networks(draw):
+    """A random passive ladder, a C, L, X or R stage, or a disjoint union."""
+    kind = draw(st.sampled_from(("passive", "stage", "resistive", "union")))
+    if kind == "passive":
+        return QuantumNetwork(*random_passive_network(np.random.default_rng(draw(seeds))))
+    if kind == "union":
+        return draw(disjoint_unions())[0]
+    spec = draw(stage_specs())
+    if kind == "stage":
+        return stage_network(spec)
+    r_l, r_r, r_a, *_ = spec
+    return QuantumNetwork([PortSpec("l", r_l), PortSpec("r", r_r)],
+                          [OpAmp("amp", "l", "r", r_a, Feedback.resistive(draw(impedances)))],
+                          allow_dissipative_feedback=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(solved_networks(), min_size=1, max_size=4),
+       st.lists(st.floats(-3.0, 308.0).map(lambda e: 10.0 ** e), max_size=40))
+def test_systems_equal_the_dense_oracle_bit_for_bit(nets, omegas):
+    # Whole stamps of equal size stacked as the parts of one group, so a row
+    # that varies in one part is formed per point in all of them.
+    w = np.array([*omegas, *EXTREME_OMEGAS])
+    groups = {}
+    for net in nets:
+        groups.setdefault(len(net._b), []).append(net)
+    for same in groups.values():
+        a3 = np.stack([net._a for net in same], axis=1)
+        with np.errstate(all="ignore"):
+            want = dense_systems(a3, w)[1:]
+            for plan in (_plan(a3, True), _plan(a3, False)):
+                got = _systems(plan, w)
+                for x, y in zip(got, want):     # as bits: NaN payloads, zero signs
+                    assert x.shape == y.shape
+                    assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_a_part_without_varying_rows_overflows_below_one_over_dbl_max():
+    # At 5e-309 rad/s 0/w is NaN.  A constant-reactance stage has no row
+    # that changes with w, yet it forms one per block, so it overflows there
+    # as a capacitive stage does, in a one-block and in a planned sweep.
+    ports = [PortSpec("l", 50.0), PortSpec("r", 75.0)]
+    flat = QuantumNetwork(ports, [OpAmp("amp", "l", "r", 60.0, Feedback.reactance(1e3))])
+    cap = QuantumNetwork(ports, [OpAmp("amp", "l", "r", 60.0, Feedback.capacitive(1e-9))])
+    for net in (flat, cap):
+        for grid in ([1.0, 5e-309], [1.0] * net._step + [5e-309]):
+            with pytest.raises(SingularNetworkError) as err:
+                net.sweep(grid)
+            assert "overflow at omega = 5e-309 rad/s" in str(err.value)
+    # Just above it the constant-reactance stage solves, to the same bits.
+    s = flat.sweep([1e-300, 1.0, 1e300]).matrices.view(np.uint64)
+    assert np.array_equal(s, s[[1, 1, 1]])
