@@ -33,13 +33,14 @@ i/(wC) feedback in A2, the rest in A0, stamped once per network.  A sweep
 scales the rows and columns of A by their largest entries (D_r A D_c) and
 gets each requested row r of S as e_r^T D_c (D_r A D_c)^-1 D_r B: one solve
 of the transposed stack per row, whatever the number of inputs.  Only the
-rows holding an A1 or A2 entry change with w.  A sweep of more than one
-block scales every other row once, with its share of each column scale, and
-each block forms and scales only the changing rows, from the first to the
-last of them; a one-block sweep forms every row, which costs fewer numpy
-calls.  Either way every entry gets the bits the whole formula gives it.  A
-block holds SWEEP_BLOCK_ENTRIES complex entries at most, so the solve's
-memory does not grow with the grid.
+rows holding an A1 or A2 entry change with w.  A sweep scales every other
+row once, with its share of each column scale, and each block forms and
+scales only the changing rows, from the first to the last of them.  A grid
+of fewer than _PLAN_ENTRIES complex entries of A, such as one budget point,
+forms every row instead: there that costs fewer numpy calls.  Either way
+every entry gets the bits the whole formula gives it.  A block holds
+SWEEP_BLOCK_ENTRIES complex entries at most, so the solve's memory does not
+grow with the grid.
 
 Each connected part of the circuit (ground joins nothing) is one diagonal
 block of A, found once per network and solved alone: parts of equal size
@@ -63,6 +64,10 @@ DEFAULT_TOLERANCE = 1e-10
 GROUND_NAMES = frozenset({"0", "gnd", "ground"})
 
 SWEEP_BLOCK_ENTRIES = 2 ** 15   # complex entries of one (F, n, n) block of systems
+# A sweep whose grid holds fewer complex entries of A than this forms every
+# row per block: below it the plan's fixed numpy calls cost more than they
+# save (measured crossover 1,200-2,000 entries on matched stages).
+_PLAN_ENTRIES = 1500
 _FEEDBACK_TERM = {"R": 0, "X": 0, "L": 1, "C": 2}   # A_p holding each feedback kind
 
 
@@ -364,7 +369,8 @@ class QuantumNetwork:
             for c in (Channel(f"{amp.name}.a"), Channel(f"{amp.name}.a'", conjugated=True)))
         self._a, self._b = self._stamp()
         self._parts, self._outward = self._split()
-        self._step = max(1, SWEEP_BLOCK_ENTRIES // max(sum(a[0].size for a, _ in self._parts), 1))
+        self._entries = max(sum(a[0].size for a, _ in self._parts), 1)   # of A, per point
+        self._step = max(1, SWEEP_BLOCK_ENTRIES // self._entries)
 
     def channel_temperatures(self) -> dict[str, float]:
         temps = [p.temperature for p in self.ports] + [
@@ -495,7 +501,7 @@ class QuantumNetwork:
         ``outputs`` names the output channels to solve for, by default all.
         """
         w = np.fromiter(grid, dtype=float)
-        if len(w) and not (np.minimum.reduce(w) > 0.0 and np.maximum.reduce(w) < math.inf):
+        if len(w) and not (w.min() > 0.0 and w.max() < math.inf):
             bad = w[~((w > 0.0) & (w < math.inf))][0]
             raise ValueError(f"angular frequency must be positive and finite, got {bad.item()!r}")
         chans = self.output_channels
@@ -506,9 +512,7 @@ class QuantumNetwork:
             g, q, pos = self._outward[self.output_channels.index(c)]
             hits[g].setdefault(q, []).append((i, pos))
         plan = []
-        # Over more than one block, the rows without A1 or A2 entries are
-        # equilibrated once per sweep; within one, forming them costs less.
-        planned = len(w) > self._step
+        planned = len(w) * self._entries >= _PLAN_ENTRIES
         for (a3, b), parts in zip(self._parts, hits):
             system = _plan(a3, planned)
             unit = np.zeros((*b.shape[:2], max(map(len, parts.values()), default=0)), complex)
@@ -516,9 +520,7 @@ class QuantumNetwork:
             for q, pairs in parts.items():
                 for j, (_, pos) in enumerate(pairs):
                     unit[q, pos, j] = 1.0
-                outs = [i for i, _ in pairs]          # ascending: a slice if contiguous
-                reads.append((q, b[q], len(pairs),
-                              _span(outs) if outs[-1] - outs[0] < len(outs) else outs))
+                reads.append((q, b[q], len(pairs), [i for i, _ in pairs]))
             plan.append((system, unit, reads))
         s = np.empty((len(w), len(chans), self._b.shape[1]), dtype=complex)
         for lo in range(0, len(w), self._step):
@@ -532,22 +534,14 @@ class QuantumNetwork:
         with np.errstate(all="ignore"):
             for system, unit, reads in plan:
                 row, col, e = _systems(system, w)
-                inv_col = 1.0 / col
-                # numpy divides a complex number by a real r as (re, im) * (1/r):
-                # the same bits come from scaling float views by 1/r.
-                rhs = (unit.view(float) * inv_col[..., None]).view(complex)
                 try:
-                    z = np.linalg.solve(e.swapaxes(2, 3), rhs).view(float)
+                    z = np.linalg.solve(e.swapaxes(2, 3), unit / col[..., None])
                 except np.linalg.LinAlgError:
                     _raise_singular(self._a, w, None)
-                # An unread part shows only here, a wholly read group in S.  A
-                # column scale is at most 1 or NaN, so e is finite exactly where
-                # every 1/col is.
-                finite &= len(reads) == len(unit) or np.isfinite(inv_col).all()
-                inv_row = 1.0 / row
-                for q, b, k, outs in reads:
-                    y = (z[:, q, :, :2 * k] * inv_row[:, q, :, None]).view(complex)
-                    s[:, outs] = y.transpose(0, 2, 1) @ b
+                # An unread part shows only here; a wholly read group relies on S.
+                finite &= len(reads) == len(unit) or np.isfinite(e).all()
+                for q, b, r, outs in reads:
+                    s[:, outs] = (z[:, q, :, :r].transpose(0, 2, 1) / row[:, q, None, :]) @ b
         if not (finite and np.isfinite(s).all()):
             _raise_singular(self._a, w, np.isfinite(s).all(axis=(1, 2)))
 

@@ -8,7 +8,9 @@ frequency at a time.  So the tests compare two independent implementations.
 ``estimator_from_scattering`` normalizes one scattering map's readout row,
 the per-point counterpart of the CLI's budget over a grid.  ``dense_systems``
 forms and equilibrates every row of A(w) at every point, where the package
-forms only the rows that change with w.
+forms only the rows that change with w; ``dense_sweep`` solves a network's
+parts from it, dividing the complex stacks by their real scales where the
+package multiplies float views by the reciprocals.
 """
 
 from __future__ import annotations
@@ -161,6 +163,34 @@ def dense_systems(a3: np.ndarray, w: np.ndarray):
     ra = a / row[..., None]
     col = np.abs(ra).max(axis=-2)
     return a, row, col, ra / col[..., None, :]
+
+
+def dense_sweep(net, w: np.ndarray, outputs=None) -> np.ndarray:
+    """S (F, m, k) over ``w`` for the output channels named in ``outputs``
+    (default all): each part solved as ``net.sweep`` solves it, from
+    ``dense_systems``.  Raises ``LinAlgError`` where a factorization fails
+    and leaves a non-finite S where the sweep reports overflow."""
+    names = [c.name for c in net.output_channels]
+    chans = range(len(names)) if outputs is None else [names.index(n) for n in outputs]
+    s = np.empty((len(w), len(chans), net._b.shape[1]), dtype=complex)
+    for g, (a3, b) in enumerate(net._parts):
+        hits = {}                                   # part -> [(row of s, unknown)]
+        for i, c in enumerate(chans):
+            group, q, pos = net._outward[c]
+            if group == g:
+                hits.setdefault(q, []).append((i, pos))
+        if not hits:
+            continue
+        unit = np.zeros((*b.shape[:2], max(map(len, hits.values()))), dtype=complex)
+        for q, pairs in hits.items():
+            for j, (_, pos) in enumerate(pairs):
+                unit[q, pos, j] = 1.0
+        _, row, col, e = dense_systems(a3, w)
+        z = np.linalg.solve(e.swapaxes(2, 3), unit / col[..., None])
+        for q, pairs in hits.items():
+            y = z[:, q, :, :len(pairs)].transpose(0, 2, 1) / row[:, q, None, :]
+            s[:, [i for i, _ in pairs]] = y @ b[q]
+    return s
 
 
 def estimator_from_scattering(smap, signal: str, readout: str) -> EstimatorCoefficients:

@@ -15,7 +15,7 @@ from qunet.cli import _circuit_budget
 from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES, _plan, _systems
 
 from helpers import random_passive_network
-from oracles import dense_systems, estimator_from_scattering, scattering_per_point
+from oracles import dense_sweep, dense_systems, estimator_from_scattering, scattering_per_point
 
 EPS = np.finfo(float).eps
 TWO_PI = 2.0 * math.pi
@@ -339,10 +339,40 @@ def test_systems_equal_the_dense_oracle_bit_for_bit(nets, omegas):
                     assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
+@settings(max_examples=80, deadline=None)
+@given(solved_networks(), seeds, st.integers(1, 400),
+       st.lists(st.sampled_from(EXTREME_OMEGAS), max_size=2), st.booleans())
+def test_sweep_equals_the_dense_oracle_bit_for_bit(net, seed, size, extremes, one_row):
+    # Up to 400 points, so that small and large grids, formed and planned,
+    # and sweeps of several blocks are all drawn.
+    rng = np.random.default_rng(seed)
+    w = np.r_[random_grid(rng, size), extremes]
+    outputs = (net.ports[int(rng.integers(len(net.ports)))].name,) if one_row else None
+
+    def solved(outputs):
+        with np.errstate(all="ignore"):
+            try:
+                s = dense_sweep(net, w, outputs)
+            except np.linalg.LinAlgError:
+                return None
+        return s if np.isfinite(s).all() else None
+
+    try:
+        got = net.sweep(w, outputs).matrices
+    except SingularNetworkError:
+        # A part no output reads raises too; with every output read, every
+        # part here is, as each holds a port.
+        assert solved(None) is None
+        return
+    want = solved(outputs)
+    assert want is not None and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_a_part_without_varying_rows_overflows_below_one_over_dbl_max():
     # At 5e-309 rad/s 0/w is NaN.  A constant-reactance stage has no row
     # that changes with w, yet it forms one per block, so it overflows there
-    # as a capacitive stage does, in a one-block and in a planned sweep.
+    # as a capacitive stage does, in a formed and in a planned sweep.
     ports = [PortSpec("l", 50.0), PortSpec("r", 75.0)]
     flat = QuantumNetwork(ports, [OpAmp("amp", "l", "r", 60.0, Feedback.reactance(1e3))])
     cap = QuantumNetwork(ports, [OpAmp("amp", "l", "r", 60.0, Feedback.capacitive(1e-9))])
