@@ -21,10 +21,9 @@ from .amplifier import (MatchingResult, NoFeedbackError, NoiseBudget,
 from .cascade import (StageChain, chain_added_noise, chain_estimator,
                       classical_gain_threshold, downstream_noise_fraction,
                       merge_chain_estimators)
-from .accelerometer import (MICROSCOPE, PRESETS, AcceleroParams,
-                            ForceEstimator, Preset, acceleration_sensitivity,
-                            accelerometer_budget, cold_damped_temperature,
-                            force_estimator_free, force_estimator_servo,
+from .accelerometer import (MICROSCOPE, PRESETS, AcceleroParams, Preset,
+                            acceleration_sensitivity, accelerometer_budget,
+                            cold_damped_temperature, force_estimator,
                             get_preset, is_detection_limited,
                             langevin_force_psd, servo_invariance_check)
 from .netlist import NetlistDocument, NetlistError, parse, serialize, to_network

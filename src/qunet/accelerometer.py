@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from .amplifier import NoiseBudget, OpAmpStage, stage_added_noise
 from .cascade import StageChain, chain_estimator
-from .network import Feedback
+from .network import EstimatorCoefficients, Feedback, NoTransductionError
 from .spectra import HBAR, K_B, bath_temperature, require_finite
 
 FORCE_UNITS = "(kg m s^-2)^2/Hz"
@@ -112,66 +112,44 @@ def is_detection_limited(budget: NoiseBudget) -> bool:
     return detection > langevin
 
 
-@dataclass(frozen=True)
-class ForceEstimator:
+FORCE_SIGNAL = "F_ext"
+
+
+def force_estimator(params: AcceleroParams, stages: tuple[OpAmpStage, ...],
+                    transduction_gain: float) -> EstimatorCoefficients:
     """Force readout normalized so the external-force coefficient is one.
 
-    ``weights`` maps each noise source, a chain's ``(stage, role)`` key or
-    the Langevin source, to its force-referred weight; the Langevin force
-    enters with weight one since it acts on the proof mass exactly like the
-    measured force.
+    ``(stage,)`` is the free readout and ``(stage, servo)`` the servo one.
+    There the detection stage sits inside the loop, so its carrier gain is
+    the loop gain: it suppresses the feedback amplifier's own sources, and
+    the shared weights match the free readout's identically.  Each chain
+    source ``(stage, role)`` enters with its weight times the transduction
+    gain g, the Langevin force with weight one, as it acts on the proof mass
+    like the measured force.  The gain is the chain gain over g; g = 0
+    raises :class:`NoTransductionError`.
     """
-
-    weights: dict
-    signal: str = "F_ext"
-
-    def sources(self) -> tuple:
-        return tuple(self.weights)
-
-
-def _force_estimator(params: AcceleroParams, stages: tuple[OpAmpStage, ...],
-                     transduction_gain: float) -> ForceEstimator:
-    """Langevin force plus the chain's noise sources referred to force."""
-    est = chain_estimator(StageChain(stages), params.carrier_omega)
     g = float(transduction_gain)
-    return ForceEstimator({LANGEVIN_SOURCE: 1.0,
-                           **{src: g * mu for src, mu in est.noise_weights().items()}})
+    if g == 0.0:
+        raise NoTransductionError("transduction gain 0: the readout does not "
+                                  "couple to the force")
+    est = chain_estimator(StageChain(stages), params.carrier_omega)
+    weights = {FORCE_SIGNAL: 1.0, LANGEVIN_SOURCE: 1.0,
+               **{src: g * mu for src, mu in est.noise_weights().items()}}
+    return EstimatorCoefficients(signal=FORCE_SIGNAL, weights=weights,
+                                 gain=est.gain / g)
 
 
-def force_estimator_free(params: AcceleroParams, stage: OpAmpStage,
-                         transduction_gain: float) -> ForceEstimator:
-    """Force estimator with the servo loop open: the one-stage chain."""
-    return _force_estimator(params, (stage,), transduction_gain)
-
-
-def force_estimator_servo(params: AcceleroParams, stage: OpAmpStage,
-                          transduction_gain: float,
-                          servo_stage: OpAmpStage | None = None) -> ForceEstimator:
-    """Force estimator reconstructed from the servo correction signal.
-
-    The loop reads the detection output with a further amplification stage
-    (the feedback amplifier) and, in the infinite-loop-gain limit, the
-    correction signal carries the same estimator as the free case.  The
-    detection stage sits inside the loop, so its gain at the carrier is the
-    loop gain: the feedback amplifier's own sources appear suppressed by
-    exactly that factor, and the shared weights match the free estimator
-    identically.
-    """
-    servo = servo_stage if servo_stage is not None else stage
-    return _force_estimator(params, (stage, servo), transduction_gain)
-
-
-def servo_invariance_check(estimator_free: ForceEstimator,
-                           estimator_servo: ForceEstimator,
+def servo_invariance_check(estimator_free: EstimatorCoefficients,
+                           estimator_servo: EstimatorCoefficients,
                            tol: float = 1e-10) -> bool:
-    """Pointwise agreement of two force-estimator weight tables.
+    """Pointwise agreement of two force estimators' noise weights.
 
     Both estimators must cover the same source set (the open-loop table
     lacks the feedback amplifier's sources, which enter it with weight
     zero); a mismatch is an error, not a False.
     """
     tol = require_finite(tol, "tol", closed=True)
-    a, b = estimator_free.weights, estimator_servo.weights
+    a, b = estimator_free.noise_weights(), estimator_servo.noise_weights()
     if set(a) != set(b):
         missing = set(a) ^ set(b)
         raise ValueError("mismatched source sets, differing on "

@@ -67,20 +67,12 @@ class OpAmpStage:
     noise_temp: float = 0.0
     conj_temp: float = 0.0
     readout_temp: float = 0.0
-    allow_dissipative_feedback: bool = False
 
     def __post_init__(self):
         for label in ("r_left", "r_right", "noise_impedance"):
             require_finite(getattr(self, label), label)
         for label in ("noise_temp", "conj_temp", "readout_temp"):
             require_finite(getattr(self, label), label, closed=True)
-        if not self.feedback.is_reactive and not self.allow_dissipative_feedback:
-            raise ValueError("dissipative feedback breaks the stage's quantum "
-                             "consistency; pass allow_dissipative_feedback=True "
-                             "to study it anyway")
-
-    def feedback_impedance(self, omega: float) -> complex:
-        return self.feedback.impedance(omega)
 
     def temperatures(self) -> dict[str, float]:
         """Bath temperature of each noise source seen by the estimator."""
@@ -106,7 +98,7 @@ def _stage_rows(stage: OpAmpStage, omega: float) -> tuple[list, list]:
     if not 0.0 < w < math.inf:
         raise ValueError(f"omega = {omega!r} is outside the model")
     rl, rr, ra = stage.r_left, stage.r_right, stage.noise_impedance
-    zf = stage.feedback_impedance(w)
+    zf = stage.feedback.impedance(w)
     kl = math.sqrt(ra / rl)
     kr = math.sqrt(ra / rr)
     amp_u = (1.0 + zf / rl) * kr           # U weight into r_out
@@ -125,8 +117,7 @@ def stage_scattering(stage: OpAmpStage, omega: float) -> ScatteringMap:
     """Input-output map of the stage over channels (l, r, a, a').
 
     Outputs are the two accessible fields l_out (back action) and r_out
-    (readout); the map preserves the field commutators whenever the
-    feedback is reactive.
+    (readout); the map preserves the field commutators.
     """
     w = abs(float(omega))
     return ScatteringMap(w, _stage_rows(stage, w), _OUTPUTS, _INPUTS)

@@ -7,7 +7,7 @@ on round-trip):
     qnet 1
     line <name> impedance=<Ohm> temperature=<K>
     opamp <name> left=<port> right=<port> noise_impedance=<Ohm>
-          noise_temp=<K> conj_temp=<K> feedback=<R|C|L>:<value>
+          noise_temp=<K> conj_temp=<K> feedback=<C|L>:<value>
     signal <port>
     readout <port>
     sweep <f_lo_Hz> <f_hi_Hz> <npoints> <lin|log>     (2 to 1,000,000 points)
@@ -20,8 +20,10 @@ A document holds either a circuit (ports, amplifiers, exactly one signal
 and one readout) or a single preset reference.  Port names must be declared
 before they are referenced, and the ground names of
 :data:`~qunet.network.GROUND_NAMES` are reserved.  Dissipative (R) feedback
-is rejected by default since the amplifier model requires a reactive
-feedback; pass ``allow_resistive_feedback=True`` to parse it anyway.
+is always refused, at the ``feedback=`` field: a dissipative element is a
+line carrying its own noise, so :class:`~qunet.network.Feedback` is reactive
+only.  A statement whose values a constructor refuses, such as a sweep's
+point count, scale or frequency order, is reported at the statement.
 
 The text describes the network's own objects: :func:`parse` turns a
 ``line`` into a :class:`~qunet.network.PortSpec` and an ``opamp`` into an
@@ -40,6 +42,7 @@ conjugated ports and names outside the grammar.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -51,7 +54,7 @@ from .spectra import require_finite
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"\S+")
 
-FEEDBACK_KINDS = ("R", "C", "L")
+FEEDBACK_KINDS = ("C", "L")
 SWEEP_SCALES = ("lin", "log")
 MAX_SWEEP_POINTS = 1_000_000     # bounds what a one-line file can ask to allocate
 
@@ -100,9 +103,11 @@ class Sweep:
     scale: str
 
     def __post_init__(self):
-        if not 2 <= self.npoints <= MAX_SWEEP_POINTS:
-            raise ValueError(f"sweep needs 2 to {MAX_SWEEP_POINTS} points, "
-                             f"got {self.npoints!r}")
+        if not (isinstance(self.npoints, numbers.Integral)
+                and 2 <= self.npoints <= MAX_SWEEP_POINTS):
+            raise ValueError(f"sweep needs an integer count of 2 to "
+                             f"{MAX_SWEEP_POINTS} points, got {self.npoints!r}")
+        object.__setattr__(self, "npoints", int(self.npoints))
         if self.scale not in SWEEP_SCALES:
             raise ValueError(f"sweep scale must be lin or log, got {self.scale!r}")
         f_lo = require_finite(self.f_lo, "sweep lower frequency")
@@ -129,13 +134,12 @@ class Sweep:
 
 @dataclass
 class NetlistDocument:
-    """Statements in source order, what they declare, and warnings.
+    """Statements in source order and what they declare.
 
     ``statements`` holds comments, ports (:class:`PortSpec`), amplifiers
     (:class:`OpAmp`), directives and the sweep.  The fields after it are
     filled in once, as the parser meets each statement.  ``positions[i]``
-    is the (line, column) of ``statements[i]``; equality ignores it and
-    the warnings.
+    is the (line, column) of ``statements[i]``; equality ignores it.
     """
 
     statements: list = field(default_factory=list)
@@ -146,7 +150,6 @@ class NetlistDocument:
     sweep: Sweep | None = None
     preset: str | None = None
     has_header: bool = False
-    warnings: list[str] = field(default_factory=list, compare=False)
     positions: list[tuple[int, int]] = field(default_factory=list, compare=False,
                                              repr=False)
 
@@ -156,9 +159,8 @@ def _tokens(line: str):
 
 
 class _Parser:
-    def __init__(self, text: str, allow_resistive_feedback: bool):
+    def __init__(self, text: str):
         self.text = text
-        self.allow_resistive = allow_resistive_feedback
         self.issues: list[Issue] = []
         self.doc = NetlistDocument()
         self.port_names: set[str] = set()
@@ -193,13 +195,7 @@ class _Parser:
         self._document_checks()
         if self.issues:
             raise NetlistError(self.issues)
-        doc = self.doc
-        if doc.preset is None:
-            if doc.readout is None:
-                doc.warnings.append("no readout")
-            if doc.signal is None:
-                doc.warnings.append("no signal")
-        return doc
+        return self.doc
 
     def _add(self, lineno: int, col: int, statement) -> None:
         self.doc.statements.append(statement)
@@ -348,17 +344,17 @@ class _Parser:
         t_c = self._number(lineno, *fields["conj_temp"], f"{what} conj_temp", closed=True)
         col_f, txt_f = fields["feedback"]
         kind, _, value_txt = txt_f.partition(":")
+        if kind == "R":
+            self.error(lineno, col_f,
+                       "dissipative feedback (R) rejected: a dissipative "
+                       "element must be a line carrying its own noise")
+            return
         if kind not in FEEDBACK_KINDS or not value_txt:
             self.error(lineno, col_f,
-                       f"feedback must be <R|C|L>:<value>, got {txt_f!r}")
+                       f"feedback must be <C|L>:<value>, got {txt_f!r}")
             return
         value = self._number(lineno, col_f + 2, value_txt,
                              f"feedback element {kind} value")
-        if kind == "R" and not self.allow_resistive:
-            self.error(lineno, col_f,
-                       "dissipative feedback (R) rejected: the amplifier model "
-                       "requires a reactive feedback")
-            return
         if not ok or None in (r_a, t_n, t_c, value):
             return
         amp = self._build(lineno, toks[0][0], lambda: OpAmp(
@@ -392,21 +388,12 @@ class _Parser:
         except ValueError:
             self.error(lineno, col_n, f"malformed number {txt_n!r} for point count")
             return
-        if not 2 <= npoints <= MAX_SWEEP_POINTS:
-            self.error(lineno, col_n, f"sweep needs 2 to {MAX_SWEEP_POINTS} points, "
-                                      f"got {npoints}")
-            return
-        col_s, scale = toks[4]
-        if scale not in SWEEP_SCALES:
-            self.error(lineno, col_s, f"sweep scale must be lin or log, got {scale!r}")
-            return
         if f_lo is None or f_hi is None:
             return
-        if not f_hi > f_lo:
-            self.error(lineno, toks[2][0], "sweep upper frequency must exceed the lower")
-            return
-        sweep = Sweep(f_lo, f_hi, npoints, scale)
-        self._designate(lineno, toks[0][0], "sweep", sweep, sweep)
+        sweep = self._build(lineno, toks[0][0],
+                            lambda: Sweep(f_lo, f_hi, npoints, toks[4][1]))
+        if sweep is not None:
+            self._designate(lineno, toks[0][0], "sweep", sweep, sweep)
 
     def _preset(self, lineno: int, toks) -> None:
         if len(toks) != 2:
@@ -431,9 +418,9 @@ class _Parser:
                        "a preset document cannot also declare circuit statements")
 
 
-def parse(text: str, allow_resistive_feedback: bool = False) -> NetlistDocument:
+def parse(text: str) -> NetlistDocument:
     """Parse ``.qnet`` text into a document, collecting every issue."""
-    return _Parser(text, allow_resistive_feedback).parse()
+    return _Parser(text).parse()
 
 
 def _fmt(x: float) -> str:
@@ -480,11 +467,8 @@ def serialize(doc: NetlistDocument) -> str:
 
 
 def to_network(doc: NetlistDocument) -> QuantumNetwork:
-    """The :class:`~qunet.network.QuantumNetwork` of a circuit document.
-
-    :func:`parse` decides whether dissipative feedback is admitted, so the
-    network is built from whatever the document holds.
-    """
+    """The :class:`~qunet.network.QuantumNetwork` of a circuit document's
+    lines and amplifiers; a preset document has none."""
     if doc.preset is not None:
         raise ValueError("preset documents do not describe a circuit directly")
-    return QuantumNetwork(doc.lines, doc.opamps, allow_dissipative_feedback=True)
+    return QuantumNetwork(doc.lines, doc.opamps)

@@ -68,7 +68,7 @@ SWEEP_BLOCK_ENTRIES = 2 ** 15   # complex entries of one (F, n, n) block of syst
 # row per block: below it the plan's fixed numpy calls cost more than they
 # save (measured crossover 1,200-2,000 entries on matched stages).
 _PLAN_ENTRIES = 1500
-_FEEDBACK_TERM = {"R": 0, "X": 0, "L": 1, "C": 2}   # A_p holding each feedback kind
+_FEEDBACK_TERM = {"X": 0, "L": 1, "C": 2}   # A_p holding each feedback kind
 
 
 class SingularNetworkError(RuntimeError):
@@ -198,26 +198,26 @@ class PortSpec:
 
 @dataclass(frozen=True)
 class Feedback:
-    """Single-element feedback impedance in the quantum sign convention.
+    """Single-element reactive feedback in the quantum sign convention.
 
     kind "C": Z = 1/(-i w C), kind "L": Z = -i w L, kind "X": Z = i X with a
-    constant reactance X (zero allowed, meaning no feedback path), kind "R":
-    Z = R, dissipative, rejected by stages unless explicitly permitted.
-    The engineering convention is recovered by substituting j for -i.
+    constant reactance X (zero allowed, meaning no feedback path).  A
+    resistor is refused: a dissipative element is a line carrying its own
+    noise, and a lumped one would break the stage's commutators.  The
+    engineering convention is recovered by substituting j for -i.
     """
 
     kind: str
     value: float
 
     def __post_init__(self):
-        if self.kind not in ("R", "C", "L", "X"):
+        if self.kind == "R":
+            raise ValueError("dissipative feedback (R) rejected: a dissipative "
+                             "element must be a line carrying its own noise")
+        if self.kind not in ("C", "L", "X"):
             raise ValueError(f"unknown feedback element kind {self.kind!r}")
         require_finite(self.value, f"feedback element {self.kind} value",
                        low=-math.inf if self.kind == "X" else 0.0)
-
-    @classmethod
-    def resistive(cls, r: float) -> "Feedback":
-        return cls("R", r)
 
     @classmethod
     def capacitive(cls, c: float) -> "Feedback":
@@ -231,14 +231,8 @@ class Feedback:
     def reactance(cls, x: float) -> "Feedback":
         return cls("X", x)
 
-    @property
-    def is_reactive(self) -> bool:
-        return self.kind != "R"
-
     def impedance(self, omega: float) -> complex:
         w = float(omega)
-        if self.kind == "R":
-            return complex(self.value)
         if self.kind == "C":
             return 1.0 / (-1j * w * self.value)
         if self.kind == "L":
@@ -317,7 +311,7 @@ class QuantumNetwork:
     ``<amp>.a`` and ``<amp>.a'`` per amplifier (the primed one conjugated).
     """
 
-    def __init__(self, ports, components=(), allow_dissipative_feedback=False):
+    def __init__(self, ports, components=()):
         ports = tuple(ports)
         names = [p.name for p in ports]
         if len(names) != len(set(names)):
@@ -340,10 +334,6 @@ class QuantumNetwork:
             raise ValueError("duplicate amplifier names in network")
         claimed: dict[str, str] = {}
         for amp in self.opamps:
-            if not allow_dissipative_feedback and not amp.feedback.is_reactive:
-                raise ValueError(
-                    f"amplifier {amp.name!r}: dissipative feedback rejected "
-                    "(pass allow_dissipative_feedback=True to override)")
             for node in (amp.left, amp.right):
                 if node in claimed:
                     raise ValueError(

@@ -30,7 +30,7 @@ def estimator_weights_closed_form(stage, omega: float) -> dict[str, complex]:
     mu_a  = -(sqrt(R_l R_a)/2) (1/Z_f + 1/R_l - 1/R_a)
     mu_a' = +(sqrt(R_l R_a)/2) (1/Z_f + 1/R_l + 1/R_a)
     """
-    zf = stage.feedback_impedance(abs(float(omega)))
+    zf = stage.feedback.impedance(abs(float(omega)))
     if zf == 0:
         raise NoFeedbackError("Z_f = 0: no feedback, no readout")
     rl, rr, ra = stage.r_left, stage.r_right, stage.noise_impedance
@@ -50,7 +50,7 @@ def added_noise_closed_form(stage, omega: float) -> float:
     + (R_l R_a/4) |1/Z_f + 1/R_l + 1/R_a|^2 sigma_a'a'
     """
     w = abs(float(omega))
-    zf = stage.feedback_impedance(w)
+    zf = stage.feedback.impedance(w)
     if zf == 0:
         raise NoFeedbackError("Z_f = 0: no feedback, no readout")
     rl, rr, ra = stage.r_left, stage.r_right, stage.noise_impedance
@@ -72,7 +72,7 @@ def chain_added_noise_recursion(stages, omega: float) -> float:
     total, upstream = 0.0, 1.0
     for stage in stages:
         total += added_noise_closed_form(stage, w) / upstream
-        upstream *= 4.0 * abs(stage.feedback_impedance(w)) ** 2 / (
+        upstream *= 4.0 * abs(stage.feedback.impedance(w)) ** 2 / (
             stage.r_left * stage.r_right)
     return total
 

@@ -3,13 +3,12 @@ from dataclasses import replace
 
 import pytest
 
-from qunet import (K_B, MICROSCOPE, Feedback, ForceEstimator,
+from qunet import (K_B, MICROSCOPE, Feedback, NoTransductionError,
                    acceleration_sensitivity, accelerometer_budget,
                    cold_damped_temperature, effective_temperature,
-                   force_estimator_free, force_estimator_servo, gain,
-                   get_preset, is_detection_limited, langevin_force_psd,
-                   servo_invariance_check, stage_added_noise,
-                   thermal_occupation)
+                   force_estimator, gain, get_preset, is_detection_limited,
+                   langevin_force_psd, servo_invariance_check,
+                   stage_added_noise, thermal_occupation)
 from qunet.accelerometer import LANGEVIN_SOURCE, preset_with_overrides
 
 
@@ -112,28 +111,36 @@ def test_budget_detection_limited_flag_flips_ordering():
 def test_force_estimator_free_weights():
     params = microscope_params()
     g = 2.5e-13
-    est = force_estimator_free(params, MICROSCOPE.stage, g)
+    est = force_estimator(params, (MICROSCOPE.stage,), g)
+    assert est.signal == "F_ext"
+    assert est.weights["F_ext"] == 1.0
     assert est.weights[LANGEVIN_SOURCE] == 1.0
-    assert set(est.sources()) == {LANGEVIN_SOURCE, (0, "r"), (0, "a"), (0, "a'")}
+    assert set(est.noise_weights()) == {LANGEVIN_SOURCE, (0, "r"), (0, "a"), (0, "a'")}
     from qunet import stage_estimator
 
-    mu = stage_estimator(MICROSCOPE.stage, params.carrier_omega).weights
+    mu = stage_estimator(MICROSCOPE.stage, params.carrier_omega)
     for name in ("r", "a", "a'"):
-        assert est.weights[(0, name)] == g * mu[name]
+        assert est.weights[(0, name)] == g * mu.weights[name]
+    assert est.gain == mu.gain / g
+    # without transduction the readout does not see the force
+    with pytest.raises(NoTransductionError):
+        force_estimator(params, (MICROSCOPE.stage,), 0.0)
 
 
 def test_servo_invariance_identical_and_perturbed():
     params = microscope_params()
-    free = force_estimator_free(params, MICROSCOPE.stage, 1.0)
+    free = force_estimator(params, (MICROSCOPE.stage,), 1.0)
     assert servo_invariance_check(free, free) is True
-    bumped = ForceEstimator({**free.weights, (0, "a"): free.weights[(0, "a")] + 1e-3})
+    bumped = replace(free, weights={**free.weights,
+                                    (0, "a"): free.weights[(0, "a")] + 1e-3})
     assert servo_invariance_check(free, bumped) is False
     # the str Langevin key and the tuple chain keys both differ here: the
     # message still lists them instead of failing to sort them
     with pytest.raises(ValueError, match="mismatch"):
-        servo_invariance_check(free, ForceEstimator({(0, "r"): 0j, (0, "a"): 0j}))
+        servo_invariance_check(free, replace(free, weights={(0, "r"): 0j, (0, "a"): 0j}))
+    servo = force_estimator(params, (MICROSCOPE.stage, MICROSCOPE.stage), 1.0)
     with pytest.raises(ValueError, match="mismatch"):
-        servo_invariance_check(free, force_estimator_servo(params, MICROSCOPE.stage, 1.0))
+        servo_invariance_check(free, servo)
     # a tolerance must be finite and >= 0: nan would compare False everywhere
     for bad in (-1e-10, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol"):
@@ -143,11 +150,13 @@ def test_servo_invariance_identical_and_perturbed():
 
 def test_servo_estimator_matches_free_on_shared_sources():
     params = microscope_params()
-    free = force_estimator_free(params, MICROSCOPE.stage, 1.0)
-    servo = force_estimator_servo(params, MICROSCOPE.stage, 1.0)
-    shared = dict(free.weights)
+    free = force_estimator(params, (MICROSCOPE.stage,), 1.0)
+    servo = force_estimator(params, (MICROSCOPE.stage, MICROSCOPE.stage), 1.0)
+    shared = free.noise_weights()
     restricted = {k: servo.weights[k] for k in shared}
     assert restricted == shared
+    # the two readouts differ by the servo stage's gain
+    assert servo.gain == free.gain * gain(MICROSCOPE.stage, params.carrier_omega)
 
 
 def test_servo_convergence_scales_with_loop_gain():
@@ -158,13 +167,13 @@ def test_servo_convergence_scales_with_loop_gain():
     def tables(loop_gain):
         stage = replace(MICROSCOPE.stage, feedback=Feedback.reactance(
             loop_gain * MICROSCOPE.stage.r_left / 2.0))
-        free = force_estimator_free(params, stage, 1.0)
-        servo = force_estimator_servo(params, stage, 1.0)
+        free = force_estimator(params, (stage,), 1.0)
+        servo = force_estimator(params, (stage, stage), 1.0)
         # the open-loop table lacks the feedback amplifier's sources:
         # they enter it with weight zero
-        weights = dict.fromkeys(servo.sources(), 0j)
+        weights = dict.fromkeys(servo.weights, 0j)
         weights.update(free.weights)
-        return ForceEstimator(weights), servo
+        return replace(free, weights=weights), servo
 
     free6, servo6 = tables(1e6)
     assert servo_invariance_check(free6, servo6, tol=1e-5) is True

@@ -255,7 +255,6 @@ def test_stage_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="noise_impedance"):
             OpAmpStage(50.0, 50.0, bad, zf)
-    with pytest.raises(ValueError):
-        OpAmpStage(50.0, 50.0, 50.0, Feedback.resistive(10.0))
-    OpAmpStage(50.0, 50.0, 50.0, Feedback.resistive(10.0),
-               allow_dissipative_feedback=True)
+    # a resistive feedback cannot be made: a stage is reactive by construction
+    with pytest.raises(ValueError, match="dissipative"):
+        OpAmpStage(50.0, 50.0, 50.0, Feedback("R", 10.0))

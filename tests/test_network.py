@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from qunet import (HBAR, MICROSCOPE, Capacitor, Channel, Feedback, Inductor,
                    NoTransductionError, OpAmp, PortSpec, QuantumNetwork, ScatteringMap,
                    SingularNetworkError, check_commutators,
                    commutator_residual, johnson_voltage_psd, stage_scattering, thermal_occupation)
-from qunet.amplifier import OpAmpStage, added_noise
+from qunet.amplifier import OpAmpStage, _stage_rows, added_noise
 from qunet.netlist import Sweep
 
 from helpers import random_passive_network, random_omega, random_stage
@@ -265,15 +266,18 @@ def test_back_to_back_amplifiers_rejected():
         QuantumNetwork(ports, amps)
 
 
-def test_dissipative_feedback_rejected_unless_allowed():
-    ports = [PortSpec("l", 50.0), PortSpec("r", 50.0)]
-    amp = OpAmp("a", "l", "r", 50.0, Feedback.resistive(100.0))
+def test_dissipative_feedback_breaks_commutators():
+    # The reason Feedback is reactive only: a lumped resistor has no noise
+    # line of its own, so the stage rows it gives violate S J S^dagger = J.
+    def stage(zf):
+        return SimpleNamespace(r_left=50.0, r_right=50.0, noise_impedance=50.0,
+                               feedback=SimpleNamespace(impedance=lambda w: zf))
+
+    signature = ([1, 1, 1, -1], [1, 1])
+    assert commutator_residual(_stage_rows(stage(100.0), W0), *signature) > 1e-3
+    assert commutator_residual(_stage_rows(stage(100.0j), W0), *signature) < 1e-12
     with pytest.raises(ValueError, match="dissipative"):
-        QuantumNetwork(ports, [amp])
-    net = QuantumNetwork(ports, [amp], allow_dissipative_feedback=True)
-    smap = net.scattering(W0)
-    # a dissipative feedback genuinely breaks the consistency condition
-    assert check_commutators(smap) > 1e-3
+        Feedback("R", 100.0)
 
 
 def test_singular_network_reports_frequency_and_rank():
