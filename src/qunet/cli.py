@@ -23,7 +23,7 @@ from .spectra import require_finite, thermal_occupation
 
 TWO_PI = 2.0 * math.pi
 
-CSV_BLOCK_ROWS = 4096            # sweep CSV rows formatted and written at a time
+CSV_BLOCK_ROWS = 1024            # sweep CSV rows formatted and written at a time
 
 CONVENTION_NOTE = ("symmetric two-sided PSD; one-sided engineering values "
                    "are a factor 2 larger")
@@ -175,8 +175,15 @@ def cmd_sweep(args) -> int:
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("freq_hz,total," + ",".join(names) + "\n")
         for lo in range(0, len(omegas), CSV_BLOCK_ROWS):
-            rows = table[:, lo:lo + CSV_BLOCK_ROWS].T.tolist()
-            fh.write("".join(",".join(map(repr, r)) + "\n" for r in rows))
+            block = table[:, lo:lo + CSV_BLOCK_ROWS]
+            bits = block.view(np.uint64)
+            same = (bits == bits[:, :1]).all(axis=1)
+            # A column with the same bits on every row, such as a source of
+            # another part, is formatted once.
+            varying = iter(block[~same].tolist())
+            cols = [[repr(first)] * block.shape[1] if k else list(map(repr, next(varying)))
+                    for first, k in zip(block[:, 0].tolist(), same)]
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
     print(f"wrote {len(omegas)} rows to {args.output}")
     return 0
 

@@ -44,8 +44,10 @@ grow with the grid.
 
 Each connected part of the circuit (ground joins nothing) is one diagonal
 block of A, found once per network and solved alone: parts of equal size
-share one batched solve, every part is factored at every point, and an input
-of another part gets an exact zero.  A connected network is one part.
+share one batched solve, and an input of another part gets an exact zero.
+Only the parts an output reads are solved.  The others are factored only
+(slogdet), so a singular point in them still raises: getrf's zero pivot is
+what both detect.  A connected network is one part.
 """
 
 from __future__ import annotations
@@ -504,13 +506,17 @@ class QuantumNetwork:
         plan = []
         planned = len(w) * self._entries >= _PLAN_ENTRIES
         for (a3, b), parts in zip(self._parts, hits):
+            read = sorted(parts)        # first in the group: solved; the rest only factored
+            if read != list(range(len(read))):
+                a3 = a3[:, read + [q for q in range(len(b)) if q not in parts]]
             system = _plan(a3, planned)
-            unit = np.zeros((*b.shape[:2], max(map(len, parts.values()), default=0)), complex)
-            reads = []   # (part, its B, k, rows of s): its k rows solve unit columns 0..k-1
-            for q, pairs in parts.items():
-                for j, (_, pos) in enumerate(pairs):
-                    unit[q, pos, j] = 1.0
-                reads.append((q, b[q], len(pairs), [i for i, _ in pairs]))
+            unit = np.zeros((len(read), b.shape[1], max(map(len, parts.values()), default=0)),
+                            complex)
+            reads = []   # per read part: its B, k, rows of s; k rows solve unit columns 0..k-1
+            for j, q in enumerate(read):
+                for c, (_, pos) in enumerate(parts[q]):
+                    unit[j, pos, c] = 1.0
+                reads.append((b[q], len(parts[q]), [i for i, _ in parts[q]]))
             plan.append((system, unit, reads))
         s = np.empty((len(w), len(chans), self._b.shape[1]), dtype=complex)
         for lo in range(0, len(w), self._step):
@@ -524,13 +530,19 @@ class QuantumNetwork:
         with np.errstate(all="ignore"):
             for system, unit, reads in plan:
                 row, col, e = _systems(system, w)
-                try:
-                    z = np.linalg.solve(e.swapaxes(2, 3), unit / col[..., None])
-                except np.linalg.LinAlgError:
+                et, n = e.swapaxes(2, 3), len(unit)   # the first n parts are read
+                # The others are factored, not solved: slogdet's sign is 0 where
+                # getrf meets a zero pivot, exactly where solve would raise.
+                if n < e.shape[1] and not np.linalg.slogdet(et[:, n:])[0].all():
                     _raise_singular(self._a, w, None)
+                if n:
+                    try:
+                        z = np.linalg.solve(et[:, :n], unit / col[:, :n, :, None])
+                    except np.linalg.LinAlgError:
+                        _raise_singular(self._a, w, None)
                 # An unread part shows only here; a wholly read group relies on S.
-                finite &= len(reads) == len(unit) or np.isfinite(e).all()
-                for q, b, r, outs in reads:
+                finite &= n == e.shape[1] or np.isfinite(e).all()
+                for q, (b, r, outs) in enumerate(reads):
                     s[:, outs] = (z[:, q, :, :r].transpose(0, 2, 1) / row[:, q, None, :]) @ b
         if not (finite and np.isfinite(s).all()):
             _raise_singular(self._a, w, np.isfinite(s).all(axis=(1, 2)))

@@ -1,8 +1,12 @@
 """The batched frequency sweep against the per-point oracle, and the CLI
 budget arrays against the per-map estimator."""
 
+import contextlib
 import dataclasses
+import io
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 
 from qunet import (Capacitor, Feedback, Inductor, OpAmp, PortSpec, QuantumNetwork,
                    SingularNetworkError, netlist, thermal_occupation)
-from qunet.cli import _circuit_budget
+from qunet.cli import CSV_BLOCK_ROWS, _circuit_budget, main
 from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES, _plan, _systems
 
 from helpers import random_passive_network
@@ -170,6 +174,29 @@ def test_budget_takes_its_occupations_in_one_call(monkeypatch):
     assert calls == [((1, 9), (7, 1))]
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.lists(reactive_specs, min_size=1, max_size=3),
+       st.sampled_from((2, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1)))
+def test_sweep_csv_equals_the_per_row_oracle(specs, size):
+    # Two points is the smallest sweep a document holds; CSV_BLOCK_ROWS + 1
+    # ends on a one-row block.  The sources of a second or third stage are
+    # 0.0 on every row, the columns the writer formats once.
+    text = circuit_text(specs) + f"sweep 1000.0 1000000.0 {size} log\n"
+    doc = netlist.parse(text)
+    omegas, names, mu2, sigma = _circuit_budget(doc, doc.sweep.to_grid())
+    rows = [[w / TWO_PI, sum(c), *c] for w, c in zip(omegas.tolist(), (mu2 * sigma).T.tolist())]
+    want = ",".join(["freq_hz", "total", *names]) + "\n"
+    want += "".join(",".join(map(repr, r)) + "\n" for r in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "doc.qnet"), os.path.join(tmp, "out.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", path, "-o", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            assert fh.read() == want
+
+
 def test_sweep_is_a_read_only_sequence():
     net = QuantumNetwork([PortSpec("l", 50.0), PortSpec("r", 75.0)],
                          [OpAmp("amp", "l", "r", 50.0, Feedback.capacitive(1e-10))])
@@ -293,6 +320,80 @@ def test_a_singular_part_no_output_reaches_still_raises():
     with pytest.raises(SingularNetworkError, match=r"omega = 1\.0 rad/s.*rank 10 < 11"):
         net.sweep([0.5, 1.0, 2.0], outputs=("r0",))
     assert len(net.sweep([0.5, 2.0], outputs=("r0",))) == 2
+
+
+# x and y are a two-node part with no input whose equations are singular at
+# exactly 1 rad/s, det = (C1 + C3)/L - w^2 C1 C3, with no row or column of
+# zeros: only a factorization finds it, not the finiteness check.
+PAIR = [Capacitor("x", "gnd", 1.0), Capacitor("x", "y", 1.0), Inductor("y", "gnd", 2.0)]
+
+
+@pytest.mark.parametrize("ports, comps, read, rank", [
+    # A grounded line and an L = C = 1 tank: one-unknown parts, one group.
+    ([PortSpec("g", 50.0, node="gnd")],
+     [Capacitor("x", "gnd", 1.0), Inductor("x", "gnd", 1.0)], "g", "1 < 2"),
+    # Three two-unknown parts; the read one is the second of its group.
+    ([PortSpec("p0", 50.0), PortSpec("p1", 50.0)],
+     [Capacitor("p0", "gnd", 1.0), Capacitor("p1", "gnd", 2.0), *PAIR], "p1", "5 < 6"),
+    # The pair alone in a group that no output reads.
+    ([PortSpec("g", 50.0, node="gnd")], PAIR, "g", "2 < 3"),
+])
+def test_a_singular_unread_part_raises_at_its_point(ports, comps, read, rank):
+    net = QuantumNetwork(ports, comps)
+    with pytest.raises(SingularNetworkError, match=rf"omega = 1\.0 rad/s.*rank {rank}"):
+        net.sweep([0.5, 1.0, 2.0], outputs=(read,))
+    got = net.sweep([0.5, 2.0], outputs=(read,)).matrices
+    want = net.sweep([0.5, 2.0]).matrices[:, [p.name for p in ports].index(read)]
+    assert np.array_equal(got[:, 0], want)
+
+
+# Square stacks whose LU may meet an exact zero pivot: zero rows, duplicated
+# rows, dependent columns, small integer and sparse entries, strided views.
+@st.composite
+def pivot_stacks(draw):
+    rng = np.random.default_rng(draw(seeds))
+    count, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    shape = (2, count, n, n)                  # real and imaginary parts
+    pick = rng.random(shape)
+    x = np.where(pick < 0.3, 0.0, np.where(pick < 0.7, rng.integers(-2, 3, shape),
+                                           rng.uniform(-1e3, 1e3, shape)))
+    x = x[0] + 1j * x[1]
+    for a in x:
+        i, j = rng.integers(n, size=2)
+        kind = rng.integers(4)
+        if kind == 1:
+            a[i] = 0.0
+        elif kind == 2:
+            a[i] = a[j]
+        elif kind == 3:
+            a[:, i] = (0.5, 2.0, -1.0, 1j)[rng.integers(4)] * a[:, j]
+    view = rng.integers(3)
+    if view == 1:
+        return x.swapaxes(1, 2)
+    if view == 2:             # every other row and column of a larger stack
+        big = np.zeros((count, 2 * n, 2 * n), complex)
+        big[:, ::2, ::2] = x
+        return big[:, ::2, ::2]
+    return x
+
+
+def solve_raises(x, b) -> bool:
+    try:
+        np.linalg.solve(x, b)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_stacks())
+def test_slogdet_sign_is_zero_exactly_where_solve_raises(x):
+    # The sweep factors a part no output reads with slogdet in place of
+    # solve; a singular point must still raise, so the two must agree.
+    b = np.ones(x.shape[:2] + (1,), complex)
+    zero = np.linalg.slogdet(x)[0] == 0
+    assert [solve_raises(a, c) for a, c in zip(x, b)] == zero.tolist()
+    assert solve_raises(x, b) == zero.any()
 
 
 # Points where w A1 or A2/w leave double range or come near it.  Below
