@@ -25,6 +25,8 @@ TWO_PI = 2.0 * math.pi
 
 CSV_BLOCK_ROWS = 1024            # sweep CSV rows formatted and written at a time
 
+COMMANDS = ("check", "budget", "sweep", "accel")
+
 CONVENTION_NOTE = ("symmetric two-sided PSD; one-sided engineering values "
                    "are a factor 2 larger")
 
@@ -235,50 +237,67 @@ def cmd_accel(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qunet`` argument parser, with the subcommand ``command`` only.
+
+    ``command`` is one of :data:`COMMANDS`; None builds every command, as
+    ``--help``, a missing or unknown command and ``--`` need.  Either parser
+    prints the same text for an argv that starts with ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="qunet",
         description="Frequency-domain quantum network noise analysis")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The top-level usage line lists every command: a one-command parser
+    # must spell them out.  The full parser leaves the metavar unset, which
+    # names the argument "command" in its invalid-choice and missing errors.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
 
-    p_check = sub.add_parser("check", help="verify quantum consistency of a netlist")
-    p_check.add_argument("netlist")
-    p_check.add_argument("--freq", type=float, default=None,
-                         help="single check frequency in Hz (overrides sweep)")
-    p_check.add_argument("--tol", type=float, default=None,
-                         help=f"residual tolerance (default {DEFAULT_TOLERANCE}, "
-                              "or QUNET_TOL)")
-    p_check.add_argument("--inject-gain", type=float, default=None,
-                         help="test hook: scale the scattering matrix")
-    p_check.set_defaults(func=cmd_check)
+    if command in (None, "check"):
+        p_check = sub.add_parser("check", help="verify quantum consistency of a netlist")
+        p_check.add_argument("netlist")
+        p_check.add_argument("--freq", type=float, default=None,
+                             help="single check frequency in Hz (overrides sweep)")
+        p_check.add_argument("--tol", type=float, default=None,
+                             help=f"residual tolerance (default {DEFAULT_TOLERANCE}, "
+                                  "or QUNET_TOL)")
+        p_check.add_argument("--inject-gain", type=float, default=None,
+                             help="test hook: scale the scattering matrix")
+        p_check.set_defaults(func=cmd_check)
 
-    p_budget = sub.add_parser("budget", help="per-source noise budget at one frequency")
-    p_budget.add_argument("netlist")
-    p_budget.add_argument("--freq", type=float, default=None,
-                          help="frequency in Hz")
-    p_budget.add_argument("--json", action="store_true")
-    p_budget.set_defaults(func=cmd_budget)
+    if command in (None, "budget"):
+        p_budget = sub.add_parser("budget", help="per-source noise budget at one frequency")
+        p_budget.add_argument("netlist")
+        p_budget.add_argument("--freq", type=float, default=None,
+                              help="frequency in Hz")
+        p_budget.add_argument("--json", action="store_true")
+        p_budget.set_defaults(func=cmd_budget)
 
-    p_sweep = sub.add_parser("sweep", help="budget over the netlist sweep grid, CSV")
-    p_sweep.add_argument("netlist")
-    p_sweep.add_argument("-o", "--output", required=True)
-    p_sweep.set_defaults(func=cmd_sweep)
+    if command in (None, "sweep"):
+        p_sweep = sub.add_parser("sweep", help="budget over the netlist sweep grid, CSV")
+        p_sweep.add_argument("netlist")
+        p_sweep.add_argument("-o", "--output", required=True)
+        p_sweep.set_defaults(func=cmd_sweep)
 
-    p_accel = sub.add_parser("accel", help="accelerometer preset report")
-    p_accel.add_argument("--preset", default="microscope")
-    p_accel.add_argument("--theta-m", type=float, default=None,
-                         help="override the mechanical effective temperature (K)")
-    p_accel.add_argument("--hm", type=float, default=None,
-                         help="override the mechanical damping (kg/s)")
-    p_accel.add_argument("--transduction-gain", type=float, default=None,
-                         help="force per normalized detection field unit (N)")
-    p_accel.add_argument("--json", action="store_true")
-    p_accel.set_defaults(func=cmd_accel)
+    if command in (None, "accel"):
+        p_accel = sub.add_parser("accel", help="accelerometer preset report")
+        p_accel.add_argument("--preset", default="microscope")
+        p_accel.add_argument("--theta-m", type=float, default=None,
+                             help="override the mechanical effective temperature (K)")
+        p_accel.add_argument("--hm", type=float, default=None,
+                             help="override the mechanical damping (kg/s)")
+        p_accel.add_argument("--transduction-gain", type=float, default=None,
+                             help="force per normalized detection field unit (N)")
+        p_accel.add_argument("--json", action="store_true")
+        p_accel.set_defaults(func=cmd_accel)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Each request builds the parser of the command it names, or all.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -468,7 +468,9 @@ def serialize(doc: NetlistDocument) -> str:
 
 def to_network(doc: NetlistDocument) -> QuantumNetwork:
     """The :class:`~qunet.network.QuantumNetwork` of a circuit document's
-    lines and amplifiers; a preset document has none."""
+    lines and amplifiers; a preset document, or one with no line, has none."""
     if doc.preset is not None:
         raise ValueError("preset documents do not describe a circuit directly")
+    if not doc.lines:
+        raise ValueError("document declares no line: there is no circuit to solve")
     return QuantumNetwork(doc.lines, doc.opamps)

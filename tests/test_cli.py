@@ -4,12 +4,14 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
 
 import pytest
 
+import qunet.cli
 from qunet.cli import main
 
 from helpers import CHECK_FIXTURE, PRESET_DOC, THREEDB_FIXTURE
@@ -269,8 +271,82 @@ def test_accel_unknown_preset_lists_available(capsys):
 
 
 def test_usage_error_exit_code(capsys):
+    # the full parser names its subcommand argument "command"
     assert main(["definitely-not-a-command"]) == 2
-    capsys.readouterr()
+    assert "argument command: invalid choice" in capsys.readouterr().err
+    assert main([]) == 2
+    assert "the following arguments are required: command" in capsys.readouterr().err
+
+
+# {check}, {threedb} and {csv} stand for a fixture document's path and a
+# CSV path; "f" is a document that parsing the options never opens.
+IDENTITY_ARGV = [
+    [], ["-h"], ["--help"], ["bogus"], ["-x"], ["--", "check"],
+    ["check", "-h"], ["budget", "-h"], ["sweep", "-h"], ["accel", "-h"],
+    ["budget"], ["budget", "f", "--bogus"], ["budget", "f", "extra"],
+    ["budget", "f", "--freq", "abc"], ["check", "f", "--tol"], ["sweep", "f", "-o"],
+    ["check", "{check}", "--freq", "1e5"],
+    ["budget", "{threedb}", "--freq", "1e5", "--json"],
+    ["sweep", "{check}", "-o", "{csv}"], ["accel", "--json"],
+]
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["20", "200"])
+@pytest.mark.parametrize("argv", IDENTITY_ARGV, ids=lambda a: " ".join(a) or "<none>")
+def test_one_command_parser_prints_what_the_full_parser_prints(
+        argv, columns, check_path, threedb_path, tmp_path, capsys, monkeypatch):
+    # main builds only the subcommand argv names; the full parser must
+    # give the same exit code, stdout and stderr, usage lines included
+    monkeypatch.setenv("COLUMNS", columns)
+    paths = {"check": check_path, "threedb": threedb_path,
+             "csv": str(tmp_path / "sweep.csv")}
+    argv = [a.format(**paths) for a in argv]
+    built = _run(argv, capsys)
+    full = qunet.cli.build_parser
+    monkeypatch.setattr(qunet.cli, "build_parser", lambda command=None: full())
+    assert _run(argv, capsys) == built
+
+
+def test_successive_calls_print_what_each_call_alone_prints(
+        check_path, threedb_path, capsys, monkeypatch):
+    # Alternating commands and usage errors in one process: each call builds
+    # one parser for its own command and prints what it prints alone, in a
+    # fresh interpreter.
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [["budget", threedb_path, "--freq", "1e5", "--json"],
+                ["budget", "f", "--bogus"], ["check", check_path, "--freq", "1e5"],
+                ["bogus"], ["accel", "--json"], ["check", "f", "--tol"], [],
+                ["budget", threedb_path, "--freq", "1e5"]]
+    src = os.path.dirname(os.path.dirname(qunet.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    alone = [subprocess.run([sys.executable, "-m", "qunet.cli", *argv], env=env,
+                            capture_output=True, text=True) for argv in sequence]
+    built = []
+    full = qunet.cli.build_parser
+    monkeypatch.setattr(qunet.cli, "build_parser",
+                        lambda command=None: built.append(command) or full(command))
+    for argv, fresh in zip(sequence, alone):
+        assert _run(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert built == [a[0] if a and a[0] in qunet.cli.COMMANDS else None
+                     for a in sequence]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["qunet", "accel", "--json"])
+    from_sys = _run(None, capsys)
+    assert from_sys[0] == 0
+    assert _run(["accel", "--json"], capsys) == from_sys
+    monkeypatch.setattr(sys, "argv", ["qunet"])
+    code, out, err = _run(None, capsys)
+    assert (code, out) == (2, "")
+    assert "required: command" in err
 
 
 def test_budget_without_transduction_path_exits_2(tmp_path, capsys):
@@ -311,8 +387,12 @@ def test_check_without_ports_exits_2(tmp_path, capsys):
     # a document may hold only a sweep: there is nothing to solve
     p = tmp_path / "empty.qnet"
     p.write_text("qnet 1\nsweep 1e4 1e6 5 log\n")
+    message = "error: document declares no line: there is no circuit to solve\n"
     assert main(["check", str(p)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == message
+    p.write_text("qnet 1\n")
+    assert main(["check", str(p), "--freq", "1"]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_accel_invalid_override_exits_2(capsys):

@@ -400,6 +400,8 @@ def test_to_network_round_trip_behaves():
     assert net.ports == tuple(doc.lines) and net.opamps == doc.opamps
     with pytest.raises(ValueError):
         to_network(parse("preset microscope\n"))
+    with pytest.raises(ValueError, match="declares no line"):
+        to_network(parse("qnet 1\n"))
 
 
 def test_statement_equality_ignores_positions():
