@@ -238,68 +238,69 @@ def cmd_accel(args) -> int:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qunet`` argument parser, with the subcommand ``command`` only.
+    """The parser of the arguments after ``command``, or of all of ``qunet``.
 
-    ``command`` is one of :data:`COMMANDS`; None builds every command, as
-    ``--help``, a missing or unknown command and ``--`` need.  Either parser
-    prints the same text for an argv that starts with ``command``.
+    A command's standalone parser, prog ``qunet <command>``, prints what the
+    full parser's subcommand prints.  Only the full parser (None) prints the
+    top-level usage, for ``--help``, no or an unknown command, ``--`` or leftovers.
     """
-    parser = argparse.ArgumentParser(
-        prog="qunet",
-        description="Frequency-domain quantum network noise analysis")
-    # The top-level usage line lists every command: a one-command parser
-    # must spell them out.  The full parser leaves the metavar unset, which
-    # names the argument "command" in its invalid-choice and missing errors.
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="qunet",
+            description="Frequency-domain quantum network noise analysis")
+        new = parser.add_subparsers(dest="command", required=True).add_parser
+    else:
+        def new(name, help):
+            return argparse.ArgumentParser(prog=f"qunet {name}")
 
     if command in (None, "check"):
-        p_check = sub.add_parser("check", help="verify quantum consistency of a netlist")
-        p_check.add_argument("netlist")
-        p_check.add_argument("--freq", type=float, default=None,
-                             help="single check frequency in Hz (overrides sweep)")
-        p_check.add_argument("--tol", type=float, default=None,
-                             help=f"residual tolerance (default {DEFAULT_TOLERANCE}, "
-                                  "or QUNET_TOL)")
-        p_check.add_argument("--inject-gain", type=float, default=None,
-                             help="test hook: scale the scattering matrix")
-        p_check.set_defaults(func=cmd_check)
+        p = new("check", help="verify quantum consistency of a netlist")
+        p.add_argument("netlist")
+        p.add_argument("--freq", type=float, default=None,
+                       help="single check frequency in Hz (overrides sweep)")
+        p.add_argument("--tol", type=float, default=None,
+                       help=f"residual tolerance (default {DEFAULT_TOLERANCE}, "
+                            "or QUNET_TOL)")
+        p.add_argument("--inject-gain", type=float, default=None,
+                       help="test hook: scale the scattering matrix")
+        p.set_defaults(func=cmd_check)
 
     if command in (None, "budget"):
-        p_budget = sub.add_parser("budget", help="per-source noise budget at one frequency")
-        p_budget.add_argument("netlist")
-        p_budget.add_argument("--freq", type=float, default=None,
-                              help="frequency in Hz")
-        p_budget.add_argument("--json", action="store_true")
-        p_budget.set_defaults(func=cmd_budget)
+        p = new("budget", help="per-source noise budget at one frequency")
+        p.add_argument("netlist")
+        p.add_argument("--freq", type=float, default=None, help="frequency in Hz")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_budget)
 
     if command in (None, "sweep"):
-        p_sweep = sub.add_parser("sweep", help="budget over the netlist sweep grid, CSV")
-        p_sweep.add_argument("netlist")
-        p_sweep.add_argument("-o", "--output", required=True)
-        p_sweep.set_defaults(func=cmd_sweep)
+        p = new("sweep", help="budget over the netlist sweep grid, CSV")
+        p.add_argument("netlist")
+        p.add_argument("-o", "--output", required=True)
+        p.set_defaults(func=cmd_sweep)
 
     if command in (None, "accel"):
-        p_accel = sub.add_parser("accel", help="accelerometer preset report")
-        p_accel.add_argument("--preset", default="microscope")
-        p_accel.add_argument("--theta-m", type=float, default=None,
-                             help="override the mechanical effective temperature (K)")
-        p_accel.add_argument("--hm", type=float, default=None,
-                             help="override the mechanical damping (kg/s)")
-        p_accel.add_argument("--transduction-gain", type=float, default=None,
-                             help="force per normalized detection field unit (N)")
-        p_accel.add_argument("--json", action="store_true")
-        p_accel.set_defaults(func=cmd_accel)
-    return parser
+        p = new("accel", help="accelerometer preset report")
+        p.add_argument("--preset", default="microscope")
+        p.add_argument("--theta-m", type=float, default=None,
+                       help="override the mechanical effective temperature (K)")
+        p.add_argument("--hm", type=float, default=None,
+                       help="override the mechanical damping (kg/s)")
+        p.add_argument("--transduction-gain", type=float, default=None,
+                       help="force per normalized detection field unit (N)")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_accel)
+    return parser if command is None else p
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # Each request builds the parser of the command it names, or all.
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        # The full parser reports what a command's own parser leaves over.
+        extra = True
+        if argv and argv[0] in COMMANDS:
+            args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+        if extra:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -147,6 +147,10 @@ def commutator_residual(matrix, j_in, j_out=None) -> float:
     if s.ndim < 2:
         raise ValueError("scattering matrix must be at least two dimensional")
     rows, cols = s.shape[-2:]
+    if 0 in s.shape[:-2]:
+        raise ValueError("scattering stack has no frequency points")
+    if rows == 0:
+        raise ValueError("scattering matrix has no output rows")
     if jin.shape != (cols,):
         raise ValueError(
             f"signature length {jin.shape} does not match {cols} input channels")

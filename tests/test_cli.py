@@ -8,8 +8,11 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qunet.cli
 from qunet.cli import main
@@ -288,6 +291,11 @@ IDENTITY_ARGV = [
     ["check", "{check}", "--freq", "1e5"],
     ["budget", "{threedb}", "--freq", "1e5", "--json"],
     ["sweep", "{check}", "-o", "{csv}"], ["accel", "--json"],
+    ["budget", "f", "--", "x"], ["budget", "--", "f"],
+    ["budget", "--js", "{threedb}", "--fr", "1e5"], ["accel", "--preset"],
+    ["accel", "--the", "1"], ["check", "f", "-h", "--bogus"],
+    ["budget", "f", "--json", "--json"], ["sweep", "f", "-o", "x", "-o", "y", "z"],
+    ["budget", "-", "--freq", "1"], ["accel", "-h", "x"],
 ]
 
 
@@ -297,31 +305,67 @@ def _run(argv, capsys):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("columns", ["20", "200"])
+@pytest.mark.parametrize("columns", ["20", "80", "200"])
 @pytest.mark.parametrize("argv", IDENTITY_ARGV, ids=lambda a: " ".join(a) or "<none>")
 def test_one_command_parser_prints_what_the_full_parser_prints(
         argv, columns, check_path, threedb_path, tmp_path, capsys, monkeypatch):
-    # main builds only the subcommand argv names; the full parser must
-    # give the same exit code, stdout and stderr, usage lines included
+    # main parses a named command's arguments with that command's parser
+    # alone; the full parser, which main uses when no name is a command,
+    # must give the same exit code, stdout and stderr, usage lines included
     monkeypatch.setenv("COLUMNS", columns)
     paths = {"check": check_path, "threedb": threedb_path,
              "csv": str(tmp_path / "sweep.csv")}
     argv = [a.format(**paths) for a in argv]
     built = _run(argv, capsys)
-    full = qunet.cli.build_parser
-    monkeypatch.setattr(qunet.cli, "build_parser", lambda command=None: full())
+    monkeypatch.setattr(qunet.cli, "COMMANDS", ())
     assert _run(argv, capsys) == built
+
+
+# Every command, its options (some abbreviated, some joined to a value),
+# option values, unknown options and extra positionals.  No token names a
+# file, so a request that parses fails to open its document.
+ARGV_TOKENS = st.sampled_from([
+    *qunet.cli.COMMANDS, "--freq", "--fr", "--tol", "--inject-gain", "--json",
+    "--js", "-o", "--output", "--preset", "--theta-m", "--the", "--hm",
+    "--transduction-gain", "--freq=1", "--json=1", "-h", "--help", "--h", "--",
+    "-", "--bogus", "-x", "-1", "1e5", "abc", "microscope", "f", "extra"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(qunet.cli.COMMANDS + ("",)), st.lists(ARGV_TOKENS, max_size=6),
+       st.sampled_from(["20", "80", "200"]))
+def test_any_argv_prints_what_the_full_parser_prints(command, tokens, columns):
+    argv = [command, *tokens] if command else tokens
+
+    def run():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    with mock.patch.dict(os.environ, {"COLUMNS": columns}), \
+            tempfile.TemporaryDirectory() as empty:
+        cwd = os.getcwd()
+        os.chdir(empty)
+        try:
+            built = run()
+            with mock.patch.object(qunet.cli, "COMMANDS", ()):
+                assert run() == built
+        finally:
+            os.chdir(cwd)
 
 
 def test_successive_calls_print_what_each_call_alone_prints(
         check_path, threedb_path, capsys, monkeypatch):
     # Alternating commands and usage errors in one process: each call builds
-    # one parser for its own command and prints what it prints alone, in a
-    # fresh interpreter.
+    # the parser of its own command, and prints what it prints alone, in a
+    # fresh interpreter.  Arguments the command's parser leaves unparsed
+    # take the full parser too, to report them.
     monkeypatch.setenv("COLUMNS", "80")
     sequence = [["budget", threedb_path, "--freq", "1e5", "--json"],
                 ["budget", "f", "--bogus"], ["check", check_path, "--freq", "1e5"],
                 ["bogus"], ["accel", "--json"], ["check", "f", "--tol"], [],
+                ["sweep", "f", "-o", "x", "extra"],
                 ["budget", threedb_path, "--freq", "1e5"]]
     src = os.path.dirname(os.path.dirname(qunet.cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -333,8 +377,8 @@ def test_successive_calls_print_what_each_call_alone_prints(
                         lambda command=None: built.append(command) or full(command))
     for argv, fresh in zip(sequence, alone):
         assert _run(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
-    assert built == [a[0] if a and a[0] in qunet.cli.COMMANDS else None
-                     for a in sequence]
+    assert built == ["budget", "budget", None, "check", None, "accel", "check",
+                     None, "sweep", None, "budget"]
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

@@ -121,6 +121,23 @@ def test_commutator_residual_dimension_mismatch():
         ScatteringMap(W0, np.eye(3), (Channel("a"),), (Channel("b"),))
 
 
+def test_commutator_residual_names_an_empty_axis():
+    # an empty stack has no largest residual: the error names the empty axis
+    for shape, j_in, j_out in [((0, 2, 2), [1.0, 1.0], None),
+                               ((0, 2, 3), [1.0, 1.0, -1.0], [1.0, 1.0]),
+                               ((2, 0, 5, 2, 2), [1.0, 1.0], None)]:
+        with pytest.raises(ValueError, match="no frequency points"):
+            commutator_residual(np.zeros(shape), j_in, j_out)
+    for shape, j_in in [((3, 0, 0), []), ((3, 0, 2), [1.0, -1.0]),
+                        ((0, 2), [1.0, 1.0])]:
+        with pytest.raises(ValueError, match="no output rows"):
+            commutator_residual(np.zeros(shape), j_in, [])
+    # the empty network's sweep is such a stack
+    sweep = QuantumNetwork([], []).sweep([1.0])
+    with pytest.raises(ValueError, match="no output rows"):
+        commutator_residual(sweep.matrices, [], [])
+
+
 def stacked_residual_equals_per_map(sweep):
     """The one residual over a sweep's stack is the largest per-map one."""
     jin = [c.signature for c in sweep.inputs]
