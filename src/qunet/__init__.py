@@ -19,8 +19,7 @@ from .amplifier import (MatchingResult, NoFeedbackError, NoiseBudget,
                         OpAmpStage, added_noise, gain, matching_scan,
                         stage_added_noise, stage_estimator, stage_scattering)
 from .cascade import (StageChain, chain_added_noise, chain_estimator,
-                      classical_gain_threshold, downstream_noise_fraction,
-                      merge_chain_estimators)
+                      classical_gain_threshold, downstream_noise_fraction)
 from .accelerometer import (MICROSCOPE, PRESETS, AcceleroParams, Preset,
                             acceleration_sensitivity, accelerometer_budget,
                             cold_damped_temperature, force_estimator,

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .network import Channel, EstimatorCoefficients, Feedback, ScatteringMap
-from .spectra import HBAR, require_finite, thermal_occupation
+from .spectra import require_finite, thermal_occupation
 
 
 class NoFeedbackError(ValueError):
@@ -227,17 +227,3 @@ def matching_scan(stage: OpAmpStage, noise_impedances, omega: float) -> Matching
                           sigmas=tuple(sigmas),
                           at_boundary=(idx == 0 or idx == len(grid) - 1))
 
-
-def generator_psds(stage: OpAmpStage, omega: float) -> tuple[float, float]:
-    """Voltage and current noise generator PSDs (V^2/Hz, A^2/Hz).
-
-    sigma_UU = (hbar |w| R_a / 2)(sigma_aa + sigma_a'a') and its current
-    counterpart with R_a below the bar; their ratio is R_a^2 regardless of
-    the temperatures, which is what defines the noise impedance.
-    """
-    w = abs(float(omega))
-    occ = (thermal_occupation(w, stage.noise_temp)
-           + thermal_occupation(w, stage.conj_temp))
-    sigma_uu = HBAR * w * stage.noise_impedance / 2.0 * occ
-    sigma_ii = HBAR * w / (2.0 * stage.noise_impedance) * occ
-    return sigma_uu, sigma_ii

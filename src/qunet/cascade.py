@@ -67,21 +67,6 @@ class StageChain:
                 for role, t in stage.temperatures().items()}
 
 
-def _chain_rule(weights: dict, upstream_gain: complex,
-                downstream: EstimatorCoefficients, key) -> complex:
-    """Append a downstream measurement of the upstream readout to ``weights``.
-
-    Each downstream noise source enters under ``key(source)``, its weight
-    divided by the upstream gain.  Returns the gain of the composed chain,
-    the product of the two gains.
-    """
-    signal = downstream.signal
-    for src, mu in downstream.weights.items():
-        if src != signal:
-            weights[key(src)] = mu / upstream_gain
-    return upstream_gain * downstream.gain
-
-
 def chain_estimator(chain: StageChain, omega: float) -> EstimatorCoefficients:
     """Signal estimator of the full chain read at the last stage.
 
@@ -92,26 +77,12 @@ def chain_estimator(chain: StageChain, omega: float) -> EstimatorCoefficients:
     weights: dict[tuple[int, str], complex] = {SIGNAL: 1.0}
     total_gain: complex = 1.0
     for k, stage in enumerate(chain.stages):
-        total_gain = _chain_rule(weights, total_gain, stage_estimator(stage, omega),
-                                 lambda role: (k, role))
+        est = stage_estimator(stage, omega)
+        for role, mu in est.weights.items():
+            if role != est.signal:
+                weights[(k, role)] = mu / total_gain
+        total_gain = total_gain * est.gain
     return EstimatorCoefficients(signal=SIGNAL, weights=weights, gain=total_gain)
-
-
-def merge_chain_estimators(upstream: EstimatorCoefficients,
-                           upstream_length: int,
-                           downstream: EstimatorCoefficients) -> EstimatorCoefficients:
-    """Compose the estimator of a front chain with that of a back chain.
-
-    The downstream estimator is read as measuring the upstream readout
-    field: its stage indices move past the ``upstream_length`` upstream
-    stages.  Folding a chain in any grouping gives the same result as
-    :func:`chain_estimator` on the concatenated chain.
-    """
-    weights = dict(upstream.weights)
-    total_gain = _chain_rule(weights, upstream.gain, downstream,
-                             lambda src: (src[0] + upstream_length, src[1]))
-    return EstimatorCoefficients(signal=upstream.signal, weights=weights,
-                                 gain=total_gain)
 
 
 def chain_added_noise(chain: StageChain, omega: float,

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from itertools import groupby
 
 import numpy as np
 
@@ -87,7 +88,8 @@ def cmd_check(args) -> int:
     omegas, s, outputs, inputs, _ = _scattering_stack(
         doc, None if freq is None else [TWO_PI * freq])
     if gain is not None:
-        s = s * gain
+        with np.errstate(over="ignore"):    # an overflowed S fails the check
+            s = s * gain
     residual = commutator_residual(s, [c.signature for c in inputs],
                                    [c.signature for c in outputs])
     ok = residual < tol
@@ -101,6 +103,7 @@ def _circuit_budget(doc, grid=None):
 
     Returns the angular frequencies (F,), the noise source names (k) and
     their |mu|^2 and sigma, each (k, F).  Only the readout row is solved.
+    An overflowing budget raises a ValueError naming its first such point.
     """
     signal, readout = doc.signal, doc.readout
     if signal is None or readout is None:
@@ -114,9 +117,21 @@ def _circuit_budget(doc, grid=None):
         raise NoTransductionError(f"readout {readout!r} has zero coefficient on "
                                   f"signal {signal!r}: no transduction")
     noise = [i for i, name in enumerate(names) if name != signal]
+    names = [names[i] for i in noise]
     sigma = thermal_occupation(omegas[None, :],
-                               np.array([temps[names[i]] for i in noise])[:, None])
-    return omegas, [names[i] for i in noise], np.abs(row[noise] / beta) ** 2, sigma
+                               np.array([temps[name] for name in names])[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu2 = np.abs(row[noise] / beta) ** 2
+        contrib = mu2 * sigma
+        total = contrib.sum(axis=0)
+    # The terms are >= 0: a non-finite |mu|^2 or term makes the total so.
+    if not np.isfinite(total).all():
+        f = int(np.isfinite(total).argmin())
+        bad = [n for n, c in zip(names, contrib[:, f].tolist()) if not math.isfinite(c)]
+        what = f"|mu|^2 or contribution of source {bad[0]!r}" if bad else "total"
+        raise ValueError(f"noise budget at {float(omegas[f]) / TWO_PI!r} Hz is not "
+                         f"finite: the {what} overflows")
+    return omegas, names, mu2, sigma
 
 
 def _report_dict(freq_hz, units, budget: NoiseBudget):
@@ -126,6 +141,32 @@ def _report_dict(freq_hz, units, budget: NoiseBudget):
                 "percent": shares[name]} for name, value in budget.sorted_items()]
     return {"freq_hz": freq_hz, "total": budget.total, "units": units,
             "convention": CONVENTION_NOTE, "sources": entries}
+
+
+_SCALARS = json.JSONEncoder(separators=(",\n  ", ": ")).encode
+_ENTRIES = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def _json_text(report: dict) -> str:
+    """``json.dumps(report, indent=2)``, written by the C encoder.
+
+    ``report`` is a non-empty dict with str keys whose values are scalars or
+    lists of non-empty flat dicts of scalars.  Each run of scalars and each
+    list is encoded in one call, with the indented line break as item
+    separator.  A string holds no raw newline, so one list entry ends where
+    ``},`` and a line break follow each other.
+    """
+    fields = []
+    for is_list, items in groupby(report.items(), lambda kv: isinstance(kv[1], list)):
+        if not is_list:
+            fields.append(_SCALARS(dict(items))[1:-1])
+            continue
+        for key, value in items:
+            entries = _ENTRIES(value)[2:-2].replace("},\n      {",
+                                                    "\n    },\n    {\n      ")
+            value = f"[\n    {{\n      {entries}\n    }}\n  ]" if value else "[]"
+            fields.append(f"{_SCALARS(key)}: {value}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def _print_report_table(report) -> None:
@@ -157,7 +198,7 @@ def cmd_budget(args) -> int:
                              dict(zip(names, sigma[:, 0].tolist())))
         report = _report_dict(freq, "dimensionless quanta per mode", budget)
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         _print_report_table(report)
     return 0
@@ -217,7 +258,7 @@ def cmd_accel(args) -> int:
                    for k, v in budget.sorted_items()],
     }
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
         return 0
     print(f"preset: {report['preset']} ({report['description']})")
     print(f"proof mass M: {params.mass!r} kg")

@@ -52,7 +52,6 @@ from .network import GROUND_NAMES, Feedback, OpAmp, PortSpec, QuantumNetwork
 from .spectra import require_finite
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_TOKEN_RE = re.compile(r"\S+")
 
 FEEDBACK_KINDS = ("C", "L")
 SWEEP_SCALES = ("lin", "log")
@@ -155,7 +154,13 @@ class NetlistDocument:
 
 
 def _tokens(line: str):
-    return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(line)]
+    """The whitespace-separated tokens of ``line``, each with its 1-based column."""
+    toks, end = [], 0
+    for tok in line.split():
+        start = line.index(tok, end)
+        toks.append((start + 1, tok))
+        end = start + len(tok)
+    return toks
 
 
 class _Parser:
@@ -177,21 +182,17 @@ class _Parser:
 
     def parse(self) -> NetlistDocument:
         for lineno, raw in enumerate(self.text.splitlines(), start=1):
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                self._add(lineno, raw.index("#") + 1, Comment(raw.rstrip()))
-                continue
             toks = _tokens(raw)
-            # Trailing comments are accepted and dropped.
-            for i, (_, tok) in enumerate(toks):
-                if tok.startswith("#"):
-                    toks = toks[:i]
-                    break
-            if not toks:
-                continue
-            self._statement(lineno, toks)
+            # A comment runs to the end of its line; a full-line one is kept.
+            if "#" in raw:
+                for i, (col, tok) in enumerate(toks):
+                    if tok.startswith("#"):
+                        if i == 0:
+                            self._add(lineno, col, Comment(raw.rstrip()))
+                        toks = toks[:i]
+                        break
+            if toks:
+                self._statement(lineno, toks)
         self._document_checks()
         if self.issues:
             raise NetlistError(self.issues)
@@ -257,20 +258,17 @@ class _Parser:
         out: dict[str, tuple[int, str]] = {}
         ok = True
         for col, tok in toks:
-            if "=" not in tok:
+            key, eq, value = tok.partition("=")
+            if not eq:
                 self.error(lineno, col, f"expected key=value, got {tok!r}")
-                ok = False
-                continue
-            key, _, value = tok.partition("=")
-            if key not in expected:
+            elif key not in expected:
                 self.error(lineno, col, f"unknown field {key!r}")
-                ok = False
-                continue
-            if key in out:
+            elif key in out:
                 self.error(lineno, col, f"duplicate field {key!r}")
-                ok = False
+            else:
+                out[key] = (col + len(key) + 1, value)
                 continue
-            out[key] = (col + len(key) + 1, value)
+            ok = False
         for key in expected:
             if key not in out:
                 self.error(lineno, toks[0][0] if toks else 1,

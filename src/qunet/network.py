@@ -141,7 +141,7 @@ def _index_of(channels, name: str, kind: str) -> int:
 
 def commutator_residual(matrix, j_in, j_out=None) -> float:
     """Max-abs norm of S @ diag(j_in) @ S^dagger - diag(j_out), the largest
-    over a stack (..., m, k) of matrices S."""
+    over a stack (..., m, k) of matrices S; inf when it overflows."""
     s = np.asarray(matrix, dtype=complex)
     jin = np.asarray(j_in, dtype=float)
     if s.ndim < 2:
@@ -163,8 +163,10 @@ def commutator_residual(matrix, j_in, j_out=None) -> float:
         if jout.shape != (rows,):
             raise ValueError(
                 f"output signature length {jout.shape} does not match {rows} rows")
-    m = (s * jin) @ s.conj().swapaxes(-1, -2)
-    return float(np.max(np.abs(m - np.diag(jout))))
+    with np.errstate(all="ignore"):
+        m = (s * jin) @ s.conj().swapaxes(-1, -2)
+        residual = float(np.max(np.abs(m - np.diag(jout))))
+    return residual if math.isfinite(residual) else math.inf
 
 
 def check_commutators(smap: ScatteringMap) -> float:

@@ -5,22 +5,28 @@ The package derives every stage quantity from the two scattering rows in
 the ideal op-amp stage instead.  The package solves a network for a whole
 frequency grid at once; ``scattering_per_point`` stamps and solves one
 frequency at a time.  So the tests compare two independent implementations.
-``estimator_from_scattering`` normalizes one scattering map's readout row,
-the per-point counterpart of the CLI's budget over a grid.  ``dense_systems``
-forms and equilibrates every row of A(w) at every point, where the package
-forms only the rows that change with w; ``dense_sweep`` solves a network's
-parts from it, dividing the complex stacks by their real scales where the
-package multiplies float views by the reciprocals.
+``tokens_regex`` splits a ``.qnet`` line with a regular expression, where
+the parser uses ``str.split``.  ``merge_chain_estimators`` composes two
+chain estimators directly, where the package extends one estimator stage by
+stage, and ``generator_psds`` forms a stage's voltage and current noise
+generator spectra from the module formulas.  ``estimator_from_scattering``
+normalizes one scattering map's readout row, the per-point counterpart of
+the CLI's budget over a grid.  ``dense_systems`` forms and equilibrates
+every row of A(w) at every point, where the package forms only the rows
+that change with w; ``dense_sweep`` solves a network's parts from it,
+dividing the complex stacks by their real scales where the package
+multiplies float views by the reciprocals.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
-from qunet import (EstimatorCoefficients, NoFeedbackError, NoTransductionError,
-                   thermal_occupation)
+from qunet import (HBAR, EstimatorCoefficients, NoFeedbackError,
+                   NoTransductionError, thermal_occupation)
 
 
 def estimator_weights_closed_form(stage, omega: float) -> dict[str, complex]:
@@ -75,6 +81,42 @@ def chain_added_noise_recursion(stages, omega: float) -> float:
         upstream *= 4.0 * abs(stage.feedback.impedance(w)) ** 2 / (
             stage.r_left * stage.r_right)
     return total
+
+
+def tokens_regex(line: str) -> list[tuple[int, str]]:
+    """The maximal non-whitespace runs of ``line``, each with its 1-based column."""
+    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+
+
+def merge_chain_estimators(upstream, upstream_length: int,
+                           downstream) -> EstimatorCoefficients:
+    """Compose the estimator of a front chain with that of a back chain.
+
+    The downstream estimator reads the upstream readout field: its noise
+    sources enter divided by the upstream gain, with their stage indices
+    moved past the ``upstream_length`` upstream stages, and the gains
+    multiply.  Any grouping of a chain gives ``chain_estimator`` of the whole.
+    """
+    weights = dict(upstream.weights)
+    for (k, role), mu in downstream.weights.items():
+        if (k, role) != downstream.signal:
+            weights[(k + upstream_length, role)] = mu / upstream.gain
+    return EstimatorCoefficients(signal=upstream.signal, weights=weights,
+                                 gain=upstream.gain * downstream.gain)
+
+
+def generator_psds(stage, omega: float) -> tuple[float, float]:
+    """Voltage and current noise generator PSDs (V^2/Hz, A^2/Hz) of a stage.
+
+    sigma_UU = (hbar |w| R_a / 2)(sigma_aa + sigma_a'a') and its current
+    counterpart with R_a below the bar; their ratio is R_a^2 regardless of
+    the temperatures, which is what defines the noise impedance.
+    """
+    w = abs(float(omega))
+    occ = (thermal_occupation(w, stage.noise_temp)
+           + thermal_occupation(w, stage.conj_temp))
+    return (HBAR * w * stage.noise_impedance / 2.0 * occ,
+            HBAR * w / (2.0 * stage.noise_impedance) * occ)
 
 
 def scattering_per_point(net, omega: float) -> tuple[np.ndarray, float]:

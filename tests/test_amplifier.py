@@ -11,7 +11,8 @@ from qunet import (Feedback, NoFeedbackError, OpAmpStage, added_noise,
 from qunet.network import EstimatorCoefficients
 
 from helpers import random_omega, random_stage, stage_with_gain
-from oracles import added_noise_closed_form, estimator_weights_closed_form
+from oracles import (added_noise_closed_form, estimator_weights_closed_form,
+                     generator_psds)
 
 W0 = 2.0 * math.pi * 1e5
 
@@ -234,8 +235,6 @@ def test_gain_is_the_scattering_entry_at_both_signs_of_omega():
 
 
 def test_noise_impedance_is_generator_psd_ratio():
-    from qunet.amplifier import generator_psds
-
     rng = np.random.default_rng(9)
     for _ in range(20):
         stage = random_stage(rng)

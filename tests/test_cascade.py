@@ -6,11 +6,11 @@ import pytest
 
 from qunet import (Feedback, OpAmpStage, StageChain, chain_added_noise,
                    chain_estimator, classical_gain_threshold,
-                   downstream_noise_fraction, gain, merge_chain_estimators,
-                   stage_added_noise, stage_estimator)
+                   downstream_noise_fraction, gain, stage_added_noise,
+                   stage_estimator)
 
 from helpers import random_omega, random_stage, stage_with_gain
-from oracles import chain_added_noise_recursion
+from oracles import chain_added_noise_recursion, merge_chain_estimators
 
 W0 = 2.0 * math.pi * 1e5
 

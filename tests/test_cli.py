@@ -150,6 +150,25 @@ def test_budget_json_matches_table(threedb_path, capsys):
     assert len(names) == 3
 
 
+# Strings with quotes, backslashes, control, non-ASCII and astral characters;
+# numbers with NaN, infinities, -0.0, the smallest subnormal and big ints.
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\xe9\u2028\U0001d11e'),
+                              st.characters()), max_size=12)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 40, 10 ** 40), JSON_TEXT,
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]))
+JSON_ENTRIES = st.dictionaries(JSON_TEXT, JSON_SCALARS, min_size=1, max_size=5)
+JSON_REPORTS = st.dictionaries(
+    JSON_TEXT, st.one_of(JSON_SCALARS, st.lists(JSON_ENTRIES, max_size=4)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_REPORTS)
+def test_json_text_is_json_dumps_indent_2(report):
+    assert qunet.cli._json_text(report) == json.dumps(report, indent=2)
+
+
 def test_budget_requires_frequency(threedb_path, preset_path, capsys):
     assert main(["budget", threedb_path]) == 2
     assert main(["budget", threedb_path, "--freq", "0"]) == 2
@@ -425,6 +444,44 @@ def test_budget_overflow_is_one_error_without_warnings(check_path, capsys):
     assert "overflow" in lines[0] and "rank" not in lines[0]
     assert f"omega = {2.0 * math.pi * 1e-300!r} rad/s" in lines[0]
     assert "Warning" not in captured.err
+
+
+# 50 Ohm lines at 0 K closed by a 1e-300 H feedback: |beta| is 2.5e-296 at
+# 100 kHz, so |mu|^2 of the readout line exceeds double range.
+TINY_GAIN_DOC = """line l impedance=50 temperature=0
+line r impedance=50 temperature=0
+opamp a left=l right=r noise_impedance=50 noise_temp=0 conj_temp=0 feedback=L:1e-300
+signal l
+readout r
+sweep 1e4 1e6 5 log
+"""
+
+
+def test_overflowing_budget_is_refused(tmp_path, capsys):
+    p = tmp_path / "tiny.qnet"
+    p.write_text(TINY_GAIN_DOC)
+    csv = tmp_path / "out.csv"
+    for argv, hz in ((["budget", str(p), "--freq", "1e5", "--json"], 1e5),
+                     (["sweep", str(p), "-o", str(csv)], 1e4)):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: noise budget at {hz!r} Hz is not finite: "
+                                "the |mu|^2 or contribution of source 'r' overflows\n")
+    assert not csv.exists()
+
+
+def test_overflowing_check_fails_without_warnings(tmp_path, check_path, capsys):
+    # S S^dagger overflows: the residual is inf and the check FAILs quietly
+    p = tmp_path / "huge.qnet"
+    p.write_text(CHECK_FIXTURE.replace("noise_impedance=50.0", "noise_impedance=1e308"))
+    for argv in (["check", str(p)], ["check", check_path, "--inject-gain", "1e200"],
+                 ["check", check_path, "--inject-gain", "1e308"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("max commutator residual: inf over ")
+        assert captured.out.endswith(": FAIL\n")
+        assert captured.err == ""
 
 
 def test_check_without_ports_exits_2(tmp_path, capsys):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from qunet import (Feedback, NetlistError, OpAmp, PortSpec, parse, serialize,
                    to_network)
-from qunet.netlist import MAX_SWEEP_POINTS, SWEEP_SCALES, Sweep
+from qunet.netlist import MAX_SWEEP_POINTS, SWEEP_SCALES, Sweep, _tokens
 from qunet.spectra import require_finite
 from helpers import CHECK_FIXTURE, THREEDB_FIXTURE
+from oracles import tokens_regex
 
 
 def test_fixture_structure():
@@ -439,3 +440,17 @@ def test_constructor_refusal_becomes_positioned_issue(monkeypatch):
     (issue,) = err.value.issues
     assert (issue.line, issue.column) == (2, 3)
     assert issue.message == "refused by the constructor"
+
+
+# Unicode whitespace that str.split and the regex both split on, next to
+# zero-width characters (U+200B, U+FEFF) that neither does.
+LINE_CHARS = st.one_of(
+    st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+                    "\u200b\ufeff#=:.-x\xe9\U0001d11e"),
+    st.characters())
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(LINE_CHARS, max_size=40))
+def test_tokens_match_the_regex_tokenizer(line):
+    assert _tokens(line) == tokens_regex(line)

