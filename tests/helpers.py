@@ -83,3 +83,23 @@ def random_passive_network(rng):
         if rng.random() < 0.4:
             components.append(_random_reactance(rng, node, "gnd"))
     return ports, components
+
+
+def random_document(rng, stages: int, omega_ref: float, warm: bool) -> str:
+    """``.qnet`` text of ``stages`` independent :func:`random_stage` stages,
+    signal on l0 and readout on r0, each with the |G| that stage has at
+    ``omega_ref``: C feedback where its reactance is positive, L where it is
+    negative.  ``warm`` False puts every line at 0 K."""
+    lines, amps = [], []
+    for k in range(stages):
+        s = random_stage(rng)
+        t_l = float(rng.uniform(0.0, 300.0))
+        temps = (t_l, s.readout_temp, s.noise_temp, s.conj_temp) if warm else (0.0,) * 4
+        x = s.feedback.value
+        feedback = f"C:{1.0 / (omega_ref * x)!r}" if x > 0 else f"L:{-x / omega_ref!r}"
+        lines += [f"line l{k} impedance={s.r_left!r} temperature={temps[0]!r}",
+                  f"line r{k} impedance={s.r_right!r} temperature={temps[1]!r}"]
+        amps.append(f"opamp amp{k} left=l{k} right=r{k} "
+                    f"noise_impedance={s.noise_impedance!r} noise_temp={temps[2]!r} "
+                    f"conj_temp={temps[3]!r} feedback={feedback}")
+    return "\n".join(lines + amps + ["signal l0", "readout r0"]) + "\n"

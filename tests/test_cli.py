@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,10 @@ from hypothesis import strategies as st
 import qunet.cli
 from qunet.cli import main
 
-from helpers import CHECK_FIXTURE, PRESET_DOC, THREEDB_FIXTURE
+from helpers import CHECK_FIXTURE, PRESET_DOC, THREEDB_FIXTURE, random_document
 
 PINNED_STDOUT = os.path.join(os.path.dirname(__file__), "cli_stdout.json")
+PINNED_CORPUS = os.path.join(os.path.dirname(__file__), "cli_corpus.json")
 
 
 @pytest.fixture
@@ -577,6 +579,151 @@ def test_cli_output_is_pinned(tmp_path):
     assert sha == pinned["sweep_csv_sha256"]
 
 
+# Documents the parser or the network refuses, each read by a budget, a
+# check or a sweep; and argv that fail before any document is read.
+CORPUS_BAD_DOCUMENTS = {
+    "bad_impedance": "line l impedance=-5 temperature=300\n",
+    "bad_temperature": "line l impedance=50 temperature=nan\n",
+    "x_feedback": THREEDB_FIXTURE.replace("feedback=C:6.366197723675814e-12",
+                                          "feedback=X:250000.0"),
+    "r_feedback": THREEDB_FIXTURE.replace("feedback=C:6.366197723675814e-12",
+                                          "feedback=R:50"),
+    "unknown_keyword": "qnet 1\nresistor x 50\n",
+    "version": "qnet 2\n",
+    "late_header": "line l impedance=50 temperature=0\nqnet 1\n",
+    "duplicate_signal": THREEDB_FIXTURE + "signal l\n",
+    "undeclared_port": "line l impedance=50 temperature=0\nsignal q\n",
+    "duplicate_port": "line l impedance=50 temperature=0\nline l impedance=5 temperature=0\n",
+    "sweep_order": THREEDB_FIXTURE.replace("sweep 1e4 1e6 200 log", "sweep 1e6 1e4 20 log"),
+    "sweep_one_point": THREEDB_FIXTURE.replace("sweep 1e4 1e6 200 log", "sweep 1e4 1e6 1 log"),
+    "sweep_scale": THREEDB_FIXTURE.replace("sweep 1e4 1e6 200 log", "sweep 1e4 1e6 20 cubic"),
+    "sweep_fields": THREEDB_FIXTURE.replace("sweep 1e4 1e6 200 log", "sweep 1e4 1e6"),
+    "shared_port": ("line l impedance=50 temperature=0\nline r impedance=50 temperature=0\n"
+                    "line s impedance=50 temperature=0\n"
+                    "opamp a left=l right=r noise_impedance=50 noise_temp=0 conj_temp=0 "
+                    "feedback=C:1e-9\n"
+                    "opamp b left=r right=s noise_impedance=50 noise_temp=0 conj_temp=0 "
+                    "feedback=C:1e-9\n"),
+    "missing_field": "line l impedance=50\n",
+    "no_lines": "qnet 1\nsweep 1e4 1e6 5 log\n",
+    "no_signal": THREEDB_FIXTURE.replace("signal l\n", ""),
+    "open_lines": ("line l impedance=50 temperature=0\nline r impedance=50 temperature=0\n"
+                   "signal l\nreadout r\nsweep 1e4 1e6 5 log\n"),
+    "unknown_preset": "preset nowhere\n",
+    "preset_sweep": PRESET_DOC + "sweep 1e4 1e6 5 log\n",
+}
+CORPUS_USAGE = [
+    [], ["-h"], ["bogus"], ["budget"], ["sweep", "x.qnet"], ["check", "missing.qnet"],
+    ["budget", "threedb.qnet", "--freq", "abc"], ["budget", "threedb.qnet", "extra"],
+    ["budget", "threedb.qnet", "--freq", "0"], ["budget", "threedb.qnet", "--freq", "-inf"],
+    ["budget", "threedb.qnet"], ["check", "threedb.qnet", "--tol", "0"],
+    ["check", "threedb.qnet", "--inject-gain", "nan"], ["sweep", "threedb.qnet", "-o", "no/x.csv"],
+    ["accel", "--hm", "-1"], ["accel", "--transduction-gain", "nan"],
+    ["accel", "--preset", "bogus"], ["accel", "--theta-m", "abc"],
+]
+
+
+def corpus(seed: int = 17) -> tuple[dict, list]:
+    """About 300 seeded CLI requests and the documents they read, by file
+    name: 1-3 stage circuits with C or L feedback, at 0 K or warm, with and
+    without short sweeps; presets; accel overrides; refused documents and
+    usage errors.  Sweeps write ``<document>.csv``."""
+    rng = np.random.default_rng(seed)
+    docs = {"threedb.qnet": THREEDB_FIXTURE, "check.qnet": CHECK_FIXTURE,
+            "preset.qnet": PRESET_DOC}
+    requests = []
+
+    def freq():
+        return repr(float(10.0 ** rng.uniform(3.0, 6.0)))
+
+    for i in range(34):
+        name = f"doc{i}.qnet"
+        stages = int(rng.integers(1, 4))
+        text = random_document(rng, stages, 2.0 * math.pi * float(freq()), bool(rng.random() < 0.6))
+        if rng.random() < 0.1 and stages > 1:       # the readout never sees the signal
+            text = text.replace("readout r0", f"readout r{stages - 1}")
+        if rng.random() < 0.75:
+            f_lo = float(10.0 ** rng.uniform(2.0, 5.0))
+            f_hi = f_lo * float(10.0 ** rng.uniform(0.1, 2.0))
+            text += (f"sweep {f_lo!r} {f_hi!r} {int(rng.integers(2, 25))} "
+                     f"{'log' if rng.random() < 0.5 else 'lin'}\n")
+        docs[name] = text
+        requests += [["check", name], ["check", name, "--freq", freq()],
+                     ["budget", name, "--freq", freq()],
+                     ["budget", name, "--freq", freq(), "--json"],
+                     ["sweep", name, "-o", name[:-5] + ".csv"]]
+        if rng.random() < 0.3:
+            requests.append(["check", name, "--freq", freq(), "--inject-gain",
+                             repr(float(rng.uniform(0.5, 2.0)))])
+        if rng.random() < 0.3:
+            requests.append(["check", name, "--tol", repr(float(10.0 ** rng.uniform(-14, -4)))])
+    for path in ("threedb.qnet", "check.qnet", "preset.qnet"):
+        requests += [["check", path], ["check", path, "--freq", freq()],
+                     ["budget", path, "--freq", freq()], ["budget", path, "--freq", "1e5", "--json"]]
+    requests += [["budget", "preset.qnet"], ["budget", "preset.qnet", "--json"],
+                 ["sweep", "threedb.qnet", "-o", "threedb.csv"]]
+    for _ in range(24):
+        argv = ["accel"]
+        if rng.random() < 0.5:
+            argv += ["--theta-m", repr(float(rng.uniform(0.0, 300.0)))]
+        if rng.random() < 0.5:
+            argv += ["--hm", repr(float(rng.uniform(0.0, 1e-4)))]
+        if rng.random() < 0.5:      # joined: argparse reads -1e-12 as an option
+            gain = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, -9))
+            argv.append(f"--transduction-gain={gain!r}")
+        if rng.random() < 0.5:
+            argv.append("--json")
+        requests.append(argv)
+    for bad, text in CORPUS_BAD_DOCUMENTS.items():
+        name = f"{bad}.qnet"
+        docs[name] = text
+        requests += [["check", name], ["budget", name, "--freq", "1e5"],
+                     ["sweep", name, "-o", f"{bad}.csv"]]
+    return docs, requests + CORPUS_USAGE
+
+
+def run_corpus(workdir: str) -> dict:
+    """sha256 per command kind (usage for argv naming none) over each
+    request's argv, exit code, stdout and stderr, in order, and over the
+    CSV files the sweeps wrote; with the count of each kind."""
+    docs, requests = corpus()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, text in docs.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        hashes, counts = {}, {}
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            for argv in requests:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                kind = argv[0] if argv and argv[0] in qunet.cli.COMMANDS else "usage"
+                record = json.dumps([argv, code, out.getvalue(), err.getvalue()])
+                hashes.setdefault(kind, hashlib.sha256()).update(record.encode() + b"\n")
+                counts[kind] = counts.get(kind, 0) + 1
+        csv = hashlib.sha256()
+        for name in sorted(f for f in os.listdir() if f.endswith(".csv")):
+            with open(name, "rb") as fh:
+                csv.update(name.encode() + b"\n" + fh.read())
+    finally:
+        os.chdir(cwd)
+    pin = {kind: [counts[kind], h.hexdigest()] for kind, h in sorted(hashes.items())}
+    pin["sweep CSVs"] = [sum(f.endswith(".csv") for f in os.listdir(workdir)), csv.hexdigest()]
+    return pin
+
+
+def test_cli_corpus_is_pinned(tmp_path):
+    # Exit code, stdout and stderr of about 300 requests and the bytes of
+    # their sweep CSVs, as captured in cli_corpus.json: a change that moves
+    # an output must say so and rewrite the file with
+    #     PYTHONPATH=src python tests/test_cli.py
+    with open(PINNED_CORPUS, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    assert run_corpus(str(tmp_path)) == pinned
+
+
 if __name__ == "__main__":
     # Rewrite cli_stdout.json, naming each command whose exit code or
     # stdout moved and whether the sweep CSV's sha256 did.
@@ -595,3 +742,16 @@ if __name__ == "__main__":
         json.dump({"stdout": stdout, "sweep_csv_sha256": sha}, fh, indent=1)
         fh.write("\n")
     print(f"wrote {len(stdout)} outputs to {PINNED_STDOUT}", file=sys.stderr)
+    # Rewrite cli_corpus.json, naming each kind whose count or hash moved.
+    with open(PINNED_CORPUS, encoding="utf-8") as fh:
+        old = json.load(fh)
+    with tempfile.TemporaryDirectory() as tmp:
+        pin = run_corpus(tmp)
+    for kind in old.keys() | pin.keys():
+        if old.get(kind) != pin.get(kind):
+            print(f"corpus changed: {kind} {old.get(kind)} -> {pin.get(kind)}",
+                  file=sys.stderr)
+    with open(PINNED_CORPUS, "w", encoding="utf-8") as fh:
+        json.dump(pin, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(pin)} corpus hashes to {PINNED_CORPUS}", file=sys.stderr)
