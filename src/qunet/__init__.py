@@ -24,7 +24,7 @@ from .accelerometer import (MICROSCOPE, PRESETS, AcceleroParams, Preset,
                             acceleration_sensitivity, accelerometer_budget,
                             cold_damped_temperature, force_estimator,
                             get_preset, is_detection_limited,
-                            langevin_force_psd, servo_invariance_check)
+                            langevin_force_psd)
 from .netlist import NetlistDocument, NetlistError, parse, serialize, to_network
 
 __version__ = "0.1.0"

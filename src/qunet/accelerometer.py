@@ -139,24 +139,6 @@ def force_estimator(params: AcceleroParams, stages: tuple[OpAmpStage, ...],
                                  gain=est.gain / g)
 
 
-def servo_invariance_check(estimator_free: EstimatorCoefficients,
-                           estimator_servo: EstimatorCoefficients,
-                           tol: float = 1e-10) -> bool:
-    """Pointwise agreement of two force estimators' noise weights.
-
-    Both estimators must cover the same source set (the open-loop table
-    lacks the feedback amplifier's sources, which enter it with weight
-    zero); a mismatch is an error, not a False.
-    """
-    tol = require_finite(tol, "tol", closed=True)
-    a, b = estimator_free.noise_weights(), estimator_servo.noise_weights()
-    if set(a) != set(b):
-        missing = set(a) ^ set(b)
-        raise ValueError("mismatched source sets, differing on "
-                         f"{sorted(missing, key=repr)}")
-    return all(abs(a[k] - b[k]) <= tol for k in a)
-
-
 def cold_damped_temperature(params: AcceleroParams,
                             detection_force_psd: float,
                             feedback_damping: float) -> float:

@@ -85,7 +85,6 @@ SIGNAL = "l"
 
 _INPUTS = (Channel("l"), Channel("r"), Channel("a"), Channel("a'", conjugated=True))
 _OUTPUTS = _INPUTS[:2]
-_NAMES = tuple(c.name for c in _INPUTS)
 
 
 def _stage_rows(stage: OpAmpStage, omega: float) -> tuple[list, list]:
@@ -126,27 +125,24 @@ def stage_scattering(stage: OpAmpStage, omega: float) -> ScatteringMap:
 def stage_estimator(stage: OpAmpStage, omega: float) -> EstimatorCoefficients:
     """Equivalent-input-noise weights of the stage readout.
 
-    The readout row divided by its signal entry, the gain; the back-action
-    row is carried along unchanged.
+    The readout row divided by its signal entry, the gain.
     """
-    row_l, row_r = _stage_rows(stage, omega)
-    g = row_r[0]
+    g, r, a, a_conj = _stage_rows(stage, omega)[1]
     if g == 0:
         raise NoFeedbackError("Z_f = 0: no feedback, no readout")
-    weights = {SIGNAL: 1.0, "r": row_r[1] / g, "a": row_r[2] / g,
-               "a'": row_r[3] / g}
-    return EstimatorCoefficients(signal=SIGNAL, weights=weights, gain=g,
-                                 back_action=dict(zip(_NAMES, row_l)))
+    weights = {SIGNAL: 1.0, "r": r / g, "a": a / g, "a'": a_conj / g}
+    return EstimatorCoefficients(signal=SIGNAL, weights=weights, gain=g)
 
 
 @dataclass(frozen=True)
 class NoiseBudget:
-    """Per-source equivalent input noise at one frequency.
+    """Per-source equivalent input noise at one frequency or over a grid.
 
     Each source keeps its squared weight ``mu_abs2`` and the spectrum
     ``sigma`` of its line; its contribution is their product.  ``total`` is
     the plain sum of the contributions in source order (the sources are
-    mutually uncorrelated), so additivity is exact by construction.
+    mutually uncorrelated), so additivity is exact by construction.  Over a
+    grid ``omega`` and the values are (F,) arrays; the two methods take a point.
     """
 
     omega: float
@@ -157,7 +153,8 @@ class NoiseBudget:
 
     def __post_init__(self):
         contributions = {k: m * self.sigma[k] for k, m in self.mu_abs2.items()}
-        object.__setattr__(self, "omega", float(self.omega))
+        if not hasattr(self.omega, "__len__"):          # a point, not a grid
+            object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "contributions", contributions)
         object.__setattr__(self, "total", sum(contributions.values()))
 

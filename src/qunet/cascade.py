@@ -53,14 +53,6 @@ class StageChain:
     def __len__(self) -> int:
         return len(self.stages)
 
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return StageChain(self.stages[item])
-        return self.stages[item]
-
-    def __add__(self, other: "StageChain") -> "StageChain":
-        return StageChain(self.stages + other.stages)
-
     def temperatures(self) -> dict[tuple[int, str], float]:
         """Bath temperature of every chain source, keyed by (stage, role)."""
         return {(k, role): t for k, stage in enumerate(self.stages)

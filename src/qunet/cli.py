@@ -51,6 +51,14 @@ def _option(value, flag: str, low: float = 0.0) -> float | None:
     return None if value is None else require_finite(value, flag, low=low)
 
 
+def _freq(args) -> float | None:
+    """--freq in Hz, None when absent; ValueError unless finite > 0, as is 2*pi*f."""
+    freq = _option(args.freq, "--freq")
+    if freq is None or TWO_PI * freq < math.inf:
+        return freq
+    raise ValueError(f"--freq {freq!r} Hz overflows as 2*pi*f")
+
+
 def _load_document(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return netlist.parse(fh.read())
@@ -82,7 +90,7 @@ def _scattering_stack(doc, grid=None, outputs=None):
 
 
 def cmd_check(args) -> int:
-    tol, freq = _resolve_tol(args), _option(args.freq, "--freq")
+    tol, freq = _resolve_tol(args), _freq(args)
     gain = _option(args.inject_gain, "--inject-gain", low=-math.inf)
     doc = _load_document(args.netlist)
     omegas, s, outputs, inputs, _ = _scattering_stack(
@@ -98,12 +106,11 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _circuit_budget(doc, grid=None):
+def _circuit_budget(doc, grid=None) -> NoiseBudget:
     """Noise budget of a document's readout over angular frequencies ``grid``.
 
-    Returns the angular frequencies (F,), the noise source names (k) and
-    their |mu|^2 and sigma, each (k, F).  Only the readout row is solved.
-    An overflowing budget raises a ValueError naming its first such point.
+    Only the readout row is solved.  An overflowing budget raises a
+    ValueError naming its first such point.
     """
     signal, readout = doc.signal, doc.readout
     if signal is None or readout is None:
@@ -122,16 +129,15 @@ def _circuit_budget(doc, grid=None):
                                np.array([temps[name] for name in names])[:, None])
     with np.errstate(over="ignore", invalid="ignore"):
         mu2 = np.abs(row[noise] / beta) ** 2
-        contrib = mu2 * sigma
-        total = contrib.sum(axis=0)
+        budget = NoiseBudget(omegas, dict(zip(names, mu2)), dict(zip(names, sigma)))
     # The terms are >= 0: a non-finite |mu|^2 or term makes the total so.
-    if not np.isfinite(total).all():
-        f = int(np.isfinite(total).argmin())
-        bad = [n for n, c in zip(names, contrib[:, f].tolist()) if not math.isfinite(c)]
+    if not np.isfinite(budget.total).all():
+        f = int(np.isfinite(budget.total).argmin())
+        bad = [n for n, c in budget.contributions.items() if not math.isfinite(c[f])]
         what = f"|mu|^2 or contribution of source {bad[0]!r}" if bad else "total"
         raise ValueError(f"noise budget at {float(omegas[f]) / TWO_PI!r} Hz is not "
                          f"finite: the {what} overflows")
-    return omegas, names, mu2, sigma
+    return budget
 
 
 def _report_dict(freq_hz, units, budget: NoiseBudget):
@@ -183,7 +189,7 @@ def _print_report_table(report) -> None:
 
 
 def cmd_budget(args) -> int:
-    freq = _option(args.freq, "--freq")
+    freq = _freq(args)
     doc = _load_document(args.netlist)
     if doc.preset is not None:
         preset = accel.get_preset(doc.preset)
@@ -193,9 +199,9 @@ def cmd_budget(args) -> int:
     elif freq is None:
         raise ValueError("a positive --freq in Hz is required for circuit budgets")
     else:
-        omegas, names, mu2, sigma = _circuit_budget(doc, [TWO_PI * freq])
-        budget = NoiseBudget(omegas[0], dict(zip(names, mu2[:, 0].tolist())),
-                             dict(zip(names, sigma[:, 0].tolist())))
+        grid = _circuit_budget(doc, [TWO_PI * freq])      # the point is its one entry
+        point = [{k: v.item() for k, v in d.items()} for d in (grid.mu_abs2, grid.sigma)]
+        budget = NoiseBudget(grid.omega.item(), *point)
         report = _report_dict(freq, "dimensionless quanta per mode", budget)
     if args.json:
         print(_json_text(report))
@@ -211,13 +217,11 @@ def cmd_sweep(args) -> int:
     if doc.preset is not None:
         raise ValueError(f"preset {doc.preset!r} is evaluated only at its carrier; "
                          "sweep needs a circuit document")
-    omegas, names, mu2, sigma = _circuit_budget(doc, doc.sweep.to_grid())
-    contrib = mu2 * sigma
-    # Columns freq_hz, total, sources; the total adds the sources in order.
-    table = np.vstack([omegas / TWO_PI, contrib.sum(axis=0), contrib])
+    budget = _circuit_budget(doc, doc.sweep.to_grid())
+    table = np.vstack([budget.omega / TWO_PI, budget.total, *budget.contributions.values()])
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("freq_hz,total," + ",".join(names) + "\n")
-        for lo in range(0, len(omegas), CSV_BLOCK_ROWS):
+        fh.write("freq_hz,total," + ",".join(budget.contributions) + "\n")
+        for lo in range(0, table.shape[1], CSV_BLOCK_ROWS):
             block = table[:, lo:lo + CSV_BLOCK_ROWS]
             bits = block.view(np.uint64)
             same = (bits == bits[:, :1]).all(axis=1)
@@ -227,7 +231,7 @@ def cmd_sweep(args) -> int:
             cols = [[repr(first)] * block.shape[1] if k else list(map(repr, next(varying)))
                     for first, k in zip(block[:, 0].tolist(), same)]
             fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
-    print(f"wrote {len(omegas)} rows to {args.output}")
+    print(f"wrote {table.shape[1]} rows to {args.output}")
     return 0
 
 

@@ -23,7 +23,7 @@ before they are referenced, and the ground names of
 is always refused, at the ``feedback=`` field: a dissipative element is a
 line carrying its own noise, so :class:`~qunet.network.Feedback` is reactive
 only.  A statement whose values a constructor refuses, such as a sweep's
-point count, scale or frequency order, is reported at the statement.
+point count, scale, frequency order or range, is reported at the statement.
 
 The text describes the network's own objects: :func:`parse` turns a
 ``line`` into a :class:`~qunet.network.PortSpec` and an ``opamp`` into an
@@ -110,23 +110,29 @@ class Sweep:
         if self.scale not in SWEEP_SCALES:
             raise ValueError(f"sweep scale must be lin or log, got {self.scale!r}")
         f_lo = require_finite(self.f_lo, "sweep lower frequency")
-        if not require_finite(self.f_hi, "sweep upper frequency") > f_lo:
+        f_hi = require_finite(self.f_hi, "sweep upper frequency")
+        if not f_hi > f_lo:
             raise ValueError("sweep upper frequency must exceed the lower")
+        if not 2.0 * math.pi * f_hi < math.inf:
+            raise ValueError(f"sweep upper frequency {f_hi!r} Hz overflows as 2*pi*f")
+        if self.scale == "log" and not f_hi / f_lo < math.inf:
+            raise ValueError(f"log sweep ratio {f_hi!r}/{f_lo!r} overflows")
 
     def to_grid(self) -> np.ndarray:
         """The angular frequencies (rad/s), a read-only float64 array.
 
         Log points are f_lo * ratio ** i in Python floats: numpy's power
-        rounds differently in the last bits.  The last point is f_hi exactly.
+        rounds differently in the last bits.  The last point is f_hi exactly;
+        no other passes it.
         """
         f_lo, f_hi, n = float(self.f_lo), float(self.f_hi), self.npoints
         if self.scale == "log":
             ratio = (f_hi / f_lo) ** (1.0 / (n - 1))
-            hz = np.array([f_lo * ratio ** i for i in range(n)])
+            hz = np.array([f_lo * ratio ** i for i in range(n - 1)] + [f_hi])
         else:
             hz = f_lo + (f_hi - f_lo) / (n - 1) * np.arange(n)
         hz[-1] = f_hi
-        grid = 2.0 * math.pi * hz
+        grid = 2.0 * math.pi * np.minimum(hz, f_hi, out=hz)
         grid.setflags(write=False)
         return grid
 

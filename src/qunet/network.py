@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -116,20 +116,6 @@ class ScatteringMap:
                 f"output and {len(self.inputs)} input channels")
         m.setflags(write=False)
         self.matrix = m
-
-    @classmethod
-    def square(cls, omega: float, matrix, channels) -> "ScatteringMap":
-        channels = tuple(channels)
-        return cls(omega, matrix, channels, channels)
-
-    def coefficient(self, out_name: str, in_name: str) -> complex:
-        i = _index_of(self.outputs, out_name, "output")
-        j = _index_of(self.inputs, in_name, "input")
-        return complex(self.matrix[i, j])
-
-    def row(self, out_name: str) -> dict[str, complex]:
-        i = _index_of(self.outputs, out_name, "output")
-        return {c.name: complex(v) for c, v in zip(self.inputs, self.matrix[i])}
 
 
 def _index_of(channels, name: str, kind: str) -> int:
@@ -653,14 +639,12 @@ class EstimatorCoefficients:
 
     ``weights`` maps every input channel name to its equivalent-input-noise
     weight; the signal entry is exactly 1 by construction.  ``gain`` is the
-    raw readout <- signal coefficient before normalization.  ``back_action``
-    optionally carries the output row sent back toward the measured system.
+    raw readout <- signal coefficient before normalization.
     """
 
     signal: str
     weights: dict[str, complex]
     gain: complex
-    back_action: dict[str, complex] | None = field(default=None, compare=False)
 
     def noise_weights(self) -> dict[str, complex]:
         return {k: v for k, v in self.weights.items() if k != self.signal}

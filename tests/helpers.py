@@ -85,21 +85,32 @@ def random_passive_network(rng):
     return ports, components
 
 
+
+def circuit_text(specs) -> str:
+    """``.qnet`` text of independent stages, each given as (R_l, R_r, R_a,
+    feedback kind, feedback value, temperatures of l, r, a and a');
+    signal and readout on stage 0."""
+    out = []
+    for k, (r_l, r_r, _, _, _, temps) in enumerate(specs):
+        out.append(f"line l{k} impedance={r_l!r} temperature={temps[0]!r}")
+        out.append(f"line r{k} impedance={r_r!r} temperature={temps[1]!r}")
+    for k, (_, _, r_a, kind, value, temps) in enumerate(specs):
+        out.append(f"opamp amp{k} left=l{k} right=r{k} noise_impedance={r_a!r} "
+                   f"noise_temp={temps[2]!r} conj_temp={temps[3]!r} "
+                   f"feedback={kind}:{value!r}")
+    return "\n".join(out + ["signal l0", "readout r0"]) + "\n"
+
+
 def random_document(rng, stages: int, omega_ref: float, warm: bool) -> str:
-    """``.qnet`` text of ``stages`` independent :func:`random_stage` stages,
-    signal on l0 and readout on r0, each with the |G| that stage has at
-    ``omega_ref``: C feedback where its reactance is positive, L where it is
-    negative.  ``warm`` False puts every line at 0 K."""
-    lines, amps = [], []
-    for k in range(stages):
+    """:func:`circuit_text` of ``stages`` :func:`random_stage` stages, each
+    with the |G| it has at ``omega_ref``: C feedback where its reactance is
+    positive, L where it is negative.  ``warm`` False puts every line at 0 K."""
+    specs = []
+    for _ in range(stages):
         s = random_stage(rng)
         t_l = float(rng.uniform(0.0, 300.0))
         temps = (t_l, s.readout_temp, s.noise_temp, s.conj_temp) if warm else (0.0,) * 4
         x = s.feedback.value
-        feedback = f"C:{1.0 / (omega_ref * x)!r}" if x > 0 else f"L:{-x / omega_ref!r}"
-        lines += [f"line l{k} impedance={s.r_left!r} temperature={temps[0]!r}",
-                  f"line r{k} impedance={s.r_right!r} temperature={temps[1]!r}"]
-        amps.append(f"opamp amp{k} left=l{k} right=r{k} "
-                    f"noise_impedance={s.noise_impedance!r} noise_temp={temps[2]!r} "
-                    f"conj_temp={temps[3]!r} feedback={feedback}")
-    return "\n".join(lines + amps + ["signal l0", "readout r0"]) + "\n"
+        kind, value = ("C", 1.0 / (omega_ref * x)) if x > 0 else ("L", -x / omega_ref)
+        specs.append((s.r_left, s.r_right, s.noise_impedance, kind, value, temps))
+    return circuit_text(specs)

@@ -9,7 +9,9 @@ frequency at a time.  So the tests compare two independent implementations.
 the parser uses ``str.split``.  ``merge_chain_estimators`` composes two
 chain estimators directly, where the package extends one estimator stage by
 stage, and ``generator_psds`` forms a stage's voltage and current noise
-generator spectra from the module formulas.  ``estimator_from_scattering``
+generator spectra from the module formulas.  ``chain_readout_from_scattering``
+composes the stage scattering matrices of a chain, where the package
+composes the stage estimators.  ``estimator_from_scattering``
 normalizes one scattering map's readout row, the per-point counterpart of
 the CLI's budget over a grid.  ``dense_systems`` forms and equilibrates
 every row of A(w) at every point, where the package forms only the rows
@@ -26,7 +28,7 @@ import re
 import numpy as np
 
 from qunet import (HBAR, EstimatorCoefficients, NoFeedbackError,
-                   NoTransductionError, thermal_occupation)
+                   NoTransductionError, stage_scattering, thermal_occupation)
 
 
 def estimator_weights_closed_form(stage, omega: float) -> dict[str, complex]:
@@ -81,6 +83,24 @@ def chain_added_noise_recursion(stages, omega: float) -> float:
         upstream *= 4.0 * abs(stage.feedback.impedance(w)) ** 2 / (
             stage.r_left * stage.r_right)
     return total
+
+
+def chain_readout_from_scattering(stages, omega: float) -> dict:
+    """The readout row of a feed-forward chain over its inputs, composed
+    from the stage scattering matrices alone: stage k's r_out is stage
+    k+1's l_in.  Keyed as the chain's sources, (k, role), the chain signal
+    (0, "l")."""
+    keys, readout = [(0, "l")], np.ones(1, dtype=complex)    # l_in of stage 0
+    for k, stage in enumerate(stages):
+        smap = stage_scattering(stage, omega)
+        names = [c.name for c in smap.inputs]               # l, r, a, a'
+        keys += [(k, name) for name in names[1:]]
+        # Stage k's inputs over the chain's: the upstream readout, then its own.
+        feed = np.zeros((len(names), len(keys)), dtype=complex)
+        feed[0, :len(readout)] = readout
+        feed[1:, len(readout):] = np.eye(len(names) - 1)
+        readout = smap.matrix[[c.name for c in smap.outputs].index("r")] @ feed
+    return dict(zip(keys, readout.tolist()))
 
 
 def tokens_regex(line: str) -> list[tuple[int, str]]:
@@ -242,7 +262,8 @@ def estimator_from_scattering(smap, signal: str, readout: str) -> EstimatorCoeff
     reads as true signal plus weighted input noises.  Raises
     :class:`NoTransductionError` when the readout does not see the signal.
     """
-    row = smap.row(readout)
+    row = dict(zip([c.name for c in smap.inputs],
+                   smap.matrix[[c.name for c in smap.outputs].index(readout)].tolist()))
     if signal not in row:
         raise KeyError(f"no input channel named {signal!r}")
     beta = row[signal]
@@ -252,8 +273,4 @@ def estimator_from_scattering(smap, signal: str, readout: str) -> EstimatorCoeff
             "no transduction")
     weights = {name: value / beta for name, value in row.items()}
     weights[signal] = 1.0
-    back = None
-    if any(c.name == signal for c in smap.outputs):
-        back = smap.row(signal)
-    return EstimatorCoefficients(signal=signal, weights=weights,
-                                 gain=complex(beta), back_action=back)
+    return EstimatorCoefficients(signal=signal, weights=weights, gain=beta)

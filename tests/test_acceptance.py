@@ -129,11 +129,10 @@ def test_criterion_7_estimator_consistency_oracle():
             stage = random_stage(rng)
             w = random_omega(rng)
             est = stage_estimator(stage, w)
-            row = stage_scattering(stage, w).row("r")
-            beta = row["l"]
+            beta, *noise = stage_scattering(stage, w).matrix[1]     # the r row
             oracle_weights = estimator_weights_closed_form(stage, w)
-            for name in ("r", "a", "a'"):
-                assert abs(est.weights[name] - row[name] / beta) < 1e-12
+            for name, s in zip(("r", "a", "a'"), noise):
+                assert abs(est.weights[name] - s / beta) < 1e-12
                 assert abs(est.weights[name] - oracle_weights[name]) < 1e-12
             total = stage_added_noise(stage, w).total
             oracle = added_noise_closed_form(stage, w)

@@ -21,8 +21,8 @@ def test_back_action_coefficient_is_minus_one():
     rng = np.random.default_rng(1)
     for _ in range(20):
         smap = stage_scattering(random_stage(rng), random_omega(rng))
-        assert smap.coefficient("l", "l") == -1.0
-        assert smap.coefficient("l", "r") == 0.0
+        assert smap.matrix[0, 0] == -1.0                  # l <- l
+        assert smap.matrix[0, 1] == 0.0                   # l <- r
 
 
 def test_gain_reference_point():
@@ -30,7 +30,7 @@ def test_gain_reference_point():
     g = gain(stage, W0)
     assert g == pytest.approx(-4j, abs=1e-15)
     assert abs(g) == pytest.approx(4.0, rel=1e-15)
-    assert stage_scattering(stage, W0).coefficient("r", "l") == pytest.approx(-4j, abs=1e-14)
+    assert stage_scattering(stage, W0).matrix[1, 0] == pytest.approx(-4j, abs=1e-14)
 
 
 def test_gain_vanishes_with_feedback():
@@ -80,10 +80,9 @@ def test_estimator_consistent_with_scattering_rows():
         stage = random_stage(rng)
         w = random_omega(rng)
         est = stage_estimator(stage, w)
-        row = stage_scattering(stage, w).row("r")
-        g = row["l"]
-        for name in ("r", "a", "a'"):
-            assert abs(est.weights[name] - row[name] / g) < 1e-12
+        g, *noise = stage_scattering(stage, w).matrix[1]        # the r row
+        for name, s in zip(("r", "a", "a'"), noise):
+            assert abs(est.weights[name] - s / g) < 1e-12
         assert est.gain == pytest.approx(g, rel=1e-15)
 
 
@@ -230,7 +229,7 @@ def test_gain_is_the_scattering_entry_at_both_signs_of_omega():
     for stage in stages:
         w = random_omega(rng)
         for signed in (w, -w):
-            assert gain(stage, signed) == stage_scattering(stage, signed).coefficient("r", "l")
+            assert gain(stage, signed) == stage_scattering(stage, signed).matrix[1, 0]
         assert gain(stage, -w) == gain(stage, w)
 
 

@@ -486,6 +486,25 @@ def test_overflowing_check_fails_without_warnings(tmp_path, check_path, capsys):
         assert captured.err == ""
 
 
+def test_overflowing_frequencies_are_refused(tmp_path, preset_path, capsys):
+    # 2*pi*f beyond double range: a sweep is refused at its statement, a
+    # --freq by name, each in one error line, with no numpy warning
+    p = tmp_path / "doc.qnet"
+    for sweep, message in (
+            ("sweep 1 1e308 2 lin", "sweep upper frequency 1e+308 Hz overflows as 2*pi*f"),
+            ("sweep 1e-300 1e300 3 log", "log sweep ratio 1e+300/1e-300 overflows")):
+        p.write_text(THREEDB_FIXTURE.replace("sweep 1e4 1e6 200 log", sweep))
+        for argv in (["sweep", str(p), "-o", str(tmp_path / "x.csv")], ["check", str(p)]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: line 8, col 1: {message}\n")
+    assert not (tmp_path / "x.csv").exists()
+    p.write_text(THREEDB_FIXTURE)
+    for path in (str(p), preset_path):
+        for command in ("check", "budget"):
+            assert main([command, path, "--freq", "1e308"]) == 2
+            assert capsys.readouterr() == ("", "error: --freq 1e+308 Hz overflows as 2*pi*f\n")
+
+
 def test_check_without_ports_exits_2(tmp_path, capsys):
     # a document may hold only a sweep: there is nothing to solve
     p = tmp_path / "empty.qnet"

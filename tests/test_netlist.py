@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -208,6 +209,49 @@ def test_sweep_validation():
     assert type(sweep.npoints) is int
     assert sweep == Sweep(1.0, 2.0, 5, "log")
     assert len(sweep.to_grid()) == 5
+
+
+def test_sweep_beyond_double_range_is_refused():
+    # 2*pi*f_hi, or a log sweep's ratio f_hi/f_lo, overflows: the statement
+    # is refused at its column, not left to give an inf grid point
+    for text, message in (
+            ("sweep 1 1e308 2 lin", "sweep upper frequency 1e+308 Hz overflows as 2*pi*f"),
+            ("sweep 1e-300 1e300 3 log", "log sweep ratio 1e+300/1e-300 overflows")):
+        with pytest.raises(NetlistError) as err:
+            parse(f"qnet 1\n{text}\n")
+        assert [(i.line, i.column, i.message) for i in err.value.issues] == [(2, 1, message)]
+    # a lin sweep has no ratio
+    assert np.isfinite(Sweep(1e-300, 1e300, 3, "lin").to_grid()).all()
+    # rounding puts point 19,998 of this log grid above f_hi, where 2*pi
+    # times it overflows; no point passes f_hi
+    f_hi = 2.861117485757028e+307
+    grid = Sweep(2.8611174743125577e+307, f_hi, 20000, "log").to_grid()
+    assert grid.max() == grid[-1] == 2.0 * math.pi * f_hi < math.inf
+
+
+# Frequencies near the largest f whose 2*pi*f is finite.
+TOP = sys.float_info.max / (2.0 * math.pi)
+positive = st.floats(min_value=0.0, exclude_min=True)
+
+
+@st.composite
+def sweep_arguments(draw):
+    f_hi = draw(st.one_of(positive, st.floats(0.0, 1e-9).map(lambda d: TOP * (1.0 - d))))
+    f_lo = draw(st.one_of(positive, st.floats(1e-16, 1e-6).map(lambda r: f_hi / (1.0 + r))))
+    return f_lo, f_hi, draw(st.integers(2, 3000)), draw(st.sampled_from(SWEEP_SCALES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_arguments())
+def test_every_accepted_sweep_has_a_finite_positive_grid(args):
+    try:
+        sweep = Sweep(*args)
+    except ValueError:
+        return
+    grid = sweep.to_grid()
+    assert grid.shape == (args[2],)
+    assert np.all(grid > 0.0) and np.all(grid < math.inf)
+    assert grid[-1] == 2.0 * math.pi * args[1] == grid.max()
 
 
 def test_resistive_feedback_strict_by_default():

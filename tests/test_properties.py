@@ -93,8 +93,9 @@ def test_chain_composition_is_associative(chain, w, data):
     whole = chain_estimator(chain, w)
     if len(chain) > 1:
         split = data.draw(st.integers(1, len(chain) - 1))
-        merged = merge_chain_estimators(chain_estimator(chain[:split], w), split,
-                                        chain_estimator(chain[split:], w))
+        front, back = StageChain(chain.stages[:split]), StageChain(chain.stages[split:])
+        merged = merge_chain_estimators(chain_estimator(front, w), split,
+                                        chain_estimator(back, w))
         assert merged.signal == whole.signal == (0, "l")
         assert merged.weights.keys() == whole.weights.keys()
         for key, mu in whole.weights.items():
@@ -167,8 +168,8 @@ def test_budget_meets_the_amplifier_bound(doc, grid):
     # Caves: a phase-insensitive amplifier of power gain |G|^2 adds at least
     # (1 - 1/|G|^2)/2 quanta, whatever its temperatures.  |G| of stage 0 comes
     # from its feedback alone: 2 |Z_f| / sqrt(R_l R_r).
-    w, _, mu2, sigma = _circuit_budget(doc, np.array(grid))
-    total = (mu2 * sigma).sum(axis=0)
+    budget = _circuit_budget(doc, np.array(grid))
+    w, total = budget.omega, budget.total
     r_lr = math.sqrt(doc.lines[0].impedance * doc.lines[1].impedance)
     gain = np.array([2.0 * abs(doc.opamps[0].feedback.impedance(x)) / r_lr for x in w])
     bound = 0.5 * (1.0 - 1.0 / gain ** 2)

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qunet import (Capacitor, Feedback, Inductor, OpAmp, PortSpec, QuantumNetwork,
-                   SingularNetworkError, netlist, thermal_occupation)
+from qunet import (Capacitor, Feedback, Inductor, NoiseBudget, OpAmp, PortSpec,
+                   QuantumNetwork, SingularNetworkError, netlist, thermal_occupation)
 from qunet.cli import CSV_BLOCK_ROWS, _circuit_budget, main
 from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES, _plan, _systems
 
-from helpers import random_passive_network
+from helpers import circuit_text, random_passive_network
 from oracles import dense_sweep, dense_systems, estimator_from_scattering, scattering_per_point
 
 EPS = np.finfo(float).eps
@@ -119,17 +119,10 @@ def test_requested_rows_equal_rows_of_full_sweep(seed, size):
     assert np.all(np.abs(part.matrices[:, 0] - full[:, r]).max(axis=1) <= 8 * EPS * scale)
 
 
-def circuit_text(specs) -> str:
-    """``.qnet`` text of independent stages; signal and readout on stage 0."""
-    out = []
-    for k, (r_l, r_r, _, _, _, temps) in enumerate(specs):
-        out.append(f"line l{k} impedance={r_l!r} temperature={temps[0]!r}")
-        out.append(f"line r{k} impedance={r_r!r} temperature={temps[1]!r}")
-    for k, (_, _, r_a, kind, value, temps) in enumerate(specs):
-        out.append(f"opamp amp{k} left=l{k} right=r{k} noise_impedance={r_a!r} "
-                   f"noise_temp={temps[2]!r} conj_temp={temps[3]!r} "
-                   f"feedback={kind}:{value!r}")
-    return "\n".join(out + ["signal l0", "readout r0"]) + "\n"
+def budget_arrays(budget):
+    """Source names and the |mu|^2 and sigma rows (k, F) of a grid budget."""
+    return (list(budget.mu_abs2), np.array(list(budget.mu_abs2.values())),
+            np.array(list(budget.sigma.values())))
 
 
 reactive_specs = stage_specs().filter(lambda s: s[3] != "X")
@@ -140,8 +133,9 @@ reactive_specs = stage_specs().filter(lambda s: s[3] != "X")
 def test_budget_arrays_equal_per_point_estimator_rows(specs, seed, size):
     doc = netlist.parse(circuit_text(specs))
     grid = random_grid(np.random.default_rng(seed), size)
-    omegas, names, mu2, sigma = _circuit_budget(doc, grid)
-    assert np.array_equal(omegas, grid)
+    budget = _circuit_budget(doc, grid)
+    names, mu2, sigma = budget_arrays(budget)
+    assert np.array_equal(budget.omega, grid)
     assert mu2.shape == sigma.shape == (len(names), size)
     net = netlist.to_network(doc)
     temps = net.channel_temperatures()
@@ -154,6 +148,26 @@ def test_budget_arrays_equal_per_point_estimator_rows(specs, seed, size):
         assert np.all(np.abs(sigma[:, i] - ref) <= 1e-15 * ref)
         ref = np.array([abs(mu) ** 2 for mu in noise.values()])
         assert np.max(np.abs(mu2[:, i] - ref)) <= 1e-13 * np.max(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(1, 6), st.integers(1, 30))
+def test_grid_budget_is_the_point_budget_at_each_frequency(seed, sources, size):
+    # |mu|^2 over 580 decades, some exactly 0, against spectra >= 1/2: the
+    # grid's contributions and total have the bits of each point's.
+    rng = np.random.default_rng(seed)
+    names = [f"s{k}" for k in range(sources)]
+    mu2 = np.where(rng.random((sources, size)) < 0.2, 0.0,
+                   10.0 ** rng.uniform(-300.0, 280.0, (sources, size)))
+    sigma = 0.5 + 10.0 ** rng.uniform(-20.0, 20.0, (sources, size))
+    grid = NoiseBudget(random_grid(rng, size), dict(zip(names, mu2)), dict(zip(names, sigma)))
+    assert isinstance(grid.omega, np.ndarray) and grid.total.shape == (size,)
+    for i in range(size):
+        point = NoiseBudget(grid.omega[i], dict(zip(names, mu2[:, i].tolist())),
+                            dict(zip(names, sigma[:, i].tolist())))
+        assert type(point.omega) is float and point.omega == grid.omega[i]
+        assert point.total == grid.total[i]
+        assert point.contributions == {k: v[i] for k, v in grid.contributions.items()}
 
 
 def test_budget_takes_its_occupations_in_one_call(monkeypatch):
@@ -169,7 +183,7 @@ def test_budget_takes_its_occupations_in_one_call(monkeypatch):
     specs = [(50.0, 75.0, 60.0, "C", 1e-9, [0.0, 4.0, 30.0, 0.0]),
              (20.0, 90.0, 40.0, "L", 1e-3, [1.0, 0.0, 2.0, 300.0])]
     grid = random_grid(np.random.default_rng(5), 9)
-    _, names, _, sigma = _circuit_budget(netlist.parse(circuit_text(specs)), grid)
+    names, _, sigma = budget_arrays(_circuit_budget(netlist.parse(circuit_text(specs)), grid))
     assert len(names) == 7 and sigma.shape == (7, 9)
     assert calls == [((1, 9), (7, 1))]
 
@@ -183,8 +197,10 @@ def test_sweep_csv_equals_the_per_row_oracle(specs, size):
     # 0.0 on every row, the columns the writer formats once.
     text = circuit_text(specs) + f"sweep 1000.0 1000000.0 {size} log\n"
     doc = netlist.parse(text)
-    omegas, names, mu2, sigma = _circuit_budget(doc, doc.sweep.to_grid())
-    rows = [[w / TWO_PI, sum(c), *c] for w, c in zip(omegas.tolist(), (mu2 * sigma).T.tolist())]
+    budget = _circuit_budget(doc, doc.sweep.to_grid())
+    names, mu2, sigma = budget_arrays(budget)
+    rows = [[w / TWO_PI, sum(c), *c]
+            for w, c in zip(budget.omega.tolist(), (mu2 * sigma).T.tolist())]
     want = ",".join(["freq_hz", "total", *names]) + "\n"
     want += "".join(",".join(map(repr, r)) + "\n" for r in rows)
     with tempfile.TemporaryDirectory() as tmp:
@@ -300,9 +316,10 @@ def test_disjoint_parts_match_the_dense_oracle(union, seed, size):
        st.integers(1, 40))
 def test_an_independent_stage_changes_nothing(spec, others, seed, size):
     grid = random_grid(np.random.default_rng(seed), size)
-    _, names, mu2, sigma = _circuit_budget(netlist.parse(circuit_text([spec])), grid)
-    _, names_all, mu2_all, sigma_all = _circuit_budget(
-        netlist.parse(circuit_text([spec, *others])), grid)
+    names, mu2, sigma = budget_arrays(
+        _circuit_budget(netlist.parse(circuit_text([spec])), grid))
+    names_all, mu2_all, sigma_all = budget_arrays(
+        _circuit_budget(netlist.parse(circuit_text([spec, *others])), grid))
     mine = [names_all.index(n) for n in names]
     assert np.array_equal(mu2_all[mine], mu2) and np.array_equal(sigma_all[mine], sigma)
     added = [k for k, n in enumerate(names_all) if n not in names]
