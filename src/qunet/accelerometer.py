@@ -97,7 +97,10 @@ def accelerometer_budget(params: AcceleroParams,
             raise ValueError(
                 "a detection stage needs an explicit transduction gain "
                 "(newton per normalized field unit) to be referred to force")
-        g2 = float(transduction_gain) ** 2
+        try:
+            g2 = float(transduction_gain) ** 2
+        except OverflowError:       # NoiseBudget refuses it, naming the source
+            g2 = math.inf
         detection = stage_added_noise(stage, float(params.carrier_omega))
         mu_abs2.update((name, g2 * m) for name, m in detection.mu_abs2.items())
         sigma.update(detection.sigma)

@@ -97,12 +97,16 @@ def _stage_rows(stage: OpAmpStage, omega: float) -> tuple[list, list]:
     if not 0.0 < w < math.inf:
         raise ValueError(f"omega = {omega!r} is outside the model")
     rl, rr, ra = stage.r_left, stage.r_right, stage.noise_impedance
-    zf = stage.feedback.impedance(w)
-    kl = math.sqrt(ra / rl)
-    kr = math.sqrt(ra / rr)
-    amp_u = (1.0 + zf / rl) * kr           # U weight into r_out
-    amp_i = zf / math.sqrt(ra * rr)        # I weight into r_out
-    g = -2.0 * zf / math.sqrt(rr * rl)     # normalized-field gain
+    try:
+        zf = stage.feedback.impedance(w)
+        kl = math.sqrt(ra / rl)
+        kr = math.sqrt(ra / rr)
+        amp_u = (1.0 + zf / rl) * kr           # U weight into r_out
+        amp_i = zf / math.sqrt(ra * rr)        # I weight into r_out
+        g = -2.0 * zf / math.sqrt(rr * rl)     # normalized-field gain
+    except ZeroDivisionError:
+        raise ValueError(f"stage at omega = {omega!r} rad/s leaves double range: "
+                         "omega C, R_a R_r or R_r R_l underflows to 0") from None
     return ([-1.0, 0.0, kl, -kl],
             [g, -1.0, amp_u - amp_i, -amp_u - amp_i])
 
@@ -143,6 +147,7 @@ class NoiseBudget:
     the plain sum of the contributions in source order (the sources are
     mutually uncorrelated), so additivity is exact by construction.  Over a
     grid ``omega`` and the values are (F,) arrays; the two methods take a point.
+    A non-finite total raises a ValueError naming its first point and source.
     """
 
     omega: float
@@ -153,10 +158,20 @@ class NoiseBudget:
 
     def __post_init__(self):
         contributions = {k: m * self.sigma[k] for k, m in self.mu_abs2.items()}
+        total = 0.0
+        for value in contributions.values():    # left to right: sum() compensates
+            total += value                      # floats from Python 3.12 on
         if not hasattr(self.omega, "__len__"):          # a point, not a grid
             object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "contributions", contributions)
-        object.__setattr__(self, "total", sum(contributions.values()))
+        object.__setattr__(self, "total", total)
+        finite = total < math.inf       # the terms are >= 0: false for inf and NaN
+        if not (finite.all() if hasattr(finite, "all") else finite):
+            at = (lambda x: x) if type(self.omega) is float else (lambda x: x[finite.argmin()])
+            bad = [k for k, c in contributions.items() if not math.isfinite(at(c))]
+            what = f"|mu|^2 or contribution of source {bad[0]!r}" if bad else "total"
+            raise ValueError(f"noise budget at {float(at(self.omega)) / (2.0 * math.pi)!r} "
+                             f"Hz is not finite: the {what} overflows")
 
     def sorted_items(self) -> list[tuple]:
         """(source, contribution) pairs, largest first, ties by source."""
@@ -184,7 +199,10 @@ def added_noise(estimator: EstimatorCoefficients, temperatures,
         t = temperatures.get(name)
         if t is None:
             raise KeyError(f"no temperature given for noise source {name!r}")
-        mu_abs2[name] = abs(mu) ** 2
+        try:
+            mu_abs2[name] = abs(mu) ** 2
+        except OverflowError:       # NoiseBudget refuses it, naming the source
+            mu_abs2[name] = math.inf
         sigma[name] = thermal_occupation(omega, t)
     return NoiseBudget(omega, mu_abs2, sigma)
 

@@ -69,6 +69,9 @@ def chain_estimator(chain: StageChain, omega: float) -> EstimatorCoefficients:
     weights: dict[tuple[int, str], complex] = {SIGNAL: 1.0}
     total_gain: complex = 1.0
     for k, stage in enumerate(chain.stages):
+        if total_gain == 0:
+            raise ValueError(f"chain gain ahead of stage {k} underflows to 0 at "
+                             f"omega = {omega!r} rad/s")
         est = stage_estimator(stage, omega)
         for role, mu in est.weights.items():
             if role != est.signal:

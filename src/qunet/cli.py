@@ -64,80 +64,54 @@ def _load_document(path: str):
         return netlist.parse(fh.read())
 
 
-def _scattering_stack(doc, grid=None, outputs=None):
-    """Scattering matrices of a document over angular frequencies ``grid``.
-
-    Returns the angular frequencies (F,), the stack S (F, m, k), the output
-    and input channels and the input temperatures.  ``grid`` None is the
-    document's own: a preset's carrier, a circuit's sweep directive.  A
-    preset is its detection stage, both rows; a circuit solves only the
-    rows named in ``outputs``, by default all.
-    """
-    if doc.preset is not None:
-        preset = accel.get_preset(doc.preset)
-        ws = [preset.params.carrier_omega] if grid is None else grid
-        maps = [stage_scattering(preset.stage, w) for w in ws]
-        return (np.array([m.omega for m in maps]), np.array([m.matrix for m in maps]),
-                maps[0].outputs, maps[0].inputs, preset.stage.temperatures())
-    net = netlist.to_network(doc)
-    if grid is None:
-        if doc.sweep is None:
-            raise ValueError("document has no sweep directive; pass --freq")
-        grid = doc.sweep.to_grid()
-    maps = net.sweep(grid, outputs)
-    return (maps.omegas, maps.matrices, maps.outputs, maps.inputs,
-            net.channel_temperatures())
-
-
 def cmd_check(args) -> int:
     tol, freq = _resolve_tol(args), _freq(args)
     gain = _option(args.inject_gain, "--inject-gain", low=-math.inf)
     doc = _load_document(args.netlist)
-    omegas, s, outputs, inputs, _ = _scattering_stack(
-        doc, None if freq is None else [TWO_PI * freq])
+    if doc.preset is not None:      # its detection stage, at the carrier
+        preset = accel.get_preset(doc.preset)
+        solved = stage_scattering(preset.stage, preset.params.carrier_omega
+                                  if freq is None else TWO_PI * freq)
+        s = solved.matrix[None]
+    else:
+        net = netlist.to_network(doc)
+        if freq is None and doc.sweep is None:
+            raise ValueError("document has no sweep directive; pass --freq")
+        solved = net.sweep(doc.sweep.to_grid() if freq is None else [TWO_PI * freq])
+        s = solved.matrices
     if gain is not None:
         with np.errstate(over="ignore"):    # an overflowed S fails the check
             s = s * gain
-    residual = commutator_residual(s, [c.signature for c in inputs],
-                                   [c.signature for c in outputs])
+    residual = commutator_residual(s, [c.signature for c in solved.inputs],
+                                   [c.signature for c in solved.outputs])
     ok = residual < tol
-    print(f"max commutator residual: {residual!r} over {len(omegas)} "
+    print(f"max commutator residual: {residual!r} over {len(s)} "
           f"frequency point(s); tolerance {tol!r}: {'OK' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
-def _circuit_budget(doc, grid=None) -> NoiseBudget:
-    """Noise budget of a document's readout over angular frequencies ``grid``.
-
-    Only the readout row is solved.  An overflowing budget raises a
-    ValueError naming its first such point.
-    """
+def _circuit_budget(doc, grid) -> NoiseBudget:
+    """Noise budget of the readout, solved alone, over angular frequencies ``grid``."""
     signal, readout = doc.signal, doc.readout
     if signal is None or readout is None:
         raise ValueError("a noise budget needs both a signal and a readout "
                          "designation")
-    omegas, s, outputs, inputs, temps = _scattering_stack(doc, grid, (readout,))
-    names = [c.name for c in inputs]
-    row = s[:, [c.name for c in outputs].index(readout), :].T
+    net = netlist.to_network(doc)
+    maps = net.sweep(grid, (readout,))
+    names = [c.name for c in maps.inputs]
+    row = maps.matrices[:, 0, :].T
     beta = row[names.index(signal)]
     if not beta.all():
         raise NoTransductionError(f"readout {readout!r} has zero coefficient on "
                                   f"signal {signal!r}: no transduction")
     noise = [i for i, name in enumerate(names) if name != signal]
     names = [names[i] for i in noise]
-    sigma = thermal_occupation(omegas[None, :],
+    temps = net.channel_temperatures()
+    sigma = thermal_occupation(maps.omegas[None, :],
                                np.array([temps[name] for name in names])[:, None])
     with np.errstate(over="ignore", invalid="ignore"):
         mu2 = np.abs(row[noise] / beta) ** 2
-        budget = NoiseBudget(omegas, dict(zip(names, mu2)), dict(zip(names, sigma)))
-    # The terms are >= 0: a non-finite |mu|^2 or term makes the total so.
-    if not np.isfinite(budget.total).all():
-        f = int(np.isfinite(budget.total).argmin())
-        bad = [n for n, c in budget.contributions.items() if not math.isfinite(c[f])]
-        what = f"|mu|^2 or contribution of source {bad[0]!r}" if bad else "total"
-        raise ValueError(f"noise budget at {float(omegas[f]) / TWO_PI!r} Hz is not "
-                         f"finite: the {what} overflows")
-    return budget
+        return NoiseBudget(maps.omegas, dict(zip(names, mu2)), dict(zip(names, sigma)))
 
 
 def _report_dict(freq_hz, units, budget: NoiseBudget):

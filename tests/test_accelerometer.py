@@ -212,3 +212,19 @@ def test_preset_lookup_and_overrides():
         langevin_force_psd(microscope_params()) / 2.0, rel=1e-15)
     undamped = preset_with_overrides("microscope", mech_damping=0.0)
     assert langevin_force_psd(undamped.params) == 0.0
+
+
+def test_non_finite_budget_raises_value_error():
+    # a NaN gain makes |mu|^2 NaN, a gain of 1e200 overflows as it is
+    # squared, and the Langevin row of H_m = Theta_m = 1e300 is inf
+    params, stage = MICROSCOPE.params, MICROSCOPE.stage
+    overflow = ("noise budget at 0.0005 Hz is not finite: the |mu|^2 or contribution "
+                "of source {!r} overflows")
+    for call, source in ((lambda: accelerometer_budget(params, stage, math.nan), "r"),
+                         (lambda: accelerometer_budget(params, stage, 1e200), "r"),
+                         (lambda: accelerometer_budget(params, stage, -1e200), "r"),
+                         (lambda: accelerometer_budget(
+                             replace(params, mech_damping=1e300, mech_theta=1e300)), LANGEVIN_SOURCE)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == overflow.format(source)

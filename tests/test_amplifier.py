@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qunet import (Feedback, NoFeedbackError, OpAmpStage, added_noise,
+from qunet import (Feedback, NoFeedbackError, NoiseBudget, OpAmpStage, added_noise,
                    check_commutators, gain, matching_scan, stage_added_noise,
                    stage_estimator, stage_scattering, thermal_occupation)
 from qunet.network import EstimatorCoefficients
@@ -256,3 +256,49 @@ def test_stage_validation():
     # a resistive feedback cannot be made: a stage is reactive by construction
     with pytest.raises(ValueError, match="dissipative"):
         OpAmpStage(50.0, 50.0, 50.0, Feedback("R", 10.0))
+
+
+def test_budget_total_is_the_plain_left_fold():
+    # sum() of floats is compensated from Python 3.12 on and would give 1e16 + 2
+    ones = {"a": 1.0, "b": 1.0, "c": 1.0}
+    point = NoiseBudget(1.0, {"a": 1e16, "b": 1.0, "c": 1.0}, ones)
+    assert point.total == 1e16
+    grid = NoiseBudget(np.array([1.0]), {k: np.array([m]) for k, m in point.mu_abs2.items()},
+                       {k: np.array([s]) for k, s in ones.items()})
+    assert grid.total.tolist() == [point.total]
+
+
+def test_non_finite_budget_names_its_first_point_and_source():
+    ones = {"a": 1.0, "b": 1.0}
+    for mu_abs2, what in (({"a": 1.0, "b": math.inf}, "|mu|^2 or contribution of source 'b'"),
+                          ({"a": math.nan, "b": math.inf}, "|mu|^2 or contribution of source 'a'"),
+                          ({"a": 1e308, "b": 1e308}, "total")):
+        with pytest.raises(ValueError) as err:
+            NoiseBudget(2.0 * math.pi * 3.0, mu_abs2, ones)
+        assert str(err.value) == f"noise budget at 3.0 Hz is not finite: the {what} overflows"
+    # over a grid: the first bad point, and the first bad source there
+    omegas = 2.0 * math.pi * np.array([1.0, 2.0, 4.0])
+    mu_abs2 = {"a": np.array([1.0, 1.0, np.inf]), "b": np.array([1.0, np.nan, np.inf])}
+    with pytest.raises(ValueError) as err:
+        NoiseBudget(omegas, mu_abs2, {k: np.ones(3) for k in mu_abs2})
+    assert str(err.value) == ("noise budget at 2.0 Hz is not finite: the |mu|^2 or "
+                              "contribution of source 'b' overflows")
+
+
+def test_stage_budget_out_of_double_range_raises_value_error():
+    # out of double range each is a ValueError, not an ArithmeticError or NaN
+    small_c = OpAmpStage(50.0, 50.0, 50.0, Feedback.capacitive(1e-12))
+    out_of_range = "leaves double range: omega C, R_a R_r or R_r R_l underflows to 0"
+    with pytest.raises(ValueError) as err:
+        stage_added_noise(small_c, 1e-320)          # omega C underflows
+    assert str(err.value) == f"stage at omega = 1e-320 rad/s {out_of_range}"
+    with pytest.raises(ValueError) as err:
+        stage_added_noise(OpAmpStage(1e300, 1e-300, 1e-300, Feedback.inductive(1e-300)), 1e3)
+    assert str(err.value) == f"stage at omega = 1000.0 rad/s {out_of_range}"
+    for stage, w, source in ((small_c, 1e308, "r"),     # |mu|^2 overflows
+                             (OpAmpStage(1e-300, 1e300, 1e300, Feedback.capacitive(1e-300)),
+                              1e3, "a")):               # the weight of a is NaN
+        with pytest.raises(ValueError) as err:
+            stage_added_noise(stage, w)
+        assert str(err.value) == (f"noise budget at {w / (2.0 * math.pi)!r} Hz is not finite: "
+                                  f"the |mu|^2 or contribution of source {source!r} overflows")

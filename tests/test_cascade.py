@@ -215,3 +215,14 @@ def test_deep_chain_has_no_stage_cap():
     assert set(chain.temperatures()) == set(est.weights) - {(0, "l")}
     oracle = chain_added_noise_recursion(stages, W0)
     assert chain_added_noise(chain, W0).total == pytest.approx(oracle, rel=1e-12)
+
+
+def test_chain_gain_underflow_raises_value_error():
+    # three stages of |G| ~ 4e-302 at 1 rad/s: the gain ahead of stage 2
+    # underflows to 0, and dividing by it must not be a ZeroDivisionError
+    chain = StageChain((OpAmpStage(50.0, 50.0, 50.0, Feedback.capacitive(1e300)),) * 3)
+    message = "chain gain ahead of stage 2 underflows to 0 at omega = 1.0 rad/s"
+    for call in (chain_added_noise, downstream_noise_fraction):
+        with pytest.raises(ValueError) as err:
+            call(chain, 1.0)
+        assert str(err.value) == message

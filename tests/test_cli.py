@@ -527,6 +527,17 @@ def test_accel_invalid_override_exits_2(capsys):
         assert "transduction gain must be finite" in captured.err
 
 
+def test_accel_overflowing_budget_exits_2(capsys):
+    # a gain whose square overflows, or an infinite Langevin row: one error
+    # line from the budget, no traceback and not the physics-check exit 1
+    for argv, source in ((["accel", "--transduction-gain=1e200"], "r"),
+                         (["accel", "--transduction-gain=-1e200", "--json"], "r"),
+                         (["accel", "--hm", "1e300", "--theta-m", "1e300"], "langevin")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: noise budget at 0.0005 Hz is not finite: "
+                                       f"the |mu|^2 or contribution of source {source!r} overflows\n")
+
+
 def test_unknown_preset_document_error_contract(tmp_path, capsys):
     p = tmp_path / "nowhere.qnet"
     p.write_text("preset nowhere\n")

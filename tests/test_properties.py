@@ -3,18 +3,23 @@ the chain composition against itself and a per-stage recursion, the noise
 bounds of the network solve, and the finite/domain checks at every
 constructor and noise law."""
 
+import contextlib
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qunet import (AcceleroParams, Capacitor, Feedback, OpAmp, OpAmpStage,
-                   PortSpec, QuantumNetwork, StageChain, chain_added_noise,
-                   chain_estimator, netlist, stage_added_noise,
-                   stage_estimator, stage_scattering, thermal_occupation)
-from qunet.cli import _circuit_budget
+from qunet import (MICROSCOPE, AcceleroParams, Capacitor, Feedback, OpAmp,
+                   OpAmpStage, PortSpec, QuantumNetwork, StageChain,
+                   accelerometer_budget, chain_added_noise, chain_estimator,
+                   downstream_noise_fraction, matching_scan, netlist,
+                   stage_added_noise, stage_estimator, stage_scattering,
+                   thermal_occupation)
+from qunet.cli import _circuit_budget, main
 
 from helpers import random_passive_network
 from oracles import (added_noise_closed_form, chain_added_noise_recursion,
@@ -309,3 +314,64 @@ def test_constructors_reject_non_finite_element_values(v):
         assert not math.isfinite(v)
     else:
         assert math.isfinite(v)
+
+
+# Every value anywhere in [1e-300, 1e300]: far past where the products and
+# quotients of the stage relations leave double range.
+wide = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+wide_temperatures = st.one_of(st.just(0.0), wide)
+signs = st.sampled_from((1.0, -1.0))
+
+
+@st.composite
+def wide_chains(draw):
+    """1-3 impedance-matched stages with C, L or signed X feedback."""
+    stages, r_left = [], draw(wide)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from("CLX"))
+        value = draw(wide) * (draw(signs) if kind == "X" else 1.0)
+        stages.append(OpAmpStage(r_left, draw(wide), draw(wide), Feedback(kind, value),
+                                 draw(wide_temperatures), draw(wide_temperatures),
+                                 draw(wide_temperatures)))
+        r_left = stages[-1].r_right
+    return StageChain(tuple(stages))
+
+
+def value_or_none(call):
+    """``call()``, or None where it raises ValueError; any other error propagates."""
+    try:
+        return call()
+    except ValueError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_chains(), wide, st.lists(wide, min_size=1, max_size=3), st.tuples(signs, wide),
+       wide, wide_temperatures)
+def test_every_budget_is_finite_or_a_value_error(chain, w, noise_impedances, gain,
+                                                 damping, theta):
+    stage = chain.stages[0]
+    params = replace(MICROSCOPE.params, mech_damping=damping, mech_theta=theta)
+    for budget in (lambda: stage_added_noise(stage, w), lambda: chain_added_noise(chain, w),
+                   lambda: accelerometer_budget(params, stage, gain[0] * gain[1])):
+        budget = value_or_none(budget)
+        assert budget is None or math.isfinite(budget.total)
+    fraction = value_or_none(lambda: downstream_noise_fraction(chain, w))
+    assert fraction is None or 0.0 <= fraction <= 1.0
+    scan = value_or_none(lambda: matching_scan(stage, noise_impedances, w))
+    assert scan is None or all(map(math.isfinite, scan.sigmas))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide, wide_temperatures, st.tuples(signs, wide), st.booleans())
+def test_accel_overrides_exit_0_or_print_one_error(damping, theta, gain, as_json):
+    argv = ["accel", f"--hm={damping!r}", f"--theta-m={theta!r}",
+            f"--transduction-gain={gain[0] * gain[1]!r}"] + ["--json"] * as_json
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert code == 2 and not out.getvalue()
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
