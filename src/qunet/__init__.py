@@ -15,9 +15,9 @@ from .network import (DEFAULT_TOLERANCE, Capacitor, Channel,
                       NoTransductionError, OpAmp, PortSpec, QuantumNetwork,
                       ScatteringMap, SingularNetworkError, check_commutators,
                       commutator_residual)
-from .amplifier import (MatchingResult, NoFeedbackError, NoiseBudget,
-                        OpAmpStage, added_noise, gain, matching_scan,
-                        stage_added_noise, stage_estimator, stage_scattering)
+from .amplifier import (MatchingResult, NoiseBudget, OpAmpStage, added_noise,
+                        gain, matching_scan, stage_added_noise,
+                        stage_estimator, stage_scattering)
 from .cascade import (StageChain, chain_added_noise, chain_estimator,
                       classical_gain_threshold, downstream_noise_fraction)
 from .accelerometer import (MICROSCOPE, PRESETS, AcceleroParams, Preset,

@@ -98,7 +98,7 @@ def accelerometer_budget(params: AcceleroParams,
                 "a detection stage needs an explicit transduction gain "
                 "(newton per normalized field unit) to be referred to force")
         try:
-            g2 = float(transduction_gain) ** 2
+            g2 = require_finite(transduction_gain, "transduction gain", low=-math.inf) ** 2
         except OverflowError:       # NoiseBudget refuses it, naming the source
             g2 = math.inf
         detection = stage_added_noise(stage, float(params.carrier_omega))
@@ -227,5 +227,5 @@ def preset_with_overrides(name: str, mech_theta: float | None = None,
     if mech_damping is not None:
         params = replace(params, mech_damping=float(mech_damping))
     gain = (preset.transduction_gain if transduction_gain is None else
-            require_finite(transduction_gain, "transduction gain", low=-math.inf))
+            float(transduction_gain))      # accelerometer_budget refuses a non-finite gain
     return replace(preset, params=params, transduction_gain=gain)

@@ -42,12 +42,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .network import Channel, EstimatorCoefficients, Feedback, ScatteringMap
+from .network import (Channel, EstimatorCoefficients, Feedback, NoTransductionError,
+                      ScatteringMap)
 from .spectra import require_finite, thermal_occupation
-
-
-class NoFeedbackError(ValueError):
-    """Raised when Z_f = 0: without feedback there is no readout."""
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,7 @@ def stage_estimator(stage: OpAmpStage, omega: float) -> EstimatorCoefficients:
     """
     g, r, a, a_conj = _stage_rows(stage, omega)[1]
     if g == 0:
-        raise NoFeedbackError("Z_f = 0: no feedback, no readout")
+        raise NoTransductionError("Z_f = 0: no feedback, no readout")
     weights = {SIGNAL: 1.0, "r": r / g, "a": a / g, "a'": a_conj / g}
     return EstimatorCoefficients(signal=SIGNAL, weights=weights, gain=g)
 
@@ -179,9 +176,9 @@ class NoiseBudget:
 
     def shares(self) -> dict:
         """Each source's percentage of the total; all 0 for a zero total."""
-        t = self.total
-        return {k: 100.0 * v / t if t > 0.0 else 0.0
-                for k, v in self.contributions.items()}
+        t = self.total      # 100 v / t, or 100 (v / t) where 100 v overflows
+        return {k: (100.0 * v / t if 100.0 * v < math.inf else 100.0 * (v / t))
+                if t > 0.0 else 0.0 for k, v in self.contributions.items()}
 
 
 def added_noise(estimator: EstimatorCoefficients, temperatures,

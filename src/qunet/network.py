@@ -474,10 +474,6 @@ class QuantumNetwork:
                         outward[i - nn] = (g, j, pos)
         return groups, outward
 
-    def scattering(self, omega: float) -> ScatteringMap:
-        """Solve the network at one angular frequency (rad/s, > 0)."""
-        return self.sweep([omega])[0]
-
     def sweep(self, grid, outputs=None) -> "ScatteringSweep":
         """Scattering maps at every grid point, in grid order.
 

@@ -27,8 +27,8 @@ import re
 
 import numpy as np
 
-from qunet import (HBAR, EstimatorCoefficients, NoFeedbackError,
-                   NoTransductionError, stage_scattering, thermal_occupation)
+from qunet import (HBAR, EstimatorCoefficients, NoTransductionError,
+                   stage_scattering, thermal_occupation)
 
 
 def estimator_weights_closed_form(stage, omega: float) -> dict[str, complex]:
@@ -40,7 +40,7 @@ def estimator_weights_closed_form(stage, omega: float) -> dict[str, complex]:
     """
     zf = stage.feedback.impedance(abs(float(omega)))
     if zf == 0:
-        raise NoFeedbackError("Z_f = 0: no feedback, no readout")
+        raise NoTransductionError("Z_f = 0: no feedback, no readout")
     rl, rr, ra = stage.r_left, stage.r_right, stage.noise_impedance
     half_lra = math.sqrt(rl * ra) / 2.0
     return {
@@ -60,7 +60,7 @@ def added_noise_closed_form(stage, omega: float) -> float:
     w = abs(float(omega))
     zf = stage.feedback.impedance(w)
     if zf == 0:
-        raise NoFeedbackError("Z_f = 0: no feedback, no readout")
+        raise NoTransductionError("Z_f = 0: no feedback, no readout")
     rl, rr, ra = stage.r_left, stage.r_right, stage.noise_impedance
     s_r = thermal_occupation(w, stage.readout_temp)
     s_a = thermal_occupation(w, stage.noise_temp)

@@ -215,13 +215,16 @@ def test_preset_lookup_and_overrides():
 
 
 def test_non_finite_budget_raises_value_error():
-    # a NaN gain makes |mu|^2 NaN, a gain of 1e200 overflows as it is
-    # squared, and the Langevin row of H_m = Theta_m = 1e300 is inf
+    # a non-finite gain is refused by name; a gain of 1e200 overflows as it
+    # is squared, and the Langevin row of H_m = Theta_m = 1e300 is inf
     params, stage = MICROSCOPE.params, MICROSCOPE.stage
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as err:
+            accelerometer_budget(params, stage, bad)
+        assert str(err.value) == f"transduction gain must be finite, got {bad!r}"
     overflow = ("noise budget at 0.0005 Hz is not finite: the |mu|^2 or contribution "
                 "of source {!r} overflows")
-    for call, source in ((lambda: accelerometer_budget(params, stage, math.nan), "r"),
-                         (lambda: accelerometer_budget(params, stage, 1e200), "r"),
+    for call, source in ((lambda: accelerometer_budget(params, stage, 1e200), "r"),
                          (lambda: accelerometer_budget(params, stage, -1e200), "r"),
                          (lambda: accelerometer_budget(
                              replace(params, mech_damping=1e300, mech_theta=1e300)), LANGEVIN_SOURCE)):

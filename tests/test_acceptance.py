@@ -83,7 +83,7 @@ def test_criterion_4_commutator_preservation():
         worst_passive = 0.0
         for _ in range(100):
             ports, comps = random_passive_network(rng)
-            smap = QuantumNetwork(ports, comps).scattering(random_omega(rng))
+            smap = QuantumNetwork(ports, comps).sweep([random_omega(rng)])[0]
             worst_passive = max(worst_passive, check_commutators(smap))
         assert worst_passive < 1e-10, worst_passive
         worst_stage = 0.0

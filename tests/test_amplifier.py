@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qunet import (Feedback, NoFeedbackError, NoiseBudget, OpAmpStage, added_noise,
+from qunet import (Feedback, NoTransductionError, NoiseBudget, OpAmpStage, added_noise,
                    check_commutators, gain, matching_scan, stage_added_noise,
                    stage_estimator, stage_scattering, thermal_occupation)
 from qunet.network import EstimatorCoefficients
@@ -36,9 +36,9 @@ def test_gain_reference_point():
 def test_gain_vanishes_with_feedback():
     stage = OpAmpStage(50.0, 50.0, 50.0, Feedback.reactance(0.0))
     assert gain(stage, W0) == 0.0
-    with pytest.raises(NoFeedbackError):
+    with pytest.raises(NoTransductionError, match="Z_f = 0"):
         stage_estimator(stage, W0)
-    with pytest.raises(NoFeedbackError):
+    with pytest.raises(NoTransductionError, match="Z_f = 0"):
         added_noise_closed_form(stage, W0)
 
 
@@ -266,6 +266,16 @@ def test_budget_total_is_the_plain_left_fold():
     grid = NoiseBudget(np.array([1.0]), {k: np.array([m]) for k, m in point.mu_abs2.items()},
                        {k: np.array([s]) for k, s in ones.items()})
     assert grid.total.tolist() == [point.total]
+
+
+def test_shares_are_finite_percentages():
+    # 100 v / t where 100 v is finite (33.333333333333336, not the
+    # 33.33333333333333 of 100 (v / t)); past 1.8e306 100 v would overflow
+    ones = {"a": 1.0, "b": 1.0}
+    assert NoiseBudget(1.0, {"a": 1.0, "b": 2.0}, ones).shares() == {
+        "a": 100.0 * 1.0 / 3.0, "b": 100.0 * 2.0 / 3.0}
+    assert NoiseBudget(1.0, {"a": 1.0, "b": 1.0}, {"a": 1e307, "b": 1.0}).shares()["a"] == 100.0
+    assert NoiseBudget(1.0, {"a": 0.0, "b": 0.0}, ones).shares() == {"a": 0.0, "b": 0.0}
 
 
 def test_non_finite_budget_names_its_first_point_and_source():

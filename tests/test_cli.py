@@ -93,6 +93,7 @@ def test_check_single_frequency_without_sweep(tmp_path, capsys):
     p = tmp_path / "nosweep.qnet"
     p.write_text(text)
     assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err == "error: document has no sweep directive; pass --freq\n"
     assert main(["check", str(p), "--freq", "1e5"]) == 0
     assert main(["check", str(p), "--freq", "0"]) == 2
     preset = tmp_path / "preset.qnet"
@@ -377,17 +378,31 @@ def test_any_argv_prints_what_the_full_parser_prints(command, tokens, columns):
 
 
 def test_successive_calls_print_what_each_call_alone_prints(
-        check_path, threedb_path, capsys, monkeypatch):
+        check_path, threedb_path, preset_path, tmp_path, capsys, monkeypatch):
     # Alternating commands and usage errors in one process: each call builds
     # the parser of its own command, and prints what it prints alone, in a
-    # fresh interpreter.  Arguments the command's parser leaves unparsed
-    # take the full parser too, to report them.
+    # fresh interpreter started through the entry point, with argv from
+    # sys.argv.  Arguments the command's parser leaves unparsed take the
+    # full parser too, to report them.  A numpy warning raises in process
+    # but prints in the fresh interpreter, so the outputs would differ.
     monkeypatch.setenv("COLUMNS", "80")
+    docs = {"tiny": TINY_GAIN_DOC,
+            "huge": THREEDB_FIXTURE.replace("sweep 1e4 1e6 200 log", "sweep 1 1e308 2 lin"),
+            "nosweep": THREEDB_FIXTURE.replace("sweep 1e4 1e6 200 log\n", "")}
+    for name, text in docs.items():
+        (tmp_path / f"{name}.qnet").write_text(text)
+    tiny, huge, nosweep = (str(tmp_path / f"{name}.qnet") for name in docs)
     sequence = [["budget", threedb_path, "--freq", "1e5", "--json"],
                 ["budget", "f", "--bogus"], ["check", check_path, "--freq", "1e5"],
                 ["bogus"], ["accel", "--json"], ["check", "f", "--tol"], [],
                 ["sweep", "f", "-o", "x", "extra"],
-                ["budget", threedb_path, "--freq", "1e5"]]
+                ["budget", threedb_path, "--freq", "1e5"],
+                ["--help"], ["budget", "-h"], ["budget", "f", "extra"],
+                ["budget", tiny, "--freq", "1e5", "--json"],
+                ["sweep", threedb_path, "-o", str(tmp_path / "threedb.csv")],
+                ["sweep", huge, "-o", str(tmp_path / "huge.csv")],
+                ["accel", "--transduction-gain=1e200"],
+                ["check", preset_path], ["check", nosweep]]
     src = os.path.dirname(os.path.dirname(qunet.cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     alone = [subprocess.run([sys.executable, "-m", "qunet.cli", *argv], env=env,
@@ -399,7 +414,8 @@ def test_successive_calls_print_what_each_call_alone_prints(
     for argv, fresh in zip(sequence, alone):
         assert _run(argv, capsys) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert built == ["budget", "budget", None, "check", None, "accel", "check",
-                     None, "sweep", None, "budget"]
+                     None, "sweep", None, "budget", None, "budget", "budget", None,
+                     "budget", "sweep", "sweep", "accel", "check", "check"]
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

@@ -51,14 +51,14 @@ def test_line_field_prefactors():
 
 
 def test_single_open_line_reflects_losslessly():
-    smap = QuantumNetwork([PortSpec("p", 50.0)]).scattering(W0)
+    smap = QuantumNetwork([PortSpec("p", 50.0)]).sweep([W0])[0]
     assert smap.matrix.shape == (1, 1)
     assert abs(smap.matrix[0, 0]) == pytest.approx(1.0, abs=1e-14)
     assert smap.matrix[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_grounded_line_reflects_with_sign_flip():
-    smap = QuantumNetwork([PortSpec("p", 50.0, node="gnd")]).scattering(W0)
+    smap = QuantumNetwork([PortSpec("p", 50.0, node="gnd")]).sweep([W0])[0]
     assert smap.matrix[0, 0] == pytest.approx(-1.0, abs=1e-14)
 
 
@@ -69,7 +69,7 @@ def test_passive_rc_two_port_is_unitary():
     comps = [Capacitor("n1", "n2", 3.3e-9)]
     for _ in range(10):
         w = random_omega(rng)
-        smap = QuantumNetwork(ports, comps).scattering(w)
+        smap = QuantumNetwork(ports, comps).sweep([w])[0]
         assert unitarity_defect(smap.matrix) < 1e-12
         assert check_commutators(smap) < 1e-12
 
@@ -79,7 +79,7 @@ def test_random_passive_networks_unitary():
     for _ in range(30):
         ports, comps = random_passive_network(rng)
         net = QuantumNetwork(ports, comps)
-        smap = net.scattering(random_omega(rng))
+        smap = net.sweep([random_omega(rng)])[0]
         assert check_commutators(smap) < 1e-10
         assert unitarity_defect(smap.matrix) < 1e-10
 
@@ -179,7 +179,7 @@ def test_opamp_assembly_matches_analytic_stage():
     zf = Feedback.reactance(100.0)
     ports = [PortSpec("l", 50.0), PortSpec("r", 50.0)]
     amp = OpAmp("amp", "l", "r", noise_impedance=80.0, feedback=zf)
-    smap = QuantumNetwork(ports, [amp]).scattering(W0)
+    smap = QuantumNetwork(ports, [amp]).sweep([W0])[0]
     stage = OpAmpStage(r_left=50.0, r_right=50.0, noise_impedance=80.0,
                        feedback=zf)
     expected = stage_scattering(stage, W0)
@@ -204,7 +204,7 @@ def test_decorated_opamp_networks_stay_consistent():
         comps = [OpAmp("amp", "nl", "nr", r_a, Feedback.reactance(x)),
                  Capacitor("nl", "gnd", 10.0 ** rng.uniform(-12.0, -9.0)),
                  Inductor("nr", "gnd", 10.0 ** rng.uniform(-6.0, -3.0))]
-        smap = QuantumNetwork(ports, comps).scattering(random_omega(rng))
+        smap = QuantumNetwork(ports, comps).sweep([random_omega(rng)])[0]
         assert check_commutators(smap) < 1e-10
 
 
@@ -220,9 +220,9 @@ def test_port_permutation_permutes_scattering():
     for _ in range(10):
         ports, comps = random_passive_network(rng)
         w = random_omega(rng)
-        base = QuantumNetwork(ports, comps).scattering(w)
+        base = QuantumNetwork(ports, comps).sweep([w])[0]
         perm = rng.permutation(len(ports))
-        permuted = QuantumNetwork([ports[i] for i in perm], comps).scattering(w)
+        permuted = QuantumNetwork([ports[i] for i in perm], comps).sweep([w])[0]
         n = len(ports)
         expected = np.empty((n, n), dtype=complex)
         for i in range(n):
@@ -303,7 +303,7 @@ def test_singular_network_reports_frequency_and_rank():
     comps = [Capacitor("x", "y", 1e-9)]
     net = QuantumNetwork(ports, comps)
     with pytest.raises(SingularNetworkError) as err:
-        net.scattering(W0)
+        net.sweep([W0])
     message = str(err.value)
     assert "rank" in message
     assert repr(1e5) in message or repr(W0) in message
@@ -346,7 +346,7 @@ def test_estimator_on_solved_passive_two_port():
     ports = [PortSpec("sig", 50.0, 0.0, node="n1"),
              PortSpec("out", 75.0, 0.0, node="n2")]
     comps = [Capacitor("n1", "n2", 1e-9)]
-    smap = QuantumNetwork(ports, comps).scattering(W0)
+    smap = QuantumNetwork(ports, comps).sweep([W0])[0]
     est = estimator_from_scattering(smap, signal="sig", readout="out")
     assert est.weights["sig"] == 1.0
     mu = est.weights["out"]

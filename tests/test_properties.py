@@ -50,7 +50,7 @@ def stages(draw):
 def test_stage_scattering_equals_network_solve(stage, w):
     ports = [PortSpec("l", stage.r_left), PortSpec("r", stage.r_right)]
     amp = OpAmp("amp", "l", "r", stage.noise_impedance, stage.feedback)
-    solved = QuantumNetwork(ports, [amp]).scattering(w).matrix
+    solved = QuantumNetwork(ports, [amp]).sweep([w])[0].matrix
     analytic = stage_scattering(stage, w).matrix
     scale = np.max(np.abs(analytic))
     assert np.max(np.abs(solved - analytic)) <= 1e-12 * scale

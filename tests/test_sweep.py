@@ -93,16 +93,6 @@ def test_sweep_matches_oracle_on_active_stages(spec, seed, size):
         assert np.max(np.abs(sweep.matrices[i] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@settings(max_examples=60, deadline=None)
-@given(stage_specs(), st.floats(3.0, 6.0).map(lambda e: TWO_PI * 10.0 ** e))
-def test_scattering_is_the_one_point_sweep(spec, w):
-    net = stage_network(spec)
-    single, swept = net.scattering(w), net.sweep([w])[0]
-    assert single.omega == swept.omega == w
-    assert np.array_equal(single.matrix, swept.matrix)
-    assert single.outputs == swept.outputs and single.inputs == swept.inputs
-
-
 @settings(max_examples=30, deadline=None)
 @given(seeds, grid_sizes)
 def test_requested_rows_equal_rows_of_full_sweep(seed, size):
@@ -140,7 +130,7 @@ def test_budget_arrays_equal_per_point_estimator_rows(specs, seed, size):
     net = netlist.to_network(doc)
     temps = net.channel_temperatures()
     for i, w in enumerate(grid):
-        est = estimator_from_scattering(net.scattering(w), doc.signal, doc.readout)
+        est = estimator_from_scattering(net.sweep([w])[0], doc.signal, doc.readout)
         noise = est.noise_weights()
         assert names == list(noise)
         # np.tanh may differ from math.tanh in the last place
