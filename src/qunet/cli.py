@@ -90,8 +90,9 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _circuit_budget(doc, grid) -> NoiseBudget:
-    """Noise budget of the readout, solved alone, over angular frequencies ``grid``."""
+def _circuit_budget(doc, grid) -> tuple[list, np.ndarray, np.ndarray]:
+    """Noise source names and their |mu|^2 and sigma (k, F) at the readout,
+    solved alone, over angular frequencies ``grid``."""
     signal, readout = doc.signal, doc.readout
     if signal is None or readout is None:
         raise ValueError("a noise budget needs both a signal and a readout "
@@ -110,8 +111,7 @@ def _circuit_budget(doc, grid) -> NoiseBudget:
     sigma = thermal_occupation(maps.omegas[None, :],
                                np.array([temps[name] for name in names])[:, None])
     with np.errstate(over="ignore", invalid="ignore"):
-        mu2 = np.abs(row[noise] / beta) ** 2
-        return NoiseBudget(maps.omegas, dict(zip(names, mu2)), dict(zip(names, sigma)))
+        return names, np.abs(row[noise] / beta) ** 2, sigma
 
 
 def _report_dict(freq_hz, units, budget: NoiseBudget):
@@ -173,9 +173,9 @@ def cmd_budget(args) -> int:
     elif freq is None:
         raise ValueError("a positive --freq in Hz is required for circuit budgets")
     else:
-        grid = _circuit_budget(doc, [TWO_PI * freq])      # the point is its one entry
-        point = [{k: v.item() for k, v in d.items()} for d in (grid.mu_abs2, grid.sigma)]
-        budget = NoiseBudget(grid.omega.item(), *point)
+        names, mu2, sigma = _circuit_budget(doc, [TWO_PI * freq])
+        budget = NoiseBudget(TWO_PI * freq, dict(zip(names, mu2[:, 0].tolist())),
+                             dict(zip(names, sigma[:, 0].tolist())))
         report = _report_dict(freq, "dimensionless quanta per mode", budget)
     if args.json:
         print(_json_text(report))
@@ -191,20 +191,16 @@ def cmd_sweep(args) -> int:
     if doc.preset is not None:
         raise ValueError(f"preset {doc.preset!r} is evaluated only at its carrier; "
                          "sweep needs a circuit document")
-    budget = _circuit_budget(doc, doc.sweep.to_grid())
-    table = np.vstack([budget.omega / TWO_PI, budget.total, *budget.contributions.values()])
+    grid = doc.sweep.to_grid()
+    names, mu2, sigma = _circuit_budget(doc, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # the budget names an overflow
+        budget = NoiseBudget(grid, dict(zip(names, mu2)), dict(zip(names, sigma)))
+    table = np.vstack([grid / TWO_PI, budget.total, *budget.contributions.values()])
+    from ._floatrepr import csv_rows        # only a sweep needs its tables
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("freq_hz,total," + ",".join(budget.contributions) + "\n")
         for lo in range(0, table.shape[1], CSV_BLOCK_ROWS):
-            block = table[:, lo:lo + CSV_BLOCK_ROWS]
-            bits = block.view(np.uint64)
-            same = (bits == bits[:, :1]).all(axis=1)
-            # A column with the same bits on every row, such as a source of
-            # another part, is formatted once.
-            varying = iter(block[~same].tolist())
-            cols = [[repr(first)] * block.shape[1] if k else list(map(repr, next(varying)))
-                    for first, k in zip(block[:, 0].tolist(), same)]
-            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+            fh.write(csv_rows(table[:, lo:lo + CSV_BLOCK_ROWS]))
     print(f"wrote {table.shape[1]} rows to {args.output}")
     return 0
 

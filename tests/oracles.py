@@ -17,7 +17,9 @@ the CLI's budget over a grid.  ``dense_systems`` forms and equilibrates
 every row of A(w) at every point, where the package forms only the rows
 that change with w; ``dense_sweep`` solves a network's parts from it,
 dividing the complex stacks by their real scales where the package
-multiplies float views by the reciprocals.
+multiplies float views by the reciprocals.  ``csv_rows_per_value`` writes
+sweep CSV lines through ``repr`` one number at a time, where the package
+computes the digits of a block's varying columns at once.
 """
 
 from __future__ import annotations
@@ -274,3 +276,14 @@ def estimator_from_scattering(smap, signal: str, readout: str) -> EstimatorCoeff
     weights = {name: value / beta for name, value in row.items()}
     weights[signal] = 1.0
     return EstimatorCoefficients(signal=signal, weights=weights, gain=beta)
+
+
+def csv_rows_per_value(block: np.ndarray) -> str:
+    """CSV lines of a (columns, rows) float64 block, ``repr`` called per
+    value; a column with the same bits on every row is formatted once."""
+    bits = block.view(np.uint64)
+    same = (bits == bits[:, :1]).all(axis=1)
+    varying = iter(block[~same].tolist())
+    cols = [[repr(first)] * block.shape[1] if k else list(map(repr, next(varying)))
+            for first, k in zip(block[:, 0].tolist(), same)]
+    return "\n".join(map(",".join, zip(*cols))) + "\n"

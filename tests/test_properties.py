@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qunet import (MICROSCOPE, AcceleroParams, Capacitor, Feedback, OpAmp,
-                   OpAmpStage, PortSpec, QuantumNetwork, StageChain,
+from qunet import (MICROSCOPE, AcceleroParams, Capacitor, Feedback, NoiseBudget,
+                   OpAmp, OpAmpStage, PortSpec, QuantumNetwork, StageChain,
                    accelerometer_budget, chain_added_noise, chain_estimator,
                    downstream_noise_fraction, matching_scan, netlist,
                    stage_added_noise, stage_estimator, stage_scattering,
@@ -173,8 +173,9 @@ def test_budget_meets_the_amplifier_bound(doc, grid):
     # Caves: a phase-insensitive amplifier of power gain |G|^2 adds at least
     # (1 - 1/|G|^2)/2 quanta, whatever its temperatures.  |G| of stage 0 comes
     # from its feedback alone: 2 |Z_f| / sqrt(R_l R_r).
-    budget = _circuit_budget(doc, np.array(grid))
-    w, total = budget.omega, budget.total
+    w = np.array(grid)
+    names, mu2, sigma = _circuit_budget(doc, w)
+    total = NoiseBudget(w, dict(zip(names, mu2)), dict(zip(names, sigma))).total
     r_lr = math.sqrt(doc.lines[0].impedance * doc.lines[1].impedance)
     gain = np.array([2.0 * abs(doc.opamps[0].feedback.impedance(x)) / r_lr for x in w])
     bound = 0.5 * (1.0 - 1.0 / gain ** 2)

@@ -109,12 +109,6 @@ def test_requested_rows_equal_rows_of_full_sweep(seed, size):
     assert np.all(np.abs(part.matrices[:, 0] - full[:, r]).max(axis=1) <= 8 * EPS * scale)
 
 
-def budget_arrays(budget):
-    """Source names and the |mu|^2 and sigma rows (k, F) of a grid budget."""
-    return (list(budget.mu_abs2), np.array(list(budget.mu_abs2.values())),
-            np.array(list(budget.sigma.values())))
-
-
 reactive_specs = stage_specs().filter(lambda s: s[3] != "X")
 
 
@@ -123,9 +117,7 @@ reactive_specs = stage_specs().filter(lambda s: s[3] != "X")
 def test_budget_arrays_equal_per_point_estimator_rows(specs, seed, size):
     doc = netlist.parse(circuit_text(specs))
     grid = random_grid(np.random.default_rng(seed), size)
-    budget = _circuit_budget(doc, grid)
-    names, mu2, sigma = budget_arrays(budget)
-    assert np.array_equal(budget.omega, grid)
+    names, mu2, sigma = _circuit_budget(doc, grid)
     assert mu2.shape == sigma.shape == (len(names), size)
     net = netlist.to_network(doc)
     temps = net.channel_temperatures()
@@ -173,7 +165,7 @@ def test_budget_takes_its_occupations_in_one_call(monkeypatch):
     specs = [(50.0, 75.0, 60.0, "C", 1e-9, [0.0, 4.0, 30.0, 0.0]),
              (20.0, 90.0, 40.0, "L", 1e-3, [1.0, 0.0, 2.0, 300.0])]
     grid = random_grid(np.random.default_rng(5), 9)
-    names, _, sigma = budget_arrays(_circuit_budget(netlist.parse(circuit_text(specs)), grid))
+    names, _, sigma = _circuit_budget(netlist.parse(circuit_text(specs)), grid)
     assert len(names) == 7 and sigma.shape == (7, 9)
     assert calls == [((1, 9), (7, 1))]
 
@@ -187,10 +179,9 @@ def test_sweep_csv_equals_the_per_row_oracle(specs, size):
     # 0.0 on every row, the columns the writer formats once.
     text = circuit_text(specs) + f"sweep 1000.0 1000000.0 {size} log\n"
     doc = netlist.parse(text)
-    budget = _circuit_budget(doc, doc.sweep.to_grid())
-    names, mu2, sigma = budget_arrays(budget)
-    rows = [[w / TWO_PI, sum(c), *c]
-            for w, c in zip(budget.omega.tolist(), (mu2 * sigma).T.tolist())]
+    grid = doc.sweep.to_grid()
+    names, mu2, sigma = _circuit_budget(doc, grid)
+    rows = [[w / TWO_PI, sum(c), *c] for w, c in zip(grid.tolist(), (mu2 * sigma).T.tolist())]
     want = ",".join(["freq_hz", "total", *names]) + "\n"
     want += "".join(",".join(map(repr, r)) + "\n" for r in rows)
     with tempfile.TemporaryDirectory() as tmp:
@@ -306,10 +297,9 @@ def test_disjoint_parts_match_the_dense_oracle(union, seed, size):
        st.integers(1, 40))
 def test_an_independent_stage_changes_nothing(spec, others, seed, size):
     grid = random_grid(np.random.default_rng(seed), size)
-    names, mu2, sigma = budget_arrays(
-        _circuit_budget(netlist.parse(circuit_text([spec])), grid))
-    names_all, mu2_all, sigma_all = budget_arrays(
-        _circuit_budget(netlist.parse(circuit_text([spec, *others])), grid))
+    names, mu2, sigma = _circuit_budget(netlist.parse(circuit_text([spec])), grid)
+    names_all, mu2_all, sigma_all = _circuit_budget(
+        netlist.parse(circuit_text([spec, *others])), grid)
     mine = [names_all.index(n) for n in names]
     assert np.array_equal(mu2_all[mine], mu2) and np.array_equal(sigma_all[mine], sigma)
     added = [k for k, n in enumerate(names_all) if n not in names]
