@@ -8,13 +8,11 @@ equivalent-input-noise budgets, chains stages, and ships a cold-damped
 accelerometer preset.
 """
 
-from .spectra import (HBAR, K_B, bath_temperature, effective_temperature,
-                      johnson_voltage_psd, thermal_occupation)
+from .spectra import HBAR, K_B, bath_temperature, thermal_occupation
 from .network import (DEFAULT_TOLERANCE, Capacitor, Channel,
                       EstimatorCoefficients, Feedback, Inductor,
                       NoTransductionError, OpAmp, PortSpec, QuantumNetwork,
-                      ScatteringMap, SingularNetworkError, check_commutators,
-                      commutator_residual)
+                      ScatteringMap, SingularNetworkError, commutator_residual)
 from .amplifier import (MatchingResult, NoiseBudget, OpAmpStage, added_noise,
                         gain, matching_scan, stage_added_noise,
                         stage_estimator, stage_scattering)

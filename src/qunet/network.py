@@ -29,25 +29,27 @@ those rows.
 Solving over a frequency grid.  Rescaling hbar|w|/2 -> 1 (S depends only on
 impedance ratios) gives A(w) x = B a_in with B constant and A(w) = A0 + w A1
 + A2/w: -iwC admittances and -iwL feedback in A1, i/(wL) admittances and
-i/(wC) feedback in A2, the rest in A0, stamped once per network.  A sweep
-scales the rows and columns of A by their largest entries (D_r A D_c) and
-gets each requested row r of S as e_r^T D_c (D_r A D_c)^-1 D_r B: one solve
-of the transposed stack per row, whatever the number of inputs.  Only the
-rows holding an A1 or A2 entry change with w.  A sweep scales every other
-row once, with its share of each column scale, and each block forms and
-scales only the changing rows, from the first to the last of them.  A grid
-of fewer than _PLAN_ENTRIES complex entries of A, such as one budget point,
-forms every row instead: there that costs fewer numpy calls.  Either way
-every entry gets the bits the whole formula gives it.  A block holds
-SWEEP_BLOCK_ENTRIES complex entries at most, so the solve's memory does not
-grow with the grid.
+i/(wC) feedback in A2, the rest in A0, stamped once per network.  Each
+connected part of the circuit (ground joins nothing) is a diagonal block of
+A, solved alone; parts of equal size and input count share batched
+operations, and an input of another part gets an exact zero.
 
-Each connected part of the circuit (ground joins nothing) is one diagonal
-block of A, found once per network and solved alone: parts of equal size
-share one batched solve, and an input of another part gets an exact zero.
-Only the parts an output reads are solved.  The others are factored only
-(slogdet), so a singular point in them still raises: getrf's zero pivot is
-what both detect.  A connected network is one part.
+A part with at most one row v holding an A1 or A2 entry (every op-amp
+stage; v = 0 if none) is A(w) = A(w_r) + e_v (V(w) - V(w_r))^T, with V(w)
+its row v formed as A0 + w A1 + A2/w.  A sweep of two or more points solves
+a group of such parts once, at its middle point w_r and equilibrated (rows
+and columns scaled by their largest entries): A(w_r) [N | X_p] = [e_v | B].
+At each point the pivot mu(w) = V(w) N is a scalar and
+X = X_p + N (B_v - V(w) X_p) / mu(w) (Sherman-Morrison).  A(w) is singular
+exactly where mu(w) = 0, so a part no output reads costs one pivot per
+point.  Groups holding another part (C/L ladders), one-point sweeps (there
+that solve would be the only one) and groups in which some A(w_r) is
+singular or overflows are formed whole and equilibrated (D_r A D_c) at each
+point; each requested row r of S is e_r^T D_c (D_r A D_c)^-1 D_r B, and an
+unread part is factored only (slogdet): getrf's zero pivot is what both
+detect.  A block of points holds at most SWEEP_BLOCK_ENTRIES complex entries
+of A or of the products of V(w) with [N | X_p], so memory does not grow
+with the grid.
 """
 
 from __future__ import annotations
@@ -65,11 +67,7 @@ DEFAULT_TOLERANCE = 1e-10
 
 GROUND_NAMES = frozenset({"0", "gnd", "ground"})
 
-SWEEP_BLOCK_ENTRIES = 2 ** 15   # complex entries of one (F, n, n) block of systems
-# A sweep whose grid holds fewer complex entries of A than this forms every
-# row per block: below it the plan's fixed numpy calls cost more than they
-# save (measured crossover 1,200-2,000 entries on matched stages).
-_PLAN_ENTRIES = 1500
+SWEEP_BLOCK_ENTRIES = 2 ** 15   # complex entries a block of points forms
 _FEEDBACK_TERM = {"X": 0, "L": 1, "C": 2}   # A_p holding each feedback kind
 
 
@@ -153,21 +151,6 @@ def commutator_residual(matrix, j_in, j_out=None) -> float:
         m = (s * jin) @ s.conj().swapaxes(-1, -2)
         residual = float(np.max(np.abs(m - np.diag(jout))))
     return residual if math.isfinite(residual) else math.inf
-
-
-def check_commutators(smap: ScatteringMap) -> float:
-    """Residual of the quantum-consistency condition for a scattering map.
-
-    Zero means the outputs obey exactly the free-field commutators; for a
-    passive square map this is the unitarity defect of S.
-
-    The bilinear form cancels entries of order max|S|^2, so in double
-    precision the smallest representable residual grows as roughly
-    2e-16 * max|S|^2: checking a stage of gain 1e4 against 1e-10 is
-    meaningless in this norm, use the analytic stage relations instead.
-    """
-    return commutator_residual(smap.matrix, [c.signature for c in smap.inputs],
-                               [c.signature for c in smap.outputs])
 
 
 @dataclass(frozen=True)
@@ -353,8 +336,11 @@ class QuantumNetwork:
             for c in (Channel(f"{amp.name}.a"), Channel(f"{amp.name}.a'", conjugated=True)))
         self._a, self._b = self._stamp()
         self._parts, self._outward = self._split()
-        self._entries = max(sum(a[0].size for a, _ in self._parts), 1)   # of A, per point
-        self._step = max(1, SWEEP_BLOCK_ENTRIES // self._entries)
+        # Complex entries a point forms per part: A's m x m, or V's m products
+        # with [N | X_p] if the part changes in one row.
+        entries = sum(len(b) * m * max(m, 1 + c) for _, b, _ in self._parts
+                      for m, c in [b.shape[1:]])
+        self._step = max(1, SWEEP_BLOCK_ENTRIES // max(entries, 1))
 
     def channel_temperatures(self) -> dict[str, float]:
         temps = [p.temperature for p in self.ports] + [
@@ -440,8 +426,9 @@ class QuantumNetwork:
         return a, b
 
     def _split(self):
-        """Per size m of connected parts, their stamp (3, P, m, m) and rows of B
-        (P, m, k); and, per port, the (group, part, position) of its outward
+        """Groups of connected parts of equal size m and input count c: their
+        stamp (3, P, m, m), B over their inputs (P, m, c) and their inputs
+        (P, c); and, per port, the (group, part, position) of its outward
         field among that part's unknowns."""
         root = {n: n for n in self.nodes}          # union-find; ground joins nothing
 
@@ -459,15 +446,20 @@ class QuantumNetwork:
         port = [node[at[p.attach_node]] if p.attach_node in at else ids.setdefault(k, len(ids))
                 for k, p in enumerate(self.ports)]
         amp = [node[at[a.left]] for a in self.opamps]
-        rows, cols = [[] for _ in ids], [[] for _ in ids]
+        rows, cols, ins = [[] for _ in ids], [[] for _ in ids], [[] for _ in ids]
         for i, (r, c) in enumerate(zip(port + node + amp, node + port + amp)):
             rows[r].append(i)
             cols[c].append(i)
+        for k, q in enumerate(port + [q for q in amp for _ in "aa"]):
+            ins[q].append(k)
+        kinds = [(len(r), len(k)) for r, k in zip(rows, ins)]
         nn, groups, outward = len(node), [], [None] * len(port)
-        for g, m in enumerate(sorted({len(r) for r in rows})):
-            ps = [q for q, r in enumerate(rows) if len(r) == m]
+        for g, kind in enumerate(sorted(set(kinds))):
+            ps = [q for q, k in enumerate(kinds) if k == kind]
             r, c = np.array([[rows[q] for q in ps], [cols[q] for q in ps]])
-            groups.append((self._a[:, r[:, :, None], c[:, None, :]], self._b[r]))
+            k = np.array([ins[q] for q in ps], dtype=int)
+            groups.append((self._a[:, r[:, :, None], c[:, None, :]],
+                           self._b[r[:, :, None], k[:, None]], k))
             for j, q in enumerate(ps):
                 for pos, i in enumerate(cols[q]):
                     if nn <= i < nn + len(port):   # port i - nn's outward field
@@ -480,60 +472,71 @@ class QuantumNetwork:
         ``grid`` is any iterable of angular frequencies (rad/s, > 0);
         ``outputs`` names the output channels to solve for, by default all.
         """
-        w = np.fromiter(grid, dtype=float)
+        w = np.array(grid, float) if np.ndim(grid) == 1 else np.fromiter(grid, dtype=float)
         if len(w) and not (w.min() > 0.0 and w.max() < math.inf):
             bad = w[~((w > 0.0) & (w < math.inf))][0]
             raise ValueError(f"angular frequency must be positive and finite, got {bad.item()!r}")
         chans = self.output_channels
         if outputs is not None:
             chans = tuple(chans[_index_of(chans, name, "output")] for name in outputs)
+        s = np.zeros((len(w), len(chans), self._b.shape[1]), dtype=complex)
         hits = [{} for _ in self._parts]           # per group: part -> [(output, unknown)]
         for i, c in enumerate(chans):
             g, q, pos = self._outward[self.output_channels.index(c)]
             hits[g].setdefault(q, []).append((i, pos))
-        plan = []
-        planned = len(w) * self._entries >= _PLAN_ENTRIES
-        for (a3, b), parts in zip(self._parts, hits):
-            read = sorted(parts)        # first in the group: solved; the rest only factored
-            if read != list(range(len(read))):
-                a3 = a3[:, read + [q for q in range(len(b)) if q not in parts]]
-            system = _plan(a3, planned)
-            unit = np.zeros((len(read), b.shape[1], max(map(len, parts.values()), default=0)),
-                            complex)
-            reads = []   # per read part: its B, k, rows of s; k rows solve unit columns 0..k-1
-            for j, q in enumerate(read):
-                for c, (_, pos) in enumerate(parts[q]):
-                    unit[j, pos, c] = 1.0
-                reads.append((b[q], len(parts[q]), [i for i, _ in parts[q]]))
-            plan.append((system, unit, reads))
-        s = np.empty((len(w), len(chans), self._b.shape[1]), dtype=complex)
-        for lo in range(0, len(w), self._step):
-            self._solve_block(w[lo:lo + self._step], plan, s[lo:lo + self._step])
+        with np.errstate(all="ignore"):   # overflow and singularity are checked
+            plan = self._solvers(w, hits)
+            for lo in range(0, len(w), self._step):
+                self._solve_block(w[lo:lo + self._step], plan, s[lo:lo + self._step])
         return ScatteringSweep(w, s, chans, self.input_channels)
+
+    def _solvers(self, w: np.ndarray, hits) -> list:
+        """Per group, a function solving a block for the rows in ``hits``, and its arguments."""
+        plan = []
+        for (a3, b, ins), parts in zip(self._parts, hits):
+            read = sorted(parts)        # first in the group: solved; the rest only checked
+            if read != list(range(len(read))):
+                order = read + [q for q in range(len(b)) if q not in parts]
+                a3, b, ins = a3[:, order], b[order], ins[order]
+            n, pairs, nx = len(read), [parts[q] for q in read], None
+            # Parts holding A1 or A2 entries in one row v at most: A(w_r) [N | X_p] = [e_v | B].
+            if len(w) > 1 and (varying := a3[1:].any(axis=(0, 3))).sum(axis=1).max() <= 1:
+                vary = varying.argmax(axis=1)
+                rhs = np.zeros(b.shape[:2] + (1 + b.shape[2],), dtype=complex)
+                rhs[np.arange(len(b)), vary, 0] = 1.0
+                rhs[..., 1:] = b
+                row, col, e = _systems(a3, w[len(w) // 2:][:1])
+                try:
+                    nx = np.linalg.solve(e[0], rhs / row[0, ..., None]) / col[0, ..., None]
+                except np.linalg.LinAlgError:
+                    pass
+            if nx is not None and np.isfinite(nx).all():
+                # Per read row: its part, its row of s and its unknown.
+                q, outs, at = np.array([(j, i, pos) for j, ps in enumerate(pairs)
+                                        for i, pos in ps], dtype=int).reshape(-1, 3).T
+                every = np.arange(len(b))
+                plan.append((_rank_one_rows, a3[:, every, vary].reshape(3, -1, 1), nx, n,
+                             b[every[:n], vary[:n]], q, nx[q, at], outs[:, None], ins[q]))
+                continue
+            unit = np.zeros((n, b.shape[1], max(map(len, pairs), default=0)), complex)
+            for j, ps in enumerate(pairs):     # k rows of a part solve unit columns 0..k-1
+                unit[j, [pos for _, pos in ps], range(len(ps))] = 1.0
+            plan.append((_lu_rows, a3, unit, [(b[j], len(ps), np.array([i for i, _ in ps])[:, None],
+                                               ins[j]) for j, ps in enumerate(pairs)]))
+        return plan
 
     def _solve_block(self, w: np.ndarray, plan, s: np.ndarray) -> None:
         """Fill ``s`` (F, m, k) with the rows of S that ``plan`` asks for."""
-        finite = True
-        # Overflow and singularity show as non-finite values, checked below.
-        with np.errstate(all="ignore"):
-            for system, unit, reads in plan:
-                row, col, e = _systems(system, w)
-                et, n = e.swapaxes(2, 3), len(unit)   # the first n parts are read
-                # The others are factored, not solved: slogdet's sign is 0 where
-                # getrf meets a zero pivot, exactly where solve would raise.
-                if n < e.shape[1] and not np.linalg.slogdet(et[:, n:])[0].all():
-                    _raise_singular(self._a, w, None)
-                if n:
-                    try:
-                        z = np.linalg.solve(et[:, :n], unit / col[:, :n, :, None])
-                    except np.linalg.LinAlgError:
-                        _raise_singular(self._a, w, None)
-                # An unread part shows only here; a wholly read group relies on S.
-                finite &= n == e.shape[1] or np.isfinite(e).all()
-                for q, (b, r, outs) in enumerate(reads):
-                    s[:, outs] = (z[:, q, :, :r].transpose(0, 2, 1) / row[:, q, None, :]) @ b
-        if not (finite and np.isfinite(s).all()):
-            _raise_singular(self._a, w, np.isfinite(s).all(axis=(1, 2)))
+        # Each group's pivots (F, ...) are finite and not 0 where its parts are regular.
+        try:
+            pivots = [p for rows, *args in plan for p in rows(w, s, *args)]
+        except np.linalg.LinAlgError:
+            _raise_singular(self._a, w, None)
+        if not (np.isfinite(s).all() and all(np.isfinite(p).all() and p.all() for p in pivots)):
+            ok = np.isfinite(s).all(axis=(1, 2))
+            for p in pivots:
+                ok &= (np.isfinite(p) & (p != 0)).reshape(len(w), -1).all(axis=1)
+            _raise_singular(self._a, w, ok)
 
 
 class ScatteringSweep(Sequence):
@@ -553,66 +556,62 @@ class ScatteringSweep(Sequence):
         return ScatteringMap(self.omegas[i], self.matrices[i], self.outputs, self.inputs)
 
 
-def _span(rows) -> slice:
-    """The rows from the first to the last of ascending ``rows``; the first row
-    alone if there are none, so that every group forms a row and a point where
-    0/w is NaN (w below 1/DBL_MAX) overflows as the whole formula does."""
-    return slice(rows[0], rows[-1] + 1) if len(rows) else slice(0, 1)
-
-
-def _plan(a3: np.ndarray, fixed: bool):
-    """What of A(w) = A0 + w A1 + A2/w does not change with w, for a stamp
-    ``a3`` (3, P, m, m).  The rows from the first to the last holding an A1 or
-    A2 entry are its span: their stamp (3, P, V, m) is formed per point.  For
-    the other rows: their scales (ones in the span), their row-scaled entries
-    (zeros in the span) and their share of each column scale, where A0 + 0.0
-    is such a row's A0 + w*0 + 0/w, -0 made +0.  ``fixed`` False forms every
-    row: the stamp alone, nothing fixed."""
-    if not fixed:
-        return a3, slice(None), None, None, None
-    span = _span(np.flatnonzero(a3[1:].any(axis=(0, 1, 3))))
-    a = a3[0] + 0.0
-    a[:, span] = 0.0
-    row = np.maximum.reduce(np.abs(a), axis=-1)
-    row[:, span] = 1.0
-    ra = np.divide(a, row[..., None], out=a)
-    return (np.ascontiguousarray(a3[:, :, span]), span, row, ra,
-            np.maximum.reduce(np.abs(ra), axis=-2))
-
-
-def _systems(plan, w: np.ndarray):
-    """Row scales D_r, column scales D_c (F, P, m) and the equilibrated stack
-    D_r A D_c (F, P, m, m) of A(w) over ``w`` (F,): only the plan's span of
-    rows is formed and row-scaled, the other rows come from the plan."""
-    stamp, span, row0, ra0, col0 = plan
-    (_, p, v, m), f, wc = stamp.shape, len(w), w[:, None]
+def _systems(a3: np.ndarray, w: np.ndarray):
+    """Row scales D_r, column scales D_c (F, ..., m) and the equilibrated stack
+    D_r A D_c (F, ..., m, m) of A(w) = A0 + w A1 + A2/w over ``w`` (F,), for a
+    stamp ``a3`` (3, ..., m, m)."""
+    m, wc = a3.shape[-1], w[:, None]
     # Flat operands keep numpy's per-call cost low on small blocks.
-    s = stamp.reshape(3, -1)
+    s = a3.reshape(3, -1)
     a = (s[0] + wc * s[1] + s[2] / wc).reshape(-1, m)
-    scale = np.maximum.reduce(np.abs(a), axis=-1)
-    a /= scale[:, None]
-    a = a.reshape(f, p, v, m)
-    col = np.maximum.reduce(np.abs(a), axis=2, initial=0.0)
-    if row0 is None:                          # every row formed
-        return scale.reshape(f, p, m), col, np.divide(a, col[:, :, None, :], out=a)
-    np.maximum(col, col0, out=col)
-    row = row0[None].repeat(f, axis=0)
-    row[:, :, span] = scale.reshape(f, p, v)
-    # numpy divides a complex number by a real r as ((re + im*0) s, (im - re*0) s)
-    # with s = 1/r: the bits of (re, im) * s unless a part is -0.  The plan's rows
-    # hold no -0; a formed row scaled by an infinite scale may, so it is divided.
-    e = ra0 * (1.0 / col)[:, :, None, :]
-    np.divide(a, col[:, :, None, :], out=e[:, :, span])
-    return row, col, e
+    row = np.maximum.reduce(np.abs(a), axis=-1)
+    a /= row[:, None]
+    a = a.reshape(len(w), *a3.shape[1:])
+    col = np.maximum.reduce(np.abs(a), axis=-2, initial=0.0)
+    return row.reshape(a.shape[:-1]), col, np.divide(a, col[..., None, :], out=a)
+
+
+def _rank_one_rows(w, s, stamp, nx, n, bv, q, nxr, outs, cols) -> list:
+    """Write the read rows of S of parts changing in one row V(w), stamped in
+    ``stamp`` (3, P m, 1), and return their pivots mu(w) = V(w) N: (F, n) of
+    the n read parts, which come first, and (F, P - n).  ``nx`` (P, m, 1 + c)
+    is [N | X_p] and ``bv`` (n, c) B_v; per read row, ``q`` is its part,
+    ``nxr`` its [N | X_p], ``outs`` and ``cols`` its row and columns of s.
+    Sums over the m unknowns are accumulated in order, unlike a reduction."""
+    p, m = nx.shape[:2]
+    v = (stamp[0] + w * stamp[1] + stamp[2] / w).reshape(p, m, len(w))
+    pivots = []
+    if n:
+        y = np.add.accumulate(v[:n, :, None] * nx[:n, :, :, None], axis=1)[:, -1]
+        t = (bv[..., None] - y[:, 1:]) / y[:, :1]        # (B_v - V X_p) / mu
+        s[:, outs, cols] = (nxr[:, 1:, None] + nxr[:, :1, None] * t[q]).transpose(2, 0, 1)
+        pivots.append(y[:, 0].T)
+    if n < p:
+        pivots.append(np.add.accumulate(v[n:] * nx[n:, :, :1], axis=1)[:, -1].T)
+    return pivots
+
+
+def _lu_rows(w, s, a3, unit, reads) -> list:
+    """Write the read rows of S of parts (3, P, m, m) formed whole: the first
+    len(unit) are read and solved, the others factored only; return the
+    others' column scales (F, P - n, m), finite and not 0 where A(w) is."""
+    row, col, e = _systems(a3, w)
+    et, n = e.swapaxes(2, 3), len(unit)
+    # slogdet's sign is 0 where getrf meets a zero pivot, exactly where solve raises.
+    if n < e.shape[1] and not np.linalg.slogdet(et[:, n:])[0].all():
+        raise np.linalg.LinAlgError("singular matrix")
+    z = np.linalg.solve(et[:, :n], unit / col[:, :n, :, None])
+    for q, (b, r, outs, cols) in enumerate(reads):
+        s[:, outs, cols] = (z[:, q, :, :r].transpose(0, 2, 1) / row[:, q, None, :]) @ b
+    return [col[:, n:]] if n < col.shape[1] else []
 
 
 def _raise_singular(a3: np.ndarray, w: np.ndarray, ok) -> NoReturn:
-    """Raise for the first failing point of a block: ``a3`` is the whole stamp, ``ok``
-    flags points whose solved rows are finite (None: a factorization failed)."""
-    with np.errstate(all="ignore"):
-        wc = w[:, None, None]
-        a = a3[0] + wc * a3[1] + a3[2] / wc      # dense A(w), for its finiteness and rank
-        e = _systems(_plan(a3[:, None], False), w)[2][:, 0]
+    """Raise for the first failing point of a block, with warnings off: ``a3`` is the
+    whole stamp, ``ok`` flags points that passed the checks (None: an LU failed)."""
+    wc = w[:, None, None]
+    a = a3[0] + wc * a3[1] + a3[2] / wc          # dense A(w), for its finiteness and rank
+    e = _systems(a3, w)[2]
     finite = np.isfinite(a).all(axis=(1, 2))
     e = np.where(np.isfinite(e), e, 0.0)     # a zero row or column gives 0/0
     n = e.shape[-1]

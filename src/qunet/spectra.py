@@ -8,9 +8,9 @@ Conventions
   convention is a factor 2 larger; that conversion is a display concern and
   never happens inside the physics.
 * Temperatures fed to :func:`thermal_occupation` are physical bath
-  temperatures.  Effective temperatures (energy per mode divided by k_B) are
-  derived quantities, produced by :func:`effective_temperature`, and can be
-  mapped back to a bath temperature with :func:`bath_temperature`.
+  temperatures.  Effective temperatures (energy per mode divided by k_B,
+  hbar |omega| sigma / k_B) are derived quantities, mapped back to a bath
+  temperature with :func:`bath_temperature`.
 """
 
 from __future__ import annotations
@@ -107,22 +107,6 @@ def thermal_occupation(omega, temperature):
                      "exceeds double range")
 
 
-def effective_temperature(omega: float, sigma: float) -> float:
-    """Energy per mode of a spectrum value, expressed as a temperature.
-
-    Theta = hbar |omega| sigma / k_B.  Interpolates between the ground-state
-    energy hbar|omega|/2 per mode (sigma = 1/2) and the classical k_B T per
-    mode recovered at high temperature.
-    """
-    w = require_finite(abs(float(omega)), "|omega|")
-    s = require_finite(sigma, "spectrum value", 0.5, closed=True)
-    theta = HBAR * w * s / K_B
-    if theta < math.inf:
-        return theta
-    raise ValueError(f"effective temperature at omega = {omega!r} rad/s and "
-                     f"sigma = {s!r} exceeds double range")
-
-
 def bath_temperature(omega: float, sigma: float) -> float:
     """Invert :func:`thermal_occupation`: bath temperature giving sigma.
 
@@ -139,15 +123,3 @@ def bath_temperature(omega: float, sigma: float) -> float:
         return t
     raise ValueError(f"bath temperature at omega = {omega!r} rad/s and "
                      f"sigma = {s!r} exceeds double range")
-
-
-def johnson_voltage_psd(resistance: float, omega: float,
-                        temperature: float) -> float:
-    """Open-circuit voltage noise PSD of a resistor, V^2/Hz (two-sided).
-
-    2 R hbar |omega| * thermal_occupation(omega, T) = 2 R k_B Theta.  Reduces
-    to 2 R k_B T in the classical limit (the one-sided engineering figure
-    4 k_B T R is a factor 2 larger).
-    """
-    r = require_finite(resistance, "resistance", closed=True)
-    return 2.0 * r * HBAR * abs(float(omega)) * thermal_occupation(omega, temperature)

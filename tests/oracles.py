@@ -14,23 +14,28 @@ composes the stage scattering matrices of a chain, where the package
 composes the stage estimators.  ``estimator_from_scattering``
 normalizes one scattering map's readout row, the per-point counterpart of
 the CLI's budget over a grid.  ``dense_systems`` forms and equilibrates
-every row of A(w) at every point, where the package forms only the rows
-that change with w; ``dense_sweep`` solves a network's parts from it,
-dividing the complex stacks by their real scales where the package
-multiplies float views by the reciprocals.  ``csv_rows_per_value`` writes
-sweep CSV lines through ``repr`` one number at a time, where the package
-computes the digits of a block's varying columns at once.
+A(w) over a whole grid; ``dense_sweep`` solves a network's parts from it
+one part at a time, over the whole grid, where the package batches parts
+and works in blocks of points: the two must agree to the bit.
+``exact_sweep`` solves the same equations in rational arithmetic, so it
+sees the rounding of both.  ``csv_rows_per_value`` writes sweep CSV lines
+through ``repr`` one number at a time, where the package computes the
+digits of a block's varying columns at once.  ``check_commutators``,
+``effective_temperature`` and ``johnson_voltage_psd`` are the scalar
+relations the tests check the package against.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 
-from qunet import (HBAR, EstimatorCoefficients, NoTransductionError,
-                   stage_scattering, thermal_occupation)
+from qunet import (HBAR, K_B, EstimatorCoefficients, NoTransductionError,
+                   commutator_residual, stage_scattering, thermal_occupation)
+from qunet.spectra import require_finite
 
 
 def estimator_weights_closed_form(stage, omega: float) -> dict[str, complex]:
@@ -231,19 +236,53 @@ def dense_systems(a3: np.ndarray, w: np.ndarray):
 
 def dense_sweep(net, w: np.ndarray, outputs=None) -> np.ndarray:
     """S (F, m, k) over ``w`` for the output channels named in ``outputs``
-    (default all): each part solved as ``net.sweep`` solves it, from
-    ``dense_systems``.  Raises ``LinAlgError`` where a factorization fails
-    and leaves a non-finite S where the sweep reports overflow."""
+    (default all), each group of parts solved as ``net.sweep`` solves it,
+    over the whole grid at once, and an input of another part an exact 0.
+
+    On a grid of two or more points, in a group where no part has two rows
+    holding an A1 or A2 entry, part q with such a row v (else v = 0) is
+    solved once at the middle point w_r:
+    A(w_r) [N | X_p] = [e_v | B], from ``dense_systems``.  At each point its
+    rows of S are those of X_p + N (B_v - V X_p) / mu, with V row v of A(w)
+    and mu = V N; NaN where mu is 0 or not finite.  Any other group, or one
+    where some part's A(w_r) is singular or overflows, is solved per point
+    from ``dense_systems``.  Raises ``LinAlgError`` where an LU fails and
+    leaves a non-finite S where the sweep reports a singular point."""
     names = [c.name for c in net.output_channels]
     chans = range(len(names)) if outputs is None else [names.index(n) for n in outputs]
-    s = np.empty((len(w), len(chans), net._b.shape[1]), dtype=complex)
-    for g, (a3, b) in enumerate(net._parts):
+    s = np.zeros((len(w), len(chans), net._b.shape[1]), dtype=complex)
+    for g, (a3, b, inputs) in enumerate(net._parts):
         hits = {}                                   # part -> [(row of s, unknown)]
         for i, c in enumerate(chans):
             group, q, pos = net._outward[c]
             if group == g:
                 hits.setdefault(q, []).append((i, pos))
         if not hits:
+            continue
+        varying = a3[1:].any(axis=(0, 3))          # (P, m)
+        v, nx = varying.argmax(axis=1), None
+        if len(w) > 1 and varying.sum(axis=1).max() <= 1:
+            _, row, col, e = dense_systems(a3, w[len(w) // 2:][:1])
+            rhs = np.zeros(b.shape[:2] + (1 + b.shape[2],), dtype=complex)
+            rhs[range(len(b)), v, 0] = 1.0
+            rhs[..., 1:] = b
+            try:
+                nx = np.linalg.solve(e[0], rhs / row[0, ..., None]) / col[0, ..., None]
+            except np.linalg.LinAlgError:
+                pass
+        if nx is not None and np.isfinite(nx).all():
+            a = dense_systems(a3, w)[0]
+            for q, pairs in hits.items():
+                at = [pos for _, pos in pairs]
+                mu = a[:, q, v[q], 0] * nx[q, 0, 0]
+                vx = a[:, q, v[q], 0, None] * nx[q, 0, 1:]
+                for j in range(1, a.shape[-1]):
+                    mu += a[:, q, v[q], j] * nx[q, j, 0]
+                    vx += a[:, q, v[q], j, None] * nx[q, j, 1:]
+                t = (b[q, v[q]] - vx) / mu[:, None]
+                t[~(np.isfinite(mu) & (mu != 0))] = np.nan
+                rows = np.array([i for i, _ in pairs])[:, None]
+                s[:, rows, inputs[q]] = nx[q, at, 1:] + nx[q, at, 0, None] * t[:, None]
             continue
         unit = np.zeros((*b.shape[:2], max(map(len, hits.values()))), dtype=complex)
         for q, pairs in hits.items():
@@ -253,7 +292,59 @@ def dense_sweep(net, w: np.ndarray, outputs=None) -> np.ndarray:
         z = np.linalg.solve(e.swapaxes(2, 3), unit / col[..., None])
         for q, pairs in hits.items():
             y = z[:, q, :, :len(pairs)].transpose(0, 2, 1) / row[:, q, None, :]
-            s[:, [i for i, _ in pairs]] = y @ b[q]
+            s[:, np.array([i for i, _ in pairs])[:, None], inputs[q]] = y @ b[q]
+    return s
+
+
+def _times(x, y):
+    """Product of two complex numbers held as (re, im) pairs of Fractions."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def exact_sweep(net, w: np.ndarray, outputs=None) -> np.ndarray:
+    """S (F, m, k) over ``w`` for the output channels named in ``outputs``
+    (default all), exact for the network's float stamp and the float grid,
+    rounded once at the end.  At each point A(w) = A0 + w A1 + A2/w and B
+    are formed in stdlib fractions from the float entries and the float w,
+    and [A | B] is reduced by Gauss-Jordan elimination, rows held sparse as
+    {column: (re, im)}.  Raises ``StopIteration`` where A(w) is singular."""
+    names = [c.name for c in net.output_channels]
+    chans = range(len(names)) if outputs is None else [names.index(n) for n in outputs]
+    n, nodes = len(net._a[0]), len(net.nodes)
+
+    def sparse(m):
+        return [{j: (Fraction(x.real), Fraction(x.imag)) for j, x in enumerate(row) if x}
+                for row in m.tolist()]
+
+    a0, a1, a2 = map(sparse, net._a)
+    b = [{n + j: x for j, x in row.items()} for row in sparse(net._b)]
+    s = np.zeros((len(w), len(chans), net._b.shape[1]), dtype=complex)
+    for f, omega in enumerate(w.tolist()):
+        wf = Fraction(omega)
+        rows = [dict(r) for r in b]
+        for i, (r0, r1, r2) in enumerate(zip(a0, a1, a2)):
+            for j in r0.keys() | r1.keys() | r2.keys():
+                (x0, y0), (x1, y1), (x2, y2) = (r.get(j, (0, 0)) for r in (r0, r1, r2))
+                z = (x0 + wf * x1 + x2 / wf, y0 + wf * y1 + y2 / wf)
+                if z != (0, 0):
+                    rows[i][j] = z
+        for c in range(n):
+            p = next(r for r in range(c, n) if c in rows[r])
+            rows[c], rows[p] = rows[p], rows[c]
+            re, im = rows[c][c]
+            inverse = (re / (re * re + im * im), -im / (re * re + im * im))
+            pivot = rows[c] = {j: _times(inverse, x) for j, x in rows[c].items()}
+            for r in range(n):
+                if r != c and c in rows[r]:
+                    factor = rows[r].pop(c)
+                    for j, y in pivot.items():
+                        x, t = rows[r].pop(j, (0, 0)), _times(factor, y)
+                        if j != c and x != t:
+                            rows[r][j] = (x[0] - t[0], x[1] - t[1])
+        for i, c in enumerate(chans):
+            for j, (re, im) in rows[nodes + c].items():
+                if j >= n:
+                    s[f, i, j - n] = complex(float(re), float(im))
     return s
 
 
@@ -287,3 +378,46 @@ def csv_rows_per_value(block: np.ndarray) -> str:
     cols = [[repr(first)] * block.shape[1] if k else list(map(repr, next(varying)))
             for first, k in zip(block[:, 0].tolist(), same)]
     return "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+def check_commutators(smap) -> float:
+    """Residual of the quantum-consistency condition for a scattering map.
+
+    Zero means the outputs obey exactly the free-field commutators; for a
+    passive square map this is the unitarity defect of S.
+
+    The bilinear form cancels entries of order max|S|^2, so in double
+    precision the smallest representable residual grows as roughly
+    2e-16 * max|S|^2: checking a stage of gain 1e4 against 1e-10 is
+    meaningless in this norm, use the analytic stage relations instead.
+    """
+    return commutator_residual(smap.matrix, [c.signature for c in smap.inputs],
+                               [c.signature for c in smap.outputs])
+
+
+def effective_temperature(omega: float, sigma: float) -> float:
+    """Energy per mode of a spectrum value, expressed as a temperature.
+
+    Theta = hbar |omega| sigma / k_B.  Interpolates between the ground-state
+    energy hbar|omega|/2 per mode (sigma = 1/2) and the classical k_B T per
+    mode recovered at high temperature.
+    """
+    w = require_finite(abs(float(omega)), "|omega|")
+    s = require_finite(sigma, "spectrum value", 0.5, closed=True)
+    theta = HBAR * w * s / K_B
+    if theta < math.inf:
+        return theta
+    raise ValueError(f"effective temperature at omega = {omega!r} rad/s and "
+                     f"sigma = {s!r} exceeds double range")
+
+
+def johnson_voltage_psd(resistance: float, omega: float,
+                        temperature: float) -> float:
+    """Open-circuit voltage noise PSD of a resistor, V^2/Hz (two-sided).
+
+    2 R hbar |omega| * thermal_occupation(omega, T) = 2 R k_B Theta.  Reduces
+    to 2 R k_B T in the classical limit (the one-sided engineering figure
+    4 k_B T R is a factor 2 larger).
+    """
+    r = require_finite(resistance, "resistance", closed=True)
+    return 2.0 * r * HBAR * abs(float(omega)) * thermal_occupation(omega, temperature)

@@ -5,11 +5,13 @@ import pytest
 
 from qunet import (K_B, MICROSCOPE, Feedback, NoTransductionError,
                    acceleration_sensitivity, accelerometer_budget,
-                   cold_damped_temperature, effective_temperature,
+                   cold_damped_temperature,
                    force_estimator, gain, get_preset, is_detection_limited,
                    langevin_force_psd,
                    stage_added_noise, thermal_occupation)
 from qunet.accelerometer import LANGEVIN_SOURCE, preset_with_overrides
+
+from oracles import effective_temperature
 
 
 def microscope_params():

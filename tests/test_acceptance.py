@@ -11,14 +11,14 @@ import numpy as np
 
 from qunet import (K_B, HBAR, MICROSCOPE, NetlistError, OpAmpStage, Feedback,
                    QuantumNetwork, StageChain, acceleration_sensitivity,
-                   accelerometer_budget, check_commutators, downstream_noise_fraction,
-                   johnson_voltage_psd, matching_scan,
+                   accelerometer_budget, downstream_noise_fraction, matching_scan,
                    parse, serialize, stage_added_noise, stage_estimator,
                    stage_scattering, thermal_occupation)
 
 from helpers import (random_omega, random_passive_network, random_stage,
                      stage_with_gain)
-from oracles import added_noise_closed_form, estimator_weights_closed_form
+from oracles import (added_noise_closed_form, check_commutators,
+                     estimator_weights_closed_form, johnson_voltage_psd)
 from test_netlist import random_document_text
 
 W0 = 2.0 * math.pi * 1e5

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from qunet import (Feedback, NoTransductionError, NoiseBudget, OpAmpStage, added_noise,
-                   check_commutators, gain, matching_scan, stage_added_noise,
+                   gain, matching_scan, stage_added_noise,
                    stage_estimator, stage_scattering, thermal_occupation)
 from qunet.network import EstimatorCoefficients
 
 from helpers import random_omega, random_stage, stage_with_gain
-from oracles import (added_noise_closed_form, estimator_weights_closed_form,
-                     generator_psds)
+from oracles import (added_noise_closed_form, check_commutators,
+                     estimator_weights_closed_form, generator_psds)
 
 W0 = 2.0 * math.pi * 1e5
 

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from qunet import (HBAR, MICROSCOPE, Capacitor, Channel, Feedback, Inductor,
                    NoTransductionError, OpAmp, PortSpec, QuantumNetwork, ScatteringMap,
-                   SingularNetworkError, check_commutators,
-                   commutator_residual, johnson_voltage_psd, stage_scattering, thermal_occupation)
+                   SingularNetworkError, commutator_residual, stage_scattering,
+                   thermal_occupation)
 from qunet.amplifier import OpAmpStage, _stage_rows, added_noise
 from qunet.netlist import Sweep
 
 from helpers import random_passive_network, random_omega, random_stage
-from oracles import estimator_from_scattering
+from oracles import check_commutators, estimator_from_scattering, johnson_voltage_psd
 
 W0 = 2.0 * math.pi * 1e5
 

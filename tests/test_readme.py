@@ -46,7 +46,7 @@ def test_qnet_example_runs_as_the_readme_says(tmp_path):
     doc.write_text(fenced(""))
     code, out, err = run(["check", str(doc)])
     assert (code, err) == (1, "")
-    assert out.startswith("max commutator residual: 3.396") and out.endswith("FAIL\n")
+    assert out.startswith("max commutator residual: 8.9129") and out.endswith("FAIL\n")
     code, out, err = run(["budget", str(doc), "--freq", "1e5"])
     assert (code, err) == (0, "")
     last = out.splitlines()[-1].split()

