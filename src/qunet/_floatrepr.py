@@ -179,8 +179,8 @@ def repr_chars(x) -> np.ndarray:
     return out
 
 
-def csv_rows(block: np.ndarray) -> str:
-    """CSV lines of a (columns, rows) float64 block, each value as ``repr``
+def csv_rows(block: np.ndarray) -> bytes:
+    """ASCII CSV lines of a (columns, rows) float64 block, each value as ``repr``
     prints it.  A column with the same bits on every row is formatted once,
     into the bytes all lines share; the other columns fill their slots."""
     bits = block.view(np.uint64)
@@ -196,4 +196,4 @@ def csv_rows(block: np.ndarray) -> str:
     chars = repr_chars(block[~same].T).reshape(len(cells), len(slots), WIDTH)
     for i, at in enumerate(slots):
         cells[:, at:at + WIDTH] = chars[:, i]
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
+    return cells.tobytes().translate(None, b"\0")

@@ -110,8 +110,12 @@ def _circuit_budget(doc, grid) -> tuple[list, np.ndarray, np.ndarray]:
     temps = net.channel_temperatures()
     sigma = thermal_occupation(maps.omegas[None, :],
                                np.array([temps[name] for name in names])[:, None])
+    x = row[noise]
+    live = x.any(axis=1, keepdims=True)   # False for a source of another part: |mu|^2 = 0.0
+    mu2 = np.zeros(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        return names, np.abs(row[noise] / beta) ** 2, sigma
+        np.abs(np.divide(x, beta, out=x, where=live), out=mu2, where=live)
+        return names, np.square(mu2, out=mu2), sigma
 
 
 def _report_dict(freq_hz, units, budget: NoiseBudget):
@@ -197,8 +201,8 @@ def cmd_sweep(args) -> int:
         budget = NoiseBudget(grid, dict(zip(names, mu2)), dict(zip(names, sigma)))
     table = np.vstack([grid / TWO_PI, budget.total, *budget.contributions.values()])
     from ._floatrepr import csv_rows        # only a sweep needs its tables
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("freq_hz,total," + ",".join(budget.contributions) + "\n")
+    with open(args.output, "wb") as fh:
+        fh.write(("freq_hz,total," + ",".join(budget.contributions) + "\n").encode())
         for lo in range(0, table.shape[1], CSV_BLOCK_ROWS):
             fh.write(csv_rows(table[:, lo:lo + CSV_BLOCK_ROWS]))
     print(f"wrote {table.shape[1]} rows to {args.output}")

@@ -45,6 +45,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -121,18 +122,17 @@ class Sweep:
     def to_grid(self) -> np.ndarray:
         """The angular frequencies (rad/s), a read-only float64 array.
 
-        Log points are f_lo * ratio ** i in Python floats: numpy's power
-        rounds differently in the last bits.  The last point is f_hi exactly;
-        no other passes it.
+        Log points are f_lo * ratio ** i, with the power from ``math.pow``
+        as Python's own: numpy's power rounds differently in the last bits.
+        The last point is f_hi exactly; no other passes it.
         """
         f_lo, f_hi, n = float(self.f_lo), float(self.f_hi), self.npoints
         if self.scale == "log":
             ratio = (f_hi / f_lo) ** (1.0 / (n - 1))
-            hz = np.array([f_lo * ratio ** i for i in range(n - 1)] + [f_hi])
+            hz = f_lo * np.fromiter(map(math.pow, repeat(ratio, n - 1), range(n - 1)), float, n - 1)
         else:
-            hz = f_lo + (f_hi - f_lo) / (n - 1) * np.arange(n)
-        hz[-1] = f_hi
-        grid = 2.0 * math.pi * np.minimum(hz, f_hi, out=hz)
+            hz = f_lo + (f_hi - f_lo) / (n - 1) * np.arange(n - 1)
+        grid = 2.0 * math.pi * np.minimum(np.append(hz, f_hi), f_hi)
         grid.setflags(write=False)
         return grid
 

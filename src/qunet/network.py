@@ -336,8 +336,8 @@ class QuantumNetwork:
             for c in (Channel(f"{amp.name}.a"), Channel(f"{amp.name}.a'", conjugated=True)))
         self._a, self._b = self._stamp()
         self._parts, self._outward = self._split()
-        # Complex entries a point forms per part: A's m x m, or V's m products
-        # with [N | X_p] if the part changes in one row.
+        # A bound on the complex entries a point forms per part: A's m x m, or
+        # m (1 + c) for V(w) and V(w) [N | X_p] if the part changes in one row.
         entries = sum(len(b) * m * max(m, 1 + c) for _, b, _ in self._parts
                       for m, c in [b.shape[1:]])
         self._step = max(1, SWEEP_BLOCK_ENTRIES // max(entries, 1))
@@ -577,17 +577,22 @@ def _rank_one_rows(w, s, stamp, nx, n, bv, q, nxr, outs, cols) -> list:
     the n read parts, which come first, and (F, P - n).  ``nx`` (P, m, 1 + c)
     is [N | X_p] and ``bv`` (n, c) B_v; per read row, ``q`` is its part,
     ``nxr`` its [N | X_p], ``outs`` and ``cols`` its row and columns of s.
-    Sums over the m unknowns are accumulated in order, unlike a reduction."""
+    Sums over the m unknowns are folded in place, in the oracle's order."""
     p, m = nx.shape[:2]
-    v = (stamp[0] + w * stamp[1] + stamp[2] / w).reshape(p, m, len(w))
+    v = (stamp[0] + w * stamp[1] + stamp[2] / w).reshape(p, m, 1, len(w))
     pivots = []
     if n:
-        y = np.add.accumulate(v[:n, :, None] * nx[:n, :, :, None], axis=1)[:, -1]
+        y = v[:n, 0] * nx[:n, 0, :, None]                # V [N | X_p] (n, 1 + c, F)
+        for i in range(1, m):
+            y += v[:n, i] * nx[:n, i, :, None]
         t = (bv[..., None] - y[:, 1:]) / y[:, :1]        # (B_v - V X_p) / mu
         s[:, outs, cols] = (nxr[:, 1:, None] + nxr[:, :1, None] * t[q]).transpose(2, 0, 1)
         pivots.append(y[:, 0].T)
     if n < p:
-        pivots.append(np.add.accumulate(v[n:] * nx[n:, :, :1], axis=1)[:, -1].T)
+        mu = v[n:, 0, 0] * nx[n:, 0, :1]                 # V N (P - n, F)
+        for i in range(1, m):
+            mu += v[n:, i, 0] * nx[n:, i, :1]
+        pivots.append(mu.T)
     return pivots
 
 

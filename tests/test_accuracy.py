@@ -4,8 +4,10 @@
 same float stamp, so it sees the solver's own rounding, which the bitwise
 oracles cannot.  Every row of S must lie within 64 kappa eps of exact,
 relative to the row's largest entry, where kappa is the 2-norm condition
-number of the equilibrated A(w).  Run as a script, the module checks 1,000
-seeded stages, unions and ladders and exits 1 on any row over the bound:
+number of the equilibrated A(w).  Each checked point is solved both in
+its sweep and alone, which takes the per-point LU path.  Run as a script,
+the module checks 1,000 seeded stages, unions and ladders and exits 1 on
+any row over the bound:
 
     PYTHONPATH=src python tests/test_accuracy.py
 """
@@ -14,7 +16,7 @@ import math
 import sys
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qunet import Feedback, OpAmp, PortSpec, QuantumNetwork
@@ -30,10 +32,12 @@ MAX_UNKNOWNS = 8
 
 def random_part(rng):
     """Ports and components of a C, L or X stage with |G| in 1e-2..1e6 at a
-    frequency inside the grid band, of a passive ladder or of a grounded line."""
+    frequency inside the grid band, of a passive ladder or of a grounded line.
+    A stage's and a grounded line's impedances span 1e-6..1e12 Ohm: so badly
+    scaled, a stage's unequilibrated columns lose digits in a solve of A^T."""
     pick = rng.random()
     if pick < 0.45:
-        r_l, r_r, r_a = 10.0 ** rng.uniform(0.7, 3.7, 3)
+        r_l, r_r, r_a = 10.0 ** rng.uniform(-6.0, 12.0, 3)
         z = 10.0 ** rng.uniform(-2.0, 6.0) * math.sqrt(r_l * r_r) / 2.0
         w_ref = 2.0 * math.pi * 10.0 ** rng.uniform(3.0, 6.0)
         kind = "CLX"[int(rng.integers(3))]
@@ -42,7 +46,7 @@ def random_part(rng):
                 [OpAmp("amp", "l", "r", r_a, Feedback(kind, float(value)))])
     if pick < 0.9:
         return random_passive_network(rng)
-    return [PortSpec("g", float(10.0 ** rng.uniform(0.7, 3.7)), node="gnd")], []
+    return [PortSpec("g", float(10.0 ** rng.uniform(-6.0, 12.0)), node="gnd")], []
 
 
 def small_network(rng) -> QuantumNetwork:
@@ -57,14 +61,18 @@ def small_network(rng) -> QuantumNetwork:
 
 
 def worst_error(net, grid, points) -> float:
-    """The largest error of a row of the sweep's S at ``points`` of ``grid``
-    against exact, relative to the row's largest entry, in kappa eps."""
-    got = net.sweep(grid).matrices[points]
+    """The largest error of a row of S at ``points`` of ``grid`` against
+    exact, relative to the row's largest entry, in kappa eps: S from the
+    sweep of ``grid`` and from a sweep of each point alone, which takes the
+    per-point LU path whatever the part."""
+    swept = net.sweep(grid).matrices[points]
+    alone = [net.sweep(grid[i:i + 1]).matrices[0] for i in points]
     worst = 0.0
-    for s, exact, w in zip(got, exact_sweep(net, grid[points]), grid[points]):
+    for s, s1, exact, w in zip(swept, alone, exact_sweep(net, grid[points]), grid[points]):
         kappa = scattering_per_point(net, w)[1]
-        rows = np.abs(s - exact).max(axis=1) / np.abs(exact).max(axis=1)
-        worst = max(worst, rows.max() / (kappa * EPS))
+        for got in (s, s1):
+            rows = np.abs(got - exact).max(axis=1) / np.abs(exact).max(axis=1)
+            worst = max(worst, rows.max() / (kappa * EPS))
     return worst
 
 
@@ -75,6 +83,12 @@ def checked_points(rng, size: int) -> np.ndarray:
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300))
+# Stages with a noise impedance near 1e-6 Ohm and lines of 1e3 to 1e10 Ohm:
+# solved alone without the column equilibration, they read 85 to 1,450
+# kappa eps
+@example(11, 50)
+@example(209, 5)
+@example(249, 5)
 def test_rows_of_s_are_within_kappa_eps_of_exact(seed, size):
     rng = np.random.default_rng(seed)
     net = small_network(rng)

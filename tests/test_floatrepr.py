@@ -83,7 +83,7 @@ def tables(draw) -> np.ndarray:
 @settings(max_examples=100, deadline=None)
 @given(tables())
 def test_csv_rows_are_the_per_value_oracle(table):
-    assert csv_rows(table) == csv_rows_per_value(table)
+    assert csv_rows(table).decode("ascii") == csv_rows_per_value(table)
 
 
 def test_only_a_sweep_imports_the_formatter(tmp_path):
