@@ -45,11 +45,13 @@ exactly where mu(w) = 0, so a part no output reads costs one pivot per
 point.  Groups holding another part (C/L ladders), one-point sweeps (there
 that solve would be the only one) and groups in which some A(w_r) is
 singular or overflows are formed whole and equilibrated (D_r A D_c) at each
-point; each requested row r of S is e_r^T D_c (D_r A D_c)^-1 D_r B, and an
-unread part is factored only (slogdet): getrf's zero pivot is what both
-detect.  A block of points holds at most SWEEP_BLOCK_ENTRIES complex entries
-of A or of the products of V(w) with [N | X_p], so memory does not grow
-with the grid.
+point; every part of such a group is factored and solved, an unread one for
+zero columns, and each requested row r of S is e_r^T D_c (D_r A D_c)^-1 D_r B.
+A block of points holds at most SWEEP_BLOCK_ENTRIES complex entries of A or
+of the products of V(w) with [N | X_p], so memory does not grow with the
+grid.  A failing sweep names the first grid point at which the solver
+refuses a row or a pivot (getrf's zero pivot, mu(w) = 0 or a non-finite
+value), whatever block that point falls in.
 """
 
 from __future__ import annotations
@@ -494,7 +496,7 @@ class QuantumNetwork:
         """Per group, a function solving a block for the rows in ``hits``, and its arguments."""
         plan = []
         for (a3, b, ins), parts in zip(self._parts, hits):
-            read = sorted(parts)        # first in the group: solved; the rest only checked
+            read = sorted(parts)        # first in the group, then the parts no output reads
             if read != list(range(len(read))):
                 order = read + [q for q in range(len(b)) if q not in parts]
                 a3, b, ins = a3[:, order], b[order], ins[order]
@@ -518,7 +520,7 @@ class QuantumNetwork:
                 plan.append((_rank_one_rows, a3[:, every, vary].reshape(3, -1, 1), nx, n,
                              b[every[:n], vary[:n]], q, nx[q, at], outs[:, None], ins[q]))
                 continue
-            unit = np.zeros((n, b.shape[1], max(map(len, pairs), default=0)), complex)
+            unit = np.zeros((len(b), b.shape[1], max(map(len, pairs), default=0)), complex)
             for j, ps in enumerate(pairs):     # k rows of a part solve unit columns 0..k-1
                 unit[j, [pos for _, pos in ps], range(len(ps))] = 1.0
             plan.append((_lu_rows, a3, unit, [(b[j], len(ps), np.array([i for i, _ in ps])[:, None],
@@ -526,17 +528,15 @@ class QuantumNetwork:
         return plan
 
     def _solve_block(self, w: np.ndarray, plan, s: np.ndarray) -> None:
-        """Fill ``s`` (F, m, k) with the rows of S that ``plan`` asks for."""
+        """Fill ``s`` (F, m, k) with the rows of S that ``plan`` asks for, or
+        raise at the first point where a row or a pivot is refused."""
         # Each group's pivots (F, ...) are finite and not 0 where its parts are regular.
-        try:
-            pivots = [p for rows, *args in plan for p in rows(w, s, *args)]
-        except np.linalg.LinAlgError:
-            _raise_singular(self._a, w, None)
+        pivots = [p for rows, *args in plan for p in rows(w, s, *args)]
         if not (np.isfinite(s).all() and all(np.isfinite(p).all() and p.all() for p in pivots)):
             ok = np.isfinite(s).all(axis=(1, 2))
             for p in pivots:
                 ok &= (np.isfinite(p) & (p != 0)).reshape(len(w), -1).all(axis=1)
-            _raise_singular(self._a, w, ok)
+            _raise_singular(self._a, w[ok.argmin()].item())
 
 
 class ScatteringSweep(Sequence):
@@ -597,39 +597,34 @@ def _rank_one_rows(w, s, stamp, nx, n, bv, q, nxr, outs, cols) -> list:
 
 
 def _lu_rows(w, s, a3, unit, reads) -> list:
-    """Write the read rows of S of parts (3, P, m, m) formed whole: the first
-    len(unit) are read and solved, the others factored only; return the
-    others' column scales (F, P - n, m), finite and not 0 where A(w) is."""
+    """Write the read rows of S of parts (3, P, m, m) formed whole, each one
+    factored and solved, the len(reads) read ones first; return the others'
+    column scales (F, P - len(reads), m), finite and not 0 where A(w) is, or
+    if an LU fails the signs of det A(w) (F, P), 0 where getrf meets a zero pivot."""
     row, col, e = _systems(a3, w)
-    et, n = e.swapaxes(2, 3), len(unit)
-    # slogdet's sign is 0 where getrf meets a zero pivot, exactly where solve raises.
-    if n < e.shape[1] and not np.linalg.slogdet(et[:, n:])[0].all():
-        raise np.linalg.LinAlgError("singular matrix")
-    z = np.linalg.solve(et[:, :n], unit / col[:, :n, :, None])
+    et = e.swapaxes(2, 3)
+    try:
+        z = np.linalg.solve(et, unit / col[..., None])
+    except np.linalg.LinAlgError:
+        return [np.linalg.slogdet(et)[0]]
     for q, (b, r, outs, cols) in enumerate(reads):
         s[:, outs, cols] = (z[:, q, :, :r].transpose(0, 2, 1) / row[:, q, None, :]) @ b
-    return [col[:, n:]] if n < col.shape[1] else []
+    return [col[:, len(reads):]]
 
 
-def _raise_singular(a3: np.ndarray, w: np.ndarray, ok) -> NoReturn:
-    """Raise for the first failing point of a block, with warnings off: ``a3`` is the
-    whole stamp, ``ok`` flags points that passed the checks (None: an LU failed)."""
-    wc = w[:, None, None]
-    a = a3[0] + wc * a3[1] + a3[2] / wc          # dense A(w), for its finiteness and rank
-    e = _systems(a3, w)[2]
-    finite = np.isfinite(a).all(axis=(1, 2))
-    e = np.where(np.isfinite(e), e, 0.0)     # a zero row or column gives 0/0
-    n = e.shape[-1]
-    bad = ~finite | (np.linalg.matrix_rank(e) < n) | (False if ok is None else ~ok)
-    i = int(bad.argmax() if bad.any() else np.linalg.cond(e).argmax())
-    where = f"at omega = {w[i].item()!r} rad/s ({w[i].item() / (2 * math.pi)!r} Hz)"
-    if not finite[i]:
+def _raise_singular(a3: np.ndarray, w: float) -> NoReturn:
+    """Raise for the point ``w`` at which the solver refused a row or a pivot:
+    overflow if A(w) of the whole stamp ``a3`` is not finite, else its rank,
+    else the condition number of its equilibrated form."""
+    a = a3[0] + w * a3[1] + a3[2] / w
+    where = f"at omega = {w!r} rad/s ({w / (2 * math.pi)!r} Hz)"
+    if not np.isfinite(a).all():
         raise SingularNetworkError(
             f"network equations overflow {where}: an element's admittance or "
             "impedance exceeds double range")
-    rank = int(np.linalg.matrix_rank(a[i]))
+    rank, n = int(np.linalg.matrix_rank(a)), len(a)
     cause = (f"rank {rank} < {n}" if rank < n
-             else f"condition number {np.linalg.cond(e[i]):.3g}")
+             else f"condition number {np.linalg.cond(_systems(a3, np.array([w]))[2][0]):.3g}")
     raise SingularNetworkError(f"network equations are singular {where}: {cause}")
 
 

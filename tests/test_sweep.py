@@ -6,6 +6,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from qunet import (Capacitor, Feedback, Inductor, NoiseBudget, OpAmp, PortSpec,
                    QuantumNetwork, SingularNetworkError, netlist, thermal_occupation)
 from qunet.cli import CSV_BLOCK_ROWS, _circuit_budget, main
-from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES, _systems
+from qunet.network import GROUND_NAMES, _systems
 
 from helpers import circuit_text, random_passive_network
 from oracles import dense_sweep, dense_systems, estimator_from_scattering, scattering_per_point
@@ -35,9 +36,8 @@ def random_grid(rng, size: int) -> np.ndarray:
     return np.sort(TWO_PI * 10.0 ** rng.uniform(3.0, 6.0, size))
 
 
-def checked_points(size: int, n: int) -> np.ndarray:
-    """Every block edge of an n-unknown sweep plus about 100 points between."""
-    step = max(1, SWEEP_BLOCK_ENTRIES // (n * n))
+def checked_points(size: int, step: int) -> np.ndarray:
+    """Every edge of blocks of ``step`` points plus about 100 points between."""
     edges = np.arange(0, size, step)
     pts = np.r_[edges, edges - 1, np.arange(0, size, max(1, size // 100)), size - 1]
     return np.unique(pts[(pts >= 0) & (pts < size)])
@@ -71,8 +71,7 @@ def test_sweep_matches_oracle_on_passive_networks(seed, size):
     grid = random_grid(rng, size)
     sweep = net.sweep(grid)
     assert sweep.matrices.shape == (size, len(net.ports), len(net.ports))
-    n = len(net.nodes) + len(net.ports)
-    for i in checked_points(size, n):
+    for i in checked_points(size, net._step):
         ref, cond = scattering_per_point(net, grid[i])
         # Lossless ladders resonate: near a resonance S itself is sensitive
         # to the last bit of an element value, and any two double-precision
@@ -88,7 +87,7 @@ def test_sweep_matches_oracle_on_active_stages(spec, seed, size):
     net = stage_network(spec)
     grid = random_grid(rng, size)
     sweep = net.sweep(grid)
-    for i in checked_points(size, 5):
+    for i in checked_points(size, net._step):
         ref, _ = scattering_per_point(net, grid[i])
         assert np.max(np.abs(sweep.matrices[i] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -239,6 +238,27 @@ def test_failing_point_is_named_not_its_block(where):
     with pytest.raises(SingularNetworkError, match=r"omega = 1\.0 rad/s.*rank 2 < 3"):
         net.sweep(grid_with_one(where, [0.5, 0.75, 2.0], net._step))
     assert len(net.sweep([0.5, 0.75, 2.0])) == 3
+
+
+def test_a_point_the_solver_solves_is_not_named_for_a_later_one(monkeypatch):
+    # A line, an L = C = 1 tank singular at exactly 1 rad/s, and a part no
+    # output reads whose resonance, 1/sqrt(2) rad/s, the nearest double
+    # misses: A there is near singular but factors, so it is never named.
+    near = 0.7071067811865475
+    net = QuantumNetwork([PortSpec("p", 50.0, node="n0")],
+                         [Capacitor("x", "gnd", 1.0), Inductor("x", "gnd", 1.0),
+                          Capacitor("u", "v", 1.0), Inductor("u", "gnd", 1.0),
+                          Inductor("v", "gnd", 1.0)])
+    assert len(net.sweep([near])) == 1
+    messages = set()
+    for step in (net._step, 1):         # the default block, then a point per block
+        monkeypatch.setattr(net, "_step", step)
+        for grid in ([near, 1.0], [1.0, near]):
+            with pytest.raises(SingularNetworkError) as err:
+                net.sweep(grid)
+            messages.add(str(err.value))
+    assert len(messages) == 1
+    assert re.search(r"omega = 1\.0 rad/s.*rank 4 < 5$", messages.pop())
 
 
 def test_overflow_is_not_reported_as_rank_loss():
@@ -404,8 +424,8 @@ def solve_raises(x, b) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(pivot_stacks())
 def test_slogdet_sign_is_zero_exactly_where_solve_raises(x):
-    # The sweep factors a part no output reads with slogdet in place of
-    # solve; a singular point must still raise, so the two must agree.
+    # Where a stack's solve raises, the sweep takes slogdet's signs to find
+    # the points it failed at, so the two must agree matrix by matrix.
     b = np.ones(x.shape[:2] + (1,), complex)
     zero = np.linalg.slogdet(x)[0] == 0
     assert [solve_raises(a, c) for a, c in zip(x, b)] == zero.tolist()
