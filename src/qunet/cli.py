@@ -110,12 +110,22 @@ def _circuit_budget(doc, grid) -> tuple[list, np.ndarray, np.ndarray]:
     temps = net.channel_temperatures()
     sigma = thermal_occupation(maps.omegas[None, :],
                                np.array([temps[name] for name in names])[:, None])
-    x = row[noise]
-    live = x.any(axis=1, keepdims=True)   # False for a source of another part: |mu|^2 = 0.0
-    mu2 = np.zeros(x.shape)
+    # A source of another part is 0 at every point, and so is its |mu|^2
+    # (0/beta is 0).  A sweep on which some source is 0 at the first point
+    # divides only the sources reached at some point; scanning every point
+    # costs about what dividing does, so it is done only then.
+    live = list(range(len(noise)))
+    if len(beta) > 1 and not (row[:, 0] != 0.0).all():
+        reached = row.any(axis=1).tolist()
+        live = [k for k, i in enumerate(noise) if reached[i]]
+    x = row[[noise[k] for k in live]]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.abs(np.divide(x, beta, out=x, where=live), out=mu2, where=live)
-        return names, np.square(mu2, out=mu2), sigma
+        mu2 = np.abs(np.divide(x, beta, out=x))
+        np.square(mu2, out=mu2)
+    if len(live) < len(noise):
+        mu2, weighted = np.zeros((len(noise), len(beta))), mu2
+        mu2[live] = weighted
+    return names, mu2, sigma
 
 
 def _report_dict(freq_hz, units, budget: NoiseBudget):

@@ -41,17 +41,19 @@ a group of such parts once, at its middle point w_r and equilibrated (rows
 and columns scaled by their largest entries): A(w_r) [N | X_p] = [e_v | B].
 At each point the pivot mu(w) = V(w) N is a scalar and
 X = X_p + N (B_v - V(w) X_p) / mu(w) (Sherman-Morrison).  A(w) is singular
-exactly where mu(w) = 0, so a part no output reads costs one pivot per
-point.  Groups holding another part (C/L ladders), one-point sweeps (there
-that solve would be the only one) and groups in which some A(w_r) is
-singular or overflows are formed whole and equilibrated (D_r A D_c) at each
-point; every part of such a group is factored and solved, an unread one for
-zero columns, and each requested row r of S is e_r^T D_c (D_r A D_c)^-1 D_r B.
-A block of points holds at most SWEEP_BLOCK_ENTRIES complex entries of A or
-of the products of V(w) with [N | X_p], so memory does not grow with the
-grid.  A failing sweep names the first grid point at which the solver
-refuses a row or a pivot (getrf's zero pivot, mu(w) = 0 or a non-finite
-value), whatever block that point falls in.
+exactly where mu(w) = 0.  A part no output reads forms only its pivot,
+mu(w) = V0 N + w V1 N + (V2 N)/w from three products taken once per sweep,
+and the entries of V(w) that vary with w, which must stay finite.  Groups
+holding another part (C/L ladders), one-point sweeps (there that solve would
+be the only one) and groups in which some A(w_r) is singular or overflows
+are formed whole and equilibrated (D_r A D_c) at each point; every part of
+such a group is factored and solved, an unread one for zero columns, and
+each requested row r of S is e_r^T D_c (D_r A D_c)^-1 D_r B.  A block holds
+at most SWEEP_BLOCK_ENTRIES complex entries: m max(m, 1 + c) per point for
+A or V(w) [N | X_p], or an unread part's pivot and varying entries.  A
+failing sweep names the first grid point at which the solver refuses a row
+or a pivot (getrf's zero pivot, mu(w) = 0 or a non-finite value), whatever
+block that point falls in.
 """
 
 from __future__ import annotations
@@ -338,11 +340,6 @@ class QuantumNetwork:
             for c in (Channel(f"{amp.name}.a"), Channel(f"{amp.name}.a'", conjugated=True)))
         self._a, self._b = self._stamp()
         self._parts, self._outward = self._split()
-        # A bound on the complex entries a point forms per part: A's m x m, or
-        # m (1 + c) for V(w) and V(w) [N | X_p] if the part changes in one row.
-        entries = sum(len(b) * m * max(m, 1 + c) for _, b, _ in self._parts
-                      for m, c in [b.shape[1:]])
-        self._step = max(1, SWEEP_BLOCK_ENTRIES // max(entries, 1))
 
     def channel_temperatures(self) -> dict[str, float]:
         temps = [p.temperature for p in self.ports] + [
@@ -482,25 +479,27 @@ class QuantumNetwork:
         if outputs is not None:
             chans = tuple(chans[_index_of(chans, name, "output")] for name in outputs)
         s = np.zeros((len(w), len(chans), self._b.shape[1]), dtype=complex)
+        with np.errstate(all="ignore"):   # overflow and singularity are checked
+            plan, step = self._solvers(w, chans)
+            for lo in range(0, len(w), step):
+                self._solve_block(w[lo:lo + step], plan, s[lo:lo + step])
+        return ScatteringSweep(w, s, chans, self.input_channels)
+
+    def _solvers(self, w: np.ndarray, chans) -> tuple[list, int]:
+        """Per group, a function solving a block for the rows of output
+        channels ``chans``, and its arguments; and the points per block."""
         hits = [{} for _ in self._parts]           # per group: part -> [(output, unknown)]
         for i, c in enumerate(chans):
             g, q, pos = self._outward[self.output_channels.index(c)]
             hits[g].setdefault(q, []).append((i, pos))
-        with np.errstate(all="ignore"):   # overflow and singularity are checked
-            plan = self._solvers(w, hits)
-            for lo in range(0, len(w), self._step):
-                self._solve_block(w[lo:lo + self._step], plan, s[lo:lo + self._step])
-        return ScatteringSweep(w, s, chans, self.input_channels)
-
-    def _solvers(self, w: np.ndarray, hits) -> list:
-        """Per group, a function solving a block for the rows in ``hits``, and its arguments."""
-        plan = []
+        plan, entries = [], 0                      # complex entries a point forms
         for (a3, b, ins), parts in zip(self._parts, hits):
             read = sorted(parts)        # first in the group, then the parts no output reads
             if read != list(range(len(read))):
                 order = read + [q for q in range(len(b)) if q not in parts]
                 a3, b, ins = a3[:, order], b[order], ins[order]
             n, pairs, nx = len(read), [parts[q] for q in read], None
+            size = b.shape[1] * max(b.shape[1], 1 + b.shape[2])   # entries of A or V [N | X_p]
             # Parts holding A1 or A2 entries in one row v at most: A(w_r) [N | X_p] = [e_v | B].
             if len(w) > 1 and (varying := a3[1:].any(axis=(0, 3))).sum(axis=1).max() <= 1:
                 vary = varying.argmax(axis=1)
@@ -516,16 +515,24 @@ class QuantumNetwork:
                 # Per read row: its part, its row of s and its unknown.
                 q, outs, at = np.array([(j, i, pos) for j, ps in enumerate(pairs)
                                         for i, pos in ps], dtype=int).reshape(-1, 3).T
-                every = np.arange(len(b))
-                plan.append((_rank_one_rows, a3[:, every, vary].reshape(3, -1, 1), nx, n,
-                             b[every[:n], vary[:n]], q, nx[q, at], outs[:, None], ins[q]))
+                rows, unread = a3[:, np.arange(len(b)), vary], np.zeros((3, 0, 1))  # parts' row v
+                if n < len(b):   # an unread part forms only its pivot, from (V0 N, V1 N, V2 N),
+                    # and the entries of V(w) that vary with w, which overflow where mu may not
+                    part, k = np.nonzero(rows[1:, n:].any(axis=0))
+                    unread = np.concatenate([(rows[:, n:] * nx[n:, :, 0]).sum(axis=2),
+                                             rows[:, n + part, k]], axis=1)[..., None]
+                plan.append((_rank_one_rows, rows[:, :n].reshape(3, -1, 1), nx[:n],
+                             b[np.arange(n), vary[:n]], q, nx[q, at], outs[:, None], ins[q],
+                             unread, len(b) - n))
+                entries += n * size + unread.shape[1]
                 continue
             unit = np.zeros((len(b), b.shape[1], max(map(len, pairs), default=0)), complex)
             for j, ps in enumerate(pairs):     # k rows of a part solve unit columns 0..k-1
                 unit[j, [pos for _, pos in ps], range(len(ps))] = 1.0
             plan.append((_lu_rows, a3, unit, [(b[j], len(ps), np.array([i for i, _ in ps])[:, None],
                                                ins[j]) for j, ps in enumerate(pairs)]))
-        return plan
+            entries += len(b) * size
+        return plan, max(1, SWEEP_BLOCK_ENTRIES // max(entries, 1))
 
     def _solve_block(self, w: np.ndarray, plan, s: np.ndarray) -> None:
         """Fill ``s`` (F, m, k) with the rows of S that ``plan`` asks for, or
@@ -571,28 +578,31 @@ def _systems(a3: np.ndarray, w: np.ndarray):
     return row.reshape(a.shape[:-1]), col, np.divide(a, col[..., None, :], out=a)
 
 
-def _rank_one_rows(w, s, stamp, nx, n, bv, q, nxr, outs, cols) -> list:
-    """Write the read rows of S of parts changing in one row V(w), stamped in
-    ``stamp`` (3, P m, 1), and return their pivots mu(w) = V(w) N: (F, n) of
-    the n read parts, which come first, and (F, P - n).  ``nx`` (P, m, 1 + c)
-    is [N | X_p] and ``bv`` (n, c) B_v; per read row, ``q`` is its part,
-    ``nxr`` its [N | X_p], ``outs`` and ``cols`` its row and columns of s.
-    Sums over the m unknowns are folded in place, in the oracle's order."""
-    p, m = nx.shape[:2]
-    v = (stamp[0] + w * stamp[1] + stamp[2] / w).reshape(p, m, 1, len(w))
+def _rank_one_rows(w, s, stamp, nx, bv, q, nxr, outs, cols, unread, u) -> list:
+    """Write the read rows of S of parts changing in one row V(w); return the
+    pivots mu(w) = V(w) N of the n read (F, n) and u unread parts (F, u), and
+    whether each varying entry of an unread V(w) is finite.  ``stamp``
+    (3, n m, 1) is the read rows V, ``nx`` (n, m, 1 + c) [N | X_p], ``bv``
+    (n, c) B_v; per read row, ``q`` is its part, ``nxr`` its [N | X_p],
+    ``outs`` and ``cols`` its row and columns of s.  ``unread`` (3, u + K, 1)
+    is, per term of A(w), the unread parts' V_p N, then their K varying
+    entries.  Sums over the m unknowns are folded in place, as the oracle's."""
+    n, m = nx.shape[:2]
     pivots = []
     if n:
-        y = v[:n, 0] * nx[:n, 0, :, None]                # V [N | X_p] (n, 1 + c, F)
+        v = (stamp[0] + w * stamp[1] + stamp[2] / w).reshape(n, m, 1, len(w))
+        y = v[:, 0] * nx[:, 0, :, None]                  # V [N | X_p] (n, 1 + c, F)
         for i in range(1, m):
-            y += v[:n, i] * nx[:n, i, :, None]
+            y += v[:, i] * nx[:, i, :, None]
         t = (bv[..., None] - y[:, 1:]) / y[:, :1]        # (B_v - V X_p) / mu
         s[:, outs, cols] = (nxr[:, 1:, None] + nxr[:, :1, None] * t[q]).transpose(2, 0, 1)
         pivots.append(y[:, 0].T)
-    if n < p:
-        mu = v[n:, 0, 0] * nx[n:, 0, :1]                 # V N (P - n, F)
-        for i in range(1, m):
-            mu += v[n:, i, 0] * nx[n:, i, :1]
-        pivots.append(mu.T)
+    if u:
+        x = unread[2] / w           # A0 + w A1 + A2/w (u + K, F) in place: in blocks
+        x += unread[0]              # this long each temporary is peak memory; w A1
+        if unread[1].any():         # is an exact 0 if A1 is (A2/w is NaN below 1/DBL_MAX)
+            x += w * unread[1]
+        pivots += [x[:u].T, np.isfinite(x[u:]).T]
     return pivots
 
 

@@ -1,0 +1,117 @@
+"""Mutants of the package that named tests must kill.
+
+Each entry of ``MUTANTS`` is (file under ``src/``, exact old text, new text,
+the tests that must fail).  Run from the repository root:
+
+    python tests/mutants.py
+
+It copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` to a
+temporary directory, runs every named test there once on the intact copy,
+then applies each mutant in turn and runs only its tests, with Hypothesis
+seeded so that every run draws the same examples.  It exits 1 if a
+named test fails on the intact copy, if an old text is not found exactly
+once in its file, or if a mutant leaves any of its tests passing.  A
+refactor that changes an old text must update its entry.  Standard library
+only; pytest and the test dependencies must be installed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SWEEP = "tests/test_sweep.py"
+
+MUTANTS = [
+    # An unread part on the rank-one path checks only its pivot mu(w), not
+    # whether the entries of its row that vary with w stay finite.
+    ("qunet/network.py",
+     "        pivots += [x[:u].T, np.isfinite(x[u:]).T]\n",
+     "        pivots += [x[:u].T]\n",
+     [f"{SWEEP}::test_an_unread_part_that_overflows_still_raises",
+      f"{SWEEP}::test_one_row_raises_where_every_row_does"]),
+    # An unread part on the rank-one path checks only its varying entries.
+    ("qunet/network.py",
+     "        pivots += [x[:u].T, np.isfinite(x[u:]).T]\n",
+     "        pivots += [np.isfinite(x[u:]).T]\n",
+     [f"{SWEEP}::test_a_singular_unread_part_raises_at_its_point"]),
+    # The rank-one fold sums over the unknowns in reverse order.  The random
+    # test_sweep_equals_the_dense_oracle_bit_for_bit kills it in about half
+    # of its runs only: a stage's sums rarely hold three nonzero terms.
+    ("qunet/network.py",
+     "        y = v[:, 0] * nx[:, 0, :, None]                  # V [N | X_p] (n, 1 + c, F)\n"
+     "        for i in range(1, m):\n",
+     "        y = v[:, m - 1] * nx[:, m - 1, :, None]\n"
+     "        for i in range(m - 2, -1, -1):\n",
+     [f"{SWEEP}::test_a_one_node_part_sweep_equals_the_dense_oracle_bit_for_bit"]),
+    # The Sherman-Morrison factor t one ulp off.
+    ("qunet/network.py",
+     "        t = (bv[..., None] - y[:, 1:]) / y[:, :1]        # (B_v - V X_p) / mu\n",
+     "        t = (bv[..., None] - y[:, 1:]) / y[:, :1] * (1 + 2 ** -52)\n",
+     [f"{SWEEP}::test_sweep_equals_the_dense_oracle_bit_for_bit",
+      "tests/test_cli.py::test_cli_output_is_pinned",
+      "tests/test_cli.py::test_cli_corpus_is_pinned",
+      "tests/test_readme.py::test_qnet_example_runs_as_the_readme_says"]),
+    # No column equilibration: every column scale is 1.
+    ("qunet/network.py",
+     "    col = np.maximum.reduce(np.abs(a), axis=-2, initial=0.0)\n",
+     "    col = np.ones(a.shape[:-2] + a.shape[-1:])\n",
+     ["tests/test_accuracy.py::test_rows_of_s_are_within_kappa_eps_of_exact",
+      f"{SWEEP}::test_systems_equal_the_dense_oracle_bit_for_bit"]),
+]
+
+
+def run_tests(tree: Path, tests: list) -> set:
+    """The named tests that fail in ``tree``, as named (parameters dropped);
+    raises if pytest could not run them."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
+        cwd=tree, env=env, capture_output=True, text=True)
+    if run.returncode not in (0, 1):          # 1: some tests failed
+        raise RuntimeError(f"pytest exited {run.returncode}:\n{run.stdout[-3000:]}{run.stderr}")
+    failed = {line.split()[1].split("[")[0] for line in run.stdout.splitlines()
+              if line.startswith("FAILED ")}
+    return {t for t in tests if t in failed}
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name, ignore=skip)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, tree / name)
+        named = sorted({t for *_, tests in MUTANTS for t in tests})
+        if broken := run_tests(tree, named):
+            problems += [f"fails on the intact tree: {t}" for t in sorted(broken)]
+        for k, (file, old, new, tests) in enumerate(MUTANTS):
+            path = tree / "src" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                problems.append(f"mutant {k}: old text found {text.count(old)} times in {file}")
+                continue
+            path.write_text(text.replace(old, new))
+            try:
+                survived = sorted(set(tests) - run_tests(tree, tests))
+            finally:
+                path.write_text(text)
+            print(f"mutant {k} ({file}): " + (f"survived {survived}" if survived else "killed"))
+            problems += [f"mutant {k} survived {t}" for t in survived]
+    for p in problems:
+        print(p, file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

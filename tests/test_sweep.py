@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from qunet import (Capacitor, Feedback, Inductor, NoiseBudget, OpAmp, PortSpec,
                    QuantumNetwork, SingularNetworkError, netlist, thermal_occupation)
 from qunet.cli import CSV_BLOCK_ROWS, _circuit_budget, main
-from qunet.network import GROUND_NAMES, _systems
+from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES, _systems
 
 from helpers import circuit_text, random_passive_network
 from oracles import dense_sweep, dense_systems, estimator_from_scattering, scattering_per_point
@@ -34,6 +34,13 @@ temperatures = st.one_of(st.just(0.0), st.floats(0.0, 300.0))
 def random_grid(rng, size: int) -> np.ndarray:
     """``size`` sorted angular frequencies, log-uniform over 1 kHz..1 MHz."""
     return np.sort(TWO_PI * 10.0 ** rng.uniform(3.0, 6.0, size))
+
+
+def block_length(net, grid, outputs=None) -> int:
+    """The points per block that ``net.sweep(grid, outputs)`` solves at once."""
+    chans = [c for c in net.output_channels if outputs is None or c.name in outputs]
+    with np.errstate(all="ignore"):
+        return net._solvers(np.asarray(grid, float), chans)[1]
 
 
 def checked_points(size: int, step: int) -> np.ndarray:
@@ -71,7 +78,7 @@ def test_sweep_matches_oracle_on_passive_networks(seed, size):
     grid = random_grid(rng, size)
     sweep = net.sweep(grid)
     assert sweep.matrices.shape == (size, len(net.ports), len(net.ports))
-    for i in checked_points(size, net._step):
+    for i in checked_points(size, block_length(net, grid)):
         ref, cond = scattering_per_point(net, grid[i])
         # Lossless ladders resonate: near a resonance S itself is sensitive
         # to the last bit of an element value, and any two double-precision
@@ -87,7 +94,7 @@ def test_sweep_matches_oracle_on_active_stages(spec, seed, size):
     net = stage_network(spec)
     grid = random_grid(rng, size)
     sweep = net.sweep(grid)
-    for i in checked_points(size, net._step):
+    for i in checked_points(size, block_length(net, grid)):
         ref, _ = scattering_per_point(net, grid[i])
         assert np.max(np.abs(sweep.matrices[i] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -218,13 +225,16 @@ def test_sweep_is_a_read_only_sequence():
 ONE_AT = ("first", "middle", "last", "past the first block", "alone")
 
 
-def grid_with_one(where: str, others: list, step: int) -> list:
-    """The points ``others``, none of them 1 rad/s, with 1.0 placed ``where``;
-    ``step`` is the sweep's block length.  ``middle`` keeps ``others``' order."""
+def grid_with_one(where: str, others: list, net, outputs=None) -> list:
+    """The points ``others``, none of them 1 rad/s, with 1.0 placed ``where``
+    in a sweep of ``net`` for ``outputs``.  ``middle`` keeps ``others``' order."""
     if where == "alone":
         return [1.0]
     if where == "past the first block":
-        return [*np.geomspace(0.5, 0.9, step + 1).tolist(), 1.0, *others]
+        step = block_length(net, others, outputs)
+        grid = [*np.geomspace(0.5, 0.9, step + 1).tolist(), 1.0, *others]
+        assert block_length(net, grid, outputs) == step     # 1.0 is in the second block
+        return grid
     at = {"first": 0, "middle": (len(others) + 1) // 2, "last": len(others)}[where]
     return [*others[:at], 1.0, *others[at:]]
 
@@ -236,7 +246,7 @@ def test_failing_point_is_named_not_its_block(where):
     net = QuantumNetwork([PortSpec("p", 50.0, node="n0")],
                          [Capacitor("x", "gnd", 1.0), Inductor("x", "gnd", 1.0)])
     with pytest.raises(SingularNetworkError, match=r"omega = 1\.0 rad/s.*rank 2 < 3"):
-        net.sweep(grid_with_one(where, [0.5, 0.75, 2.0], net._step))
+        net.sweep(grid_with_one(where, [0.5, 0.75, 2.0], net))
     assert len(net.sweep([0.5, 0.75, 2.0])) == 3
 
 
@@ -251,8 +261,9 @@ def test_a_point_the_solver_solves_is_not_named_for_a_later_one(monkeypatch):
                           Inductor("v", "gnd", 1.0)])
     assert len(net.sweep([near])) == 1
     messages = set()
-    for step in (net._step, 1):         # the default block, then a point per block
-        monkeypatch.setattr(net, "_step", step)
+    for entries in (SWEEP_BLOCK_ENTRIES, 1):   # the default block, then a point per block
+        monkeypatch.setattr("qunet.network.SWEEP_BLOCK_ENTRIES", entries)
+        assert (block_length(net, [near, 1.0]) == 1) == (entries == 1)
         for grid in ([near, 1.0], [1.0, near]):
             with pytest.raises(SingularNetworkError) as err:
                 net.sweep(grid)
@@ -283,15 +294,19 @@ def renamed(prefix: str, ports, components):
 
 
 @st.composite
-def disjoint_unions(draw):
+def disjoint_unions(draw, overflowing=False):
     """2-4 disjoint parts (random passive ladders and C/L/X stages) plus a
-    line on a ground node; each input channel's name mapped to its part."""
+    line on a ground node; each input channel's name mapped to its part.
+    ``overflowing`` draws stages only, some with 1e-290 F feedback, whose
+    A(w) leaves double range below about 1e-18 rad/s."""
     ports, comps, part_of = [PortSpec("g", draw(impedances), node="gnd")], [], {"g": 0}
     for j in range(1, draw(st.integers(2, 4)) + 1):
-        if draw(st.booleans()):
+        if not overflowing and draw(st.booleans()):
             p, c = random_passive_network(np.random.default_rng(draw(seeds)))
         else:
             r_l, r_r, r_a, kind, value, _ = draw(stage_specs())
+            if overflowing and kind == "C" and draw(st.booleans()):
+                value = 1e-290
             p = [PortSpec("l", r_l), PortSpec("r", r_r)]
             c = [OpAmp("amp", "l", "r", r_a, Feedback(kind, value))]
         p, c = renamed(f"u{j}", p, c)
@@ -353,8 +368,49 @@ def test_a_singular_part_no_output_reaches_still_raises(where):
         comps.append(OpAmp(f"amp{k}", f"l{k}", f"r{k}", 50.0, Feedback.reactance(100.0)))
     net = QuantumNetwork(ports, comps)
     with pytest.raises(SingularNetworkError, match=r"omega = 1\.0 rad/s.*rank 10 < 11"):
-        net.sweep(grid_with_one(where, [0.5, 2.0], net._step), outputs=("r0",))
+        net.sweep(grid_with_one(where, [0.5, 2.0], net, ("r0",)), outputs=("r0",))
     assert len(net.sweep([0.5, 2.0], outputs=("r0",))) == 2
+
+
+def test_an_unread_part_that_overflows_still_raises():
+    # At 1e-20 rad/s the 1e-290 F feedback's impedance, 1e310 Ohm, leaves
+    # double range, while that stage's pivot mu(w) = V(w) N stays finite.
+    ports, comps = [], []
+    for name, c in (("", 1e-12), ("u", 1e-290)):
+        ports += [PortSpec(f"{name}l", 50.0), PortSpec(f"{name}r", 50.0)]
+        comps.append(OpAmp(f"{name}amp", f"{name}l", f"{name}r", 50.0, Feedback.capacitive(c)))
+    net = QuantumNetwork(ports, comps)
+    for outputs in (None, ("r",)):
+        with pytest.raises(SingularNetworkError,
+                           match=r"network equations overflow at omega = 1e-20 rad/s"):
+            net.sweep([1e-20, 1.0, 2.0, 3.0], outputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(disjoint_unions(overflowing=True), seeds, st.integers(2, 60),
+       st.lists(st.sampled_from((1e-20, 2.2250738585072014e-308, 5e-309)), min_size=1,
+                max_size=3), st.data())
+def test_one_row_raises_where_every_row_does(union, seed, size, extremes, data):
+    # Points anywhere in the grid where some part's A(w) overflows: 1e-20
+    # rad/s for 1e-290 F feedback, 2.2e-308 for any C feedback, 5e-309 for
+    # every part.  The parts one output does not read must refuse the same
+    # first point as when every part is read.  A read part also refuses a
+    # point where A(w) is finite and regular but its rows of S overflow,
+    # which an unread part never forms, so the grid holds no point near the
+    # ends of double range where A(w) stays finite.
+    net = union[0]
+    grid = np.r_[random_grid(np.random.default_rng(seed), size), extremes]
+    data.draw(st.randoms()).shuffle(grid)
+    one = (data.draw(st.sampled_from(net.ports)).name,)
+
+    def verdict(outputs):
+        try:
+            net.sweep(grid, outputs)
+        except SingularNetworkError as err:
+            return str(err)
+        return None
+
+    assert verdict(one) == verdict(None)
 
 
 # x and y are a two-node part with no input whose equations are singular at
@@ -377,7 +433,7 @@ PAIR = [Capacitor("x", "gnd", 1.0), Capacitor("x", "y", 1.0), Inductor("y", "gnd
 def test_a_singular_unread_part_raises_at_its_point(ports, comps, read, rank, where):
     net = QuantumNetwork(ports, comps)
     with pytest.raises(SingularNetworkError, match=rf"omega = 1\.0 rad/s.*rank {rank}"):
-        net.sweep(grid_with_one(where, [0.5, 2.0], net._step), outputs=(read,))
+        net.sweep(grid_with_one(where, [0.5, 2.0], net, (read,)), outputs=(read,))
     got = net.sweep([0.5, 2.0], outputs=(read,)).matrices
     want = net.sweep([0.5, 2.0]).matrices[:, [p.name for p in ports].index(read)]
     assert np.array_equal(got[:, 0], want)
@@ -498,6 +554,17 @@ def test_sweep_equals_the_dense_oracle_bit_for_bit(net, seed, size, extremes, on
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_a_one_node_part_sweep_equals_the_dense_oracle_bit_for_bit():
+    # Three lines and a capacitor on one node: each sum of the rank-one row
+    # over the part's unknowns has several nonzero terms, so their order
+    # shows in the bits, as it rarely does for an op-amp stage.
+    net = QuantumNetwork([PortSpec(f"p{k}", r, node="n0") for k, r in enumerate((50.0, 300.0, 1e3))],
+                         [Capacitor("n0", "gnd", 1e-8)])
+    grid = np.array([1e4, 1e5, 1e6])
+    got, want = net.sweep(grid).matrices, dense_sweep(net, grid, None)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_a_part_without_varying_rows_overflows_below_one_over_dbl_max():
     # At 5e-309 rad/s 0/w is NaN.  A constant-reactance stage has no row
     # that changes with w, yet a sweep forms its row 0 per block, so it
@@ -506,7 +573,9 @@ def test_a_part_without_varying_rows_overflows_below_one_over_dbl_max():
     flat = QuantumNetwork(ports, [OpAmp("amp", "l", "r", 60.0, Feedback.reactance(1e3))])
     cap = QuantumNetwork(ports, [OpAmp("amp", "l", "r", 60.0, Feedback.capacitive(1e-9))])
     for net in (flat, cap):
-        for grid in ([1.0, 5e-309], [1.0] * net._step + [5e-309]):
+        step = block_length(net, [1.0, 1.0])
+        for grid in ([1.0, 5e-309], [1.0] * step + [5e-309]):
+            assert block_length(net, grid) == step
             with pytest.raises(SingularNetworkError) as err:
                 net.sweep(grid)
             assert "overflow at omega = 5e-309 rad/s" in str(err.value)
