@@ -179,21 +179,21 @@ def repr_chars(x) -> np.ndarray:
     return out
 
 
-def csv_rows(block: np.ndarray) -> bytes:
-    """ASCII CSV lines of a (columns, rows) float64 block, each value as ``repr``
-    prints it.  A column with the same bits on every row is formatted once,
-    into the bytes all lines share; the other columns fill their slots."""
-    bits = block.view(np.uint64)
-    same = (bits == bits[:, :1]).all(axis=1)
-    line, slots = bytearray(), []
-    for first, fixed in zip(block[:, 0].tolist(), same):
+def csv_rows(columns) -> bytes:
+    """ASCII CSV lines of ``columns``, each value as ``repr`` prints it.  A
+    column is a float64 array over the rows, or a float that every row holds,
+    formatted once into the bytes all lines share; one at least is an array."""
+    line, slots, arrays = bytearray(), [], []
+    for column in columns:
+        fixed = type(column) is float
         if not fixed:
             slots.append(len(line))
-        line += (repr(first).encode() if fixed else bytes(WIDTH)) + b","
+            arrays.append(column)
+        line += (repr(column).encode() if fixed else bytes(WIDTH)) + b","
     line[-1:] = b"\n"
-    cells = np.empty((block.shape[1], len(line)), dtype=np.uint8)
+    cells = np.empty((len(arrays[0]), len(line)), dtype=np.uint8)
     cells[:] = np.frombuffer(line, dtype=np.uint8)
-    chars = repr_chars(block[~same].T).reshape(len(cells), len(slots), WIDTH)
+    chars = repr_chars(np.stack(arrays, axis=1)).reshape(len(cells), len(slots), WIDTH)
     for i, at in enumerate(slots):
         cells[:, at:at + WIDTH] = chars[:, i]
     return cells.tobytes().translate(None, b"\0")

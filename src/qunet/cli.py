@@ -90,9 +90,10 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _circuit_budget(doc, grid) -> tuple[list, np.ndarray, np.ndarray]:
-    """Noise source names and their |mu|^2 and sigma (k, F) at the readout,
-    solved alone, over angular frequencies ``grid``."""
+def _circuit_budget(doc, grid) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """Over ascending angular frequencies ``grid``, the noise source names,
+    the sources the readout reaches (all of them on a one-point grid) and
+    their |mu|^2 and sigma (r, F), solved alone.  The others' |mu|^2 is 0."""
     signal, readout = doc.signal, doc.readout
     if signal is None or readout is None:
         raise ValueError("a noise budget needs both a signal and a readout "
@@ -107,12 +108,9 @@ def _circuit_budget(doc, grid) -> tuple[list, np.ndarray, np.ndarray]:
                                   f"signal {signal!r}: no transduction")
     noise = [i for i, name in enumerate(names) if name != signal]
     names = [names[i] for i in noise]
-    temps = net.channel_temperatures()
-    sigma = thermal_occupation(maps.omegas[None, :],
-                               np.array([temps[name] for name in names])[:, None])
     # A source of another part is 0 at every point, and so is its |mu|^2
     # (0/beta is 0).  A sweep on which some source is 0 at the first point
-    # divides only the sources reached at some point; scanning every point
+    # weighs only the sources reached at some point; scanning every point
     # costs about what dividing does, so it is done only then.
     live = list(range(len(noise)))
     if len(beta) > 1 and not (row[:, 0] != 0.0).all():
@@ -122,10 +120,14 @@ def _circuit_budget(doc, grid) -> tuple[list, np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         mu2 = np.abs(np.divide(x, beta, out=x))
         np.square(mu2, out=mu2)
-    if len(live) < len(noise):
-        mu2, weighted = np.zeros((len(noise), len(beta))), mu2
-        mu2[live] = weighted
-    return names, mu2, sigma
+    # Every source at the first point, where it refuses if anywhere (at a
+    # fixed T, sigma leaves double range only below some omega); then the reached.
+    temps = net.channel_temperatures()
+    t = np.array([temps[name] for name in names])[:, None]
+    sigma = thermal_occupation(maps.omegas[None, :1], t)
+    if len(beta) > 1:
+        sigma = thermal_occupation(maps.omegas[None, :], t[live])
+    return names, [names[k] for k in live], mu2, sigma
 
 
 def _report_dict(freq_hz, units, budget: NoiseBudget):
@@ -187,7 +189,7 @@ def cmd_budget(args) -> int:
     elif freq is None:
         raise ValueError("a positive --freq in Hz is required for circuit budgets")
     else:
-        names, mu2, sigma = _circuit_budget(doc, [TWO_PI * freq])
+        _, names, mu2, sigma = _circuit_budget(doc, [TWO_PI * freq])
         budget = NoiseBudget(TWO_PI * freq, dict(zip(names, mu2[:, 0].tolist())),
                              dict(zip(names, sigma[:, 0].tolist())))
         report = _report_dict(freq, "dimensionless quanta per mode", budget)
@@ -206,16 +208,17 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"preset {doc.preset!r} is evaluated only at its carrier; "
                          "sweep needs a circuit document")
     grid = doc.sweep.to_grid()
-    names, mu2, sigma = _circuit_budget(doc, grid)
+    names, reached, mu2, sigma = _circuit_budget(doc, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # the budget names an overflow
-        budget = NoiseBudget(grid, dict(zip(names, mu2)), dict(zip(names, sigma)))
-    table = np.vstack([grid / TWO_PI, budget.total, *budget.contributions.values()])
+        budget = NoiseBudget(grid, dict(zip(reached, mu2)), dict(zip(reached, sigma)))
+    columns = [grid / TWO_PI, budget.total, *(budget.contributions.get(n, 0.0) for n in names)]
     from ._floatrepr import csv_rows        # only a sweep needs its tables
     with open(args.output, "wb") as fh:
-        fh.write(("freq_hz,total," + ",".join(budget.contributions) + "\n").encode())
-        for lo in range(0, table.shape[1], CSV_BLOCK_ROWS):
-            fh.write(csv_rows(table[:, lo:lo + CSV_BLOCK_ROWS]))
-    print(f"wrote {table.shape[1]} rows to {args.output}")
+        fh.write(("freq_hz,total," + ",".join(names) + "\n").encode())
+        for lo in range(0, len(grid), CSV_BLOCK_ROWS):
+            fh.write(csv_rows([c if type(c) is float else c[lo:lo + CSV_BLOCK_ROWS]
+                               for c in columns]))
+    print(f"wrote {len(grid)} rows to {args.output}")
     return 0
 
 

@@ -480,25 +480,26 @@ class QuantumNetwork:
             chans = tuple(chans[_index_of(chans, name, "output")] for name in outputs)
         s = np.zeros((len(w), len(chans), self._b.shape[1]), dtype=complex)
         with np.errstate(all="ignore"):   # overflow and singularity are checked
-            plan, step = self._solvers(w, chans)
+            plan, step, cols = self._solvers(w, chans)
             for lo in range(0, len(w), step):
-                self._solve_block(w[lo:lo + step], plan, s[lo:lo + step])
+                self._solve_block(w[lo:lo + step], plan, s[lo:lo + step], cols)
         return ScatteringSweep(w, s, chans, self.input_channels)
 
-    def _solvers(self, w: np.ndarray, chans) -> tuple[list, int]:
-        """Per group, a function solving a block for the rows of output
-        channels ``chans``, and its arguments; and the points per block."""
+    def _solvers(self, w: np.ndarray, chans) -> tuple[list, int, slice | list]:
+        """Per group, a function solving a block for the rows of output channels
+        ``chans`` and its arguments; the points per block; the columns of S written."""
         hits = [{} for _ in self._parts]           # per group: part -> [(output, unknown)]
         for i, c in enumerate(chans):
             g, q, pos = self._outward[self.output_channels.index(c)]
             hits[g].setdefault(q, []).append((i, pos))
-        plan, entries = [], 0                      # complex entries a point forms
+        plan, entries, cols = [], 0, []            # complex entries a point forms
         for (a3, b, ins), parts in zip(self._parts, hits):
             read = sorted(parts)        # first in the group, then the parts no output reads
             if read != list(range(len(read))):
                 order = read + [q for q in range(len(b)) if q not in parts]
                 a3, b, ins = a3[:, order], b[order], ins[order]
             n, pairs, nx = len(read), [parts[q] for q in read], None
+            cols += ins[:n].ravel().tolist()
             size = b.shape[1] * max(b.shape[1], 1 + b.shape[2])   # entries of A or V [N | X_p]
             # Parts holding A1 or A2 entries in one row v at most: A(w_r) [N | X_p] = [e_v | B].
             if len(w) > 1 and (varying := a3[1:].any(axis=(0, 3))).sum(axis=1).max() <= 1:
@@ -532,18 +533,21 @@ class QuantumNetwork:
             plan.append((_lu_rows, a3, unit, [(b[j], len(ps), np.array([i for i, _ in ps])[:, None],
                                                ins[j]) for j, ps in enumerate(pairs)]))
             entries += len(b) * size
-        return plan, max(1, SWEEP_BLOCK_ENTRIES // max(entries, 1))
+        cols = slice(None) if len(cols) == self._b.shape[1] else cols   # each input once
+        return plan, max(1, SWEEP_BLOCK_ENTRIES // max(entries, 1)), cols
 
-    def _solve_block(self, w: np.ndarray, plan, s: np.ndarray) -> None:
-        """Fill ``s`` (F, m, k) with the rows of S that ``plan`` asks for, or
-        raise at the first point where a row or a pivot is refused."""
+    def _solve_block(self, w: np.ndarray, plan, s: np.ndarray, cols) -> None:
+        """Fill columns ``cols`` of ``s`` (F, m, k) with the rows of S that ``plan``
+        asks for, or raise at the first point where a row or a pivot is refused."""
         # Each group's pivots (F, ...) are finite and not 0 where its parts are regular.
         pivots = [p for rows, *args in plan for p in rows(w, s, *args)]
-        if not (np.isfinite(s).all() and all(np.isfinite(p).all() and p.all() for p in pivots)):
-            ok = np.isfinite(s).all(axis=(1, 2))
+        finite = np.isfinite(s[..., cols])
+        if not (finite.all() and all(np.isfinite(p).all() and p.all() for p in pivots)):
+            regular = np.ones(len(w), dtype=bool)
             for p in pivots:
-                ok &= (np.isfinite(p) & (p != 0)).reshape(len(w), -1).all(axis=1)
-            _raise_singular(self._a, w[ok.argmin()].item())
+                regular &= (np.isfinite(p) & (p != 0)).reshape(len(w), -1).all(axis=1)
+            i = (regular & finite.all(axis=(1, 2))).argmin()
+            _raise_singular(self._a, w[i].item(), regular[i])
 
 
 class ScatteringSweep(Sequence):
@@ -622,20 +626,23 @@ def _lu_rows(w, s, a3, unit, reads) -> list:
     return [col[:, len(reads):]]
 
 
-def _raise_singular(a3: np.ndarray, w: float) -> NoReturn:
+def _raise_singular(a3: np.ndarray, w: float, regular: bool) -> NoReturn:
     """Raise for the point ``w`` at which the solver refused a row or a pivot:
-    overflow if A(w) of the whole stamp ``a3`` is not finite, else its rank,
-    else the condition number of its equilibrated form."""
+    overflow if A(w) of the whole stamp ``a3`` is not finite, rank loss if a
+    pivot is not ``regular`` and A(w) equilibrated loses rank, else overflow of S."""
     a = a3[0] + w * a3[1] + a3[2] / w
     where = f"at omega = {w!r} rad/s ({w / (2 * math.pi)!r} Hz)"
     if not np.isfinite(a).all():
         raise SingularNetworkError(
             f"network equations overflow {where}: an element's admittance or "
             "impedance exceeds double range")
-    rank, n = int(np.linalg.matrix_rank(a)), len(a)
-    cause = (f"rank {rank} < {n}" if rank < n
-             else f"condition number {np.linalg.cond(_systems(a3, np.array([w]))[2][0]):.3g}")
-    raise SingularNetworkError(f"network equations are singular {where}: {cause}")
+    for axis in (1, 0):     # rows, then columns, as floats: complex / real takes 1/x
+        top = np.where((top := np.abs(a).max(axis=axis, keepdims=True)) > 0.0, top, 1.0)
+        a = (a.view(float).reshape(*a.shape, 2) / top[..., None]).view(complex)[..., 0]
+    if not regular and (r := int(np.linalg.matrix_rank(a))) < len(a):
+        raise SingularNetworkError(f"network equations are singular {where}: rank {r} < {len(a)}")
+    raise SingularNetworkError(f"scattering matrix solve overflows {where}: the network "
+                               "equations are regular, but solving them exceeds double range")
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,24 @@ MUTANTS = [
      "    col = np.ones(a.shape[:-2] + a.shape[-1:])\n",
      ["tests/test_accuracy.py::test_rows_of_s_are_within_kappa_eps_of_exact",
       f"{SWEEP}::test_systems_equal_the_dense_oracle_bit_for_bit"]),
+    # No row equilibration: every row scale is 1.
+    ("qunet/network.py",
+     "    row = np.maximum.reduce(np.abs(a), axis=-1)\n",
+     "    row = np.ones(len(a))\n",
+     ["tests/test_accuracy.py::test_rows_of_s_are_within_kappa_eps_of_exact",
+      f"{SWEEP}::test_systems_equal_the_dense_oracle_bit_for_bit"]),
+    # A sweep takes sigma only for the sources the readout reaches, so a
+    # source of another part whose sigma leaves double range refuses nothing.
+    ("qunet/cli.py",
+     "    sigma = thermal_occupation(maps.omegas[None, :1], t)\n",
+     "    sigma = thermal_occupation(maps.omegas[None, :1], t[live])\n",
+     [f"{SWEEP}::test_a_source_whose_occupation_leaves_double_range_refuses_the_sweep"]),
+    # A refused point whose pivots are all regular is reported by the rank
+    # of A(w) equilibrated, which an overflowing gain makes read short.
+    ("qunet/network.py",
+     "    if not regular and (r := int(np.linalg.matrix_rank(a))) < len(a):\n",
+     "    if (r := int(np.linalg.matrix_rank(a))) < len(a):\n",
+     [f"{SWEEP}::test_a_solve_that_overflows_is_not_reported_as_rank_loss"]),
 ]
 
 

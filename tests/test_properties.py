@@ -174,8 +174,8 @@ def test_budget_meets_the_amplifier_bound(doc, grid):
     # (1 - 1/|G|^2)/2 quanta, whatever its temperatures.  |G| of stage 0 comes
     # from its feedback alone: 2 |Z_f| / sqrt(R_l R_r).
     w = np.array(grid)
-    names, mu2, sigma = _circuit_budget(doc, w)
-    total = NoiseBudget(w, dict(zip(names, mu2)), dict(zip(names, sigma))).total
+    _, reached, mu2, sigma = _circuit_budget(doc, w)
+    total = NoiseBudget(w, dict(zip(reached, mu2)), dict(zip(reached, sigma))).total
     r_lr = math.sqrt(doc.lines[0].impedance * doc.lines[1].impedance)
     gain = np.array([2.0 * abs(doc.opamps[0].feedback.impedance(x)) / r_lr for x in w])
     bound = 0.5 * (1.0 - 1.0 / gain ** 2)

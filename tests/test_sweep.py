@@ -20,7 +20,8 @@ from qunet.cli import CSV_BLOCK_ROWS, _circuit_budget, main
 from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES, _systems
 
 from helpers import circuit_text, random_passive_network
-from oracles import dense_sweep, dense_systems, estimator_from_scattering, scattering_per_point
+from oracles import (csv_rows_per_value, dense_sweep, dense_systems, estimator_from_scattering,
+                     scattering_per_point)
 
 EPS = np.finfo(float).eps
 TWO_PI = 2.0 * math.pi
@@ -123,18 +124,21 @@ reactive_specs = stage_specs().filter(lambda s: s[3] != "X")
 def test_budget_arrays_equal_per_point_estimator_rows(specs, seed, size):
     doc = netlist.parse(circuit_text(specs))
     grid = random_grid(np.random.default_rng(seed), size)
-    names, mu2, sigma = _circuit_budget(doc, grid)
-    assert mu2.shape == sigma.shape == (len(names), size)
+    names, reached, mu2, sigma = _circuit_budget(doc, grid)
+    assert mu2.shape == sigma.shape == (len(reached), size)
+    # Every source on a one-point grid, else those of the readout's stage.
+    assert reached == (names if size == 1 else ["r0", "amp0.a", "amp0.a'"])
     net = netlist.to_network(doc)
     temps = net.channel_temperatures()
     for i, w in enumerate(grid):
         est = estimator_from_scattering(net.sweep([w])[0], doc.signal, doc.readout)
         noise = est.noise_weights()
         assert names == list(noise)
+        assert all(noise[n] == 0.0 for n in names if n not in reached)
         # np.tanh may differ from math.tanh in the last place
-        ref = np.array([thermal_occupation(w, temps[n]) for n in noise])
+        ref = np.array([thermal_occupation(w, temps[n]) for n in reached])
         assert np.all(np.abs(sigma[:, i] - ref) <= 1e-15 * ref)
-        ref = np.array([abs(mu) ** 2 for mu in noise.values()])
+        ref = np.array([abs(noise[n]) ** 2 for n in reached])
         assert np.max(np.abs(mu2[:, i] - ref)) <= 1e-13 * np.max(ref)
 
 
@@ -158,7 +162,8 @@ def test_grid_budget_is_the_point_budget_at_each_frequency(seed, sources, size):
         assert point.contributions == {k: v[i] for k, v in grid.contributions.items()}
 
 
-def test_budget_takes_its_occupations_in_one_call(monkeypatch):
+def test_budget_takes_every_occupation_at_one_point_and_the_reached_ones_over_the_grid(
+        monkeypatch):
     # qunet.cli.thermal_occupation is the name the benchmark's corruption
     # test patches: every occupation of a budget must pass through it.
     calls = []
@@ -170,26 +175,64 @@ def test_budget_takes_its_occupations_in_one_call(monkeypatch):
     monkeypatch.setattr("qunet.cli.thermal_occupation", spy)
     specs = [(50.0, 75.0, 60.0, "C", 1e-9, [0.0, 4.0, 30.0, 0.0]),
              (20.0, 90.0, 40.0, "L", 1e-3, [1.0, 0.0, 2.0, 300.0])]
-    grid = random_grid(np.random.default_rng(5), 9)
-    names, _, sigma = _circuit_budget(netlist.parse(circuit_text(specs)), grid)
-    assert len(names) == 7 and sigma.shape == (7, 9)
-    assert calls == [((1, 9), (7, 1))]
+    doc = netlist.parse(circuit_text(specs))
+    names, reached, _, sigma = _circuit_budget(doc, random_grid(np.random.default_rng(5), 9))
+    assert len(names) == 7 and reached == ["r0", "amp0.a", "amp0.a'"] and sigma.shape == (3, 9)
+    assert calls == [((1, 1), (7, 1)), ((1, 9), (3, 1))]
+    calls.clear()
+    names, reached, _, sigma = _circuit_budget(doc, [1e5])     # no second call
+    assert reached == names and sigma.shape == (7, 1) and calls == [((1, 1), (7, 1))]
+
+
+def hot_document(t_reached: float, t_unreached: float) -> str:
+    """Two stages over 5 points from 10 kHz; the readout reaches the first
+    stage's a' line, at ``t_reached``, not the second's l line, at ``t_unreached``."""
+    return (circuit_text([(50.0, 50.0, 50.0, "C", 6.366e-12, [0.0, 4.0, 0.0, t_reached]),
+                          (50.0, 50.0, 50.0, "C", 6.366e-12, [t_unreached, 0.0, 0.0, 0.0])])
+            + "sweep 1e4 1e6 5 log\n")
+
+
+@pytest.mark.parametrize("t_reached, t_unreached, t_named", [
+    (0.0, 1e308, "1e+308"), (5e307, 0.0, "5e+307"),
+    (5e307, 1e308, "1e+308")])     # the unreached l1 comes first in source order
+def test_a_source_whose_occupation_leaves_double_range_refuses_the_sweep(
+        tmp_path, capsys, t_reached, t_unreached, t_named):
+    # sigma leaves double range at the lowest point, 2 pi 10^4 rad/s.  The
+    # unreached source weighs 0 at every point, yet refuses the sweep as
+    # when every source's sigma was taken over the whole grid.
+    doc, out = tmp_path / "hot.qnet", tmp_path / "out.csv"
+    doc.write_text(hot_document(t_reached, t_unreached))
+    assert main(["sweep", str(doc), "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: spectrum at omega = 62831.853071795864 "
+                                       f"rad/s and T = {t_named} K exceeds double range\n")
+    assert not out.exists()
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(reactive_specs, min_size=1, max_size=3),
-       st.sampled_from((2, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1)))
-def test_sweep_csv_equals_the_per_row_oracle(specs, size):
-    # Two points is the smallest sweep a document holds; CSV_BLOCK_ROWS + 1
-    # ends on a one-row block.  The sources of a second or third stage are
-    # 0.0 on every row, the columns the writer formats once.
-    text = circuit_text(specs) + f"sweep 1000.0 1000000.0 {size} log\n"
+@given(st.lists(reactive_specs, min_size=1, max_size=4), st.lists(impedances, max_size=2),
+       st.data(), st.sampled_from((2, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1)))
+def test_sweep_csv_equals_the_per_row_oracle(specs, lone, data, size):
+    # The signal and readout on any of 1-4 stages, beside 0-2 lone lines:
+    # every other part's sources weigh 0.  The oracle weighs and prices every
+    # source at every point.  Two points is the smallest sweep a document
+    # holds; CSV_BLOCK_ROWS + 1 ends on a one-row block.
+    j = data.draw(st.integers(0, len(specs) - 1))
+    text = "".join(f"line z{k} impedance={r!r} temperature={data.draw(temperatures)!r}\n"
+                   for k, r in enumerate(lone))
+    text += circuit_text(specs).replace("signal l0\nreadout r0", f"signal l{j}\nreadout r{j}")
+    text += f"sweep 1000.0 1000000.0 {size} log\n"
     doc = netlist.parse(text)
-    grid = doc.sweep.to_grid()
-    names, mu2, sigma = _circuit_budget(doc, grid)
-    rows = [[w / TWO_PI, sum(c), *c] for w, c in zip(grid.tolist(), (mu2 * sigma).T.tolist())]
-    want = ",".join(["freq_hz", "total", *names]) + "\n"
-    want += "".join(",".join(map(repr, r)) + "\n" for r in rows)
+    grid, net = doc.sweep.to_grid(), netlist.to_network(doc)
+    maps = net.sweep(grid, (doc.readout,))
+    names = [c.name for c in maps.inputs]
+    row = maps.matrices[:, 0, :].T
+    noise = [n for n in names if n != doc.signal]
+    mu2 = np.square(np.abs(row[[names.index(n) for n in noise]] / row[names.index(doc.signal)]))
+    temps = net.channel_temperatures()
+    sigma = thermal_occupation(grid[None, :], np.array([temps[n] for n in noise])[:, None])
+    budget = NoiseBudget(grid, dict(zip(noise, mu2)), dict(zip(noise, sigma)))
+    table = np.vstack([grid / TWO_PI, budget.total, *budget.contributions.values()])
+    want = ",".join(["freq_hz", "total", *noise]) + "\n" + csv_rows_per_value(table)
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "doc.qnet"), os.path.join(tmp, "out.csv")
         with open(path, "w", encoding="utf-8") as fh:
@@ -282,6 +325,29 @@ def test_overflow_is_not_reported_as_rank_loss():
     assert "rank" not in message
 
 
+def test_a_solve_that_overflows_is_not_reported_as_rank_loss():
+    # At 1.7e308 rad/s the L stage's A(w) is finite and its pivot mu is 1,
+    # but V(w) X_p and its gain 2 w L / sqrt(R_r R_l) leave double range.
+    # On the LU path, two 1e-10 F capacitors make a node row of 1e-310
+    # entries at 1e-300 rad/s, whose reciprocal scale overflows.
+    net = QuantumNetwork([PortSpec("u1l", 50.0), PortSpec("u1r", 50.0),
+                          PortSpec("u2l", 1.0), PortSpec("u2r", 1.0)],
+                         [OpAmp("u1amp", "u1l", "u1r", 50.0, Feedback.capacitive(3.18e-5)),
+                          OpAmp("u2amp", "u2l", "u2r", 1e3, Feedback.inductive(0.796))])
+    ladder = QuantumNetwork([PortSpec("p", 50.0, node="n0")],
+                            [Capacitor("n0", "n1", 1e-10), Capacitor("n1", "gnd", 1e-10)])
+    grid = [4.05e4, 5.12e5, 1.7e308]
+    for sweep, w in ((lambda: net.sweep(grid), "1.7e+308"),
+                     (lambda: net.sweep(grid, ("u2r",)), "1.7e+308"),
+                     (lambda: ladder.sweep([1e-300]), "1e-300"),
+                     (lambda: ladder.sweep([1e-300, 1.0]), "1e-300")):
+        with pytest.raises(SingularNetworkError) as err:
+            sweep()
+        assert str(err.value).startswith(f"scattering matrix solve overflows at omega = {w} rad/s")
+        assert "rank" not in str(err.value)
+    assert np.isfinite(net.sweep(grid, ("u1r",)).matrices).all()
+
+
 def renamed(prefix: str, ports, components):
     """The same circuit with every name and proper node prefixed."""
     node = lambda n: n if n in GROUND_NAMES else prefix + n
@@ -349,13 +415,16 @@ def test_disjoint_parts_match_the_dense_oracle(union, seed, size):
        st.integers(1, 40))
 def test_an_independent_stage_changes_nothing(spec, others, seed, size):
     grid = random_grid(np.random.default_rng(seed), size)
-    names, mu2, sigma = _circuit_budget(netlist.parse(circuit_text([spec])), grid)
-    names_all, mu2_all, sigma_all = _circuit_budget(
+    names, reached, mu2, sigma = _circuit_budget(netlist.parse(circuit_text([spec])), grid)
+    names_all, reached_all, mu2_all, sigma_all = _circuit_budget(
         netlist.parse(circuit_text([spec, *others])), grid)
-    mine = [names_all.index(n) for n in names]
+    assert len(names_all) == len(names) + 4 * len(others)
+    # On a one-point grid every source counts as reached, at |mu|^2 = 0.
+    mine = [reached_all.index(n) for n in reached]
     assert np.array_equal(mu2_all[mine], mu2) and np.array_equal(sigma_all[mine], sigma)
-    added = [k for k, n in enumerate(names_all) if n not in names]
-    assert len(added) == 4 * len(others) and np.all(mu2_all[added] == 0.0)
+    added = [k for k, n in enumerate(reached_all) if n not in reached]
+    assert len(added) == (4 * len(others) if size == 1 else 0)
+    assert np.all(mu2_all[added] == 0.0)
 
 
 @pytest.mark.parametrize("where", ONE_AT)
