@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from itertools import groupby
 
@@ -269,6 +270,19 @@ def cmd_accel(args) -> int:
     return 0
 
 
+# A negative number, exponent notation included: argparse's own pattern
+# has no exponent, so it took "-1e-3" for an option name.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-1e-3`` as a value, as it reads ``-1``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of the arguments after ``command``, or of all of ``qunet``.
 
@@ -277,13 +291,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     top-level usage, for ``--help``, no or an unknown command, ``--`` or leftovers.
     """
     if command is None:
-        parser = argparse.ArgumentParser(
+        parser = _Parser(
             prog="qunet",
             description="Frequency-domain quantum network noise analysis")
         new = parser.add_subparsers(dest="command", required=True).add_parser
     else:
         def new(name, help):
-            return argparse.ArgumentParser(prog=f"qunet {name}")
+            return _Parser(prog=f"qunet {name}")
 
     if command in (None, "check"):
         p = new("check", help="verify quantum consistency of a netlist")

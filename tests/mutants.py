@@ -27,6 +27,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SWEEP = "tests/test_sweep.py"
+FLOATREPR = "tests/test_floatrepr.py"
+FMT = "qunet/_floatrepr.py"
 
 MUTANTS = [
     # An unread part on the rank-one path checks only its pivot mu(w), not
@@ -82,6 +84,55 @@ MUTANTS = [
      "    if not regular and (r := int(np.linalg.matrix_rank(a))) < len(a):\n",
      "    if (r := int(np.linalg.matrix_rank(a))) < len(a):\n",
      [f"{SWEEP}::test_a_solve_that_overflows_is_not_reported_as_rank_loss"]),
+    # The sweep CSV's formatter.  Its product keeps only the high half of the
+    # scaled value's fraction: the sticky bits below it are dropped.
+    (FMT,
+     "    return x + u1 * f[0], mid[1] | mid[2] << _S32\n",
+     "    return x + u1 * f[0], mid[2] << _S32\n",
+     [f"{FLOATREPR}::test_fixed_families_print_as_repr",
+      f"{FLOATREPR}::test_neighbours_of_short_decimal_midpoints_print_as_repr"]),
+    # A power of two is never taken for one: its nearer lower neighbour is ignored.
+    (FMT,
+     "        j = j[(mag[j] & _FRAC == 0) & (b[j] > 1)]       # powers of two\n",
+     "        j = j[b[j] < 0]       # powers of two\n",
+     [f"{FLOATREPR}::test_fixed_families_print_as_repr"]),
+    # The exact check on the interval's lower end always takes the cheap answer.
+    (FMT,
+     "        small[j] = sm = (rj > dj) | (rj == dj) & ~((x[0] & _U(1) == 1) | (x[1] == 0) & ~odd)\n",
+     "        small[j] = sm = rj > dj\n",
+     [f"{FLOATREPR}::test_neighbours_of_short_decimal_midpoints_print_as_repr",
+      f"{FLOATREPR}::test_fixed_families_print_as_repr"]),
+    # The lower end is taken as the value itself, one multiple of phi too high.
+    (FMT,
+     "        x = _minus(y, qw)                               # and the interval's lower end\n",
+     "        x = y                               # and the interval's lower end\n",
+     [f"{FLOATREPR}::test_neighbours_of_short_decimal_midpoints_print_as_repr"]),
+    # The exact check on a rounding tie always takes the cheap answer.
+    (FMT,
+     "        d[j] = dd - (sm & (dist == q * _U(100)) & (((y[0] ^ dist) & _U(1) == 1) | tie))\n",
+     "        d[j] = dd\n",
+     [f"{FLOATREPR}::test_fixed_families_print_as_repr",
+      f"{FLOATREPR}::test_csv_rows_across_chunks_are_the_per_value_oracle"]),
+    # An odd significand owns the upper end of its interval, an even one not.
+    (FMT,
+     "        end = (rj == 0) & (mid[j] == 0) & odd           # the upper end, which odd c excludes\n",
+     "        end = (rj == 0) & (mid[j] == 0) & ~odd           # the upper end, which odd c excludes\n",
+     [f"{FLOATREPR}::test_neighbours_of_short_decimal_midpoints_print_as_repr"]),
+    # A remainder of 0 skips the exact checks: an excluded upper end is printed.
+    (FMT,
+     "    j = np.flatnonzero((r == delta) | (r == 0) | (dist == q * _U(100)) | (mag & _FRAC == 0))\n",
+     "    j = np.flatnonzero((r == delta) | (dist == q * _U(100)) | (mag & _FRAC == 0))\n",
+     [f"{FLOATREPR}::test_neighbours_of_short_decimal_midpoints_print_as_repr"]),
+    # "0.00..." texts shift their digits one byte short: a zero is lost.
+    (FMT,
+     "            np.array([8 if c <= 16 else 8 * (c - 15) for c in form], dtype=np.uint64),\n",
+     "            np.array([8 if c <= 16 else 8 * (c - 16) for c in form], dtype=np.uint64),\n",
+     [f"{FLOATREPR}::test_fixed_families_print_as_repr"]),
+    # -0.0 and -inf lose their sign.
+    (FMT,
+     "        t[:, j] = _TEMPLATE[:, -6:].take(2 * kind + (bits[j] >> _U(63)).astype(np.intp), axis=1)\n",
+     "        t[:, j] = _TEMPLATE[:, -6:].take(2 * kind, axis=1)\n",
+     [f"{FLOATREPR}::test_fixed_families_print_as_repr"]),
 ]
 
 

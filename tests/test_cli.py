@@ -543,6 +543,21 @@ def test_accel_invalid_override_exits_2(capsys):
         assert "transduction gain must be finite" in captured.err
 
 
+def test_a_negative_value_in_exponent_notation_may_follow_its_option(check_path, capsys):
+    # argparse's own negative-number pattern has no exponent, so a separate
+    # "-1e-3" was read as an option name; split and joined forms now agree
+    for option, value, head in (("--inject-gain", "-1e-3", ["check", check_path, "--freq", "1e5"]),
+                                ("--transduction-gain", "-3.5e-13", ["accel", "--json"]),
+                                ("--hm", "-1e-300", ["accel"])):
+        joined = (main([*head, f"{option}={value}"]), capsys.readouterr())
+        assert (main([*head, option, value]), capsys.readouterr()) == joined
+        assert (main([head[0], option, value, *head[1:]]), capsys.readouterr()) == joined
+    assert joined[0] == 2 and "mech_damping must be finite and >= 0" in joined[1].err
+    assert main(["accel", "--hm", "-1"]) == 2
+    assert main(["accel", "--hm", "-e5"]) == 2     # not a number: still an option name
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_accel_overflowing_budget_exits_2(capsys):
     # a gain whose square overflows, or an infinite Langevin row: one error
     # line from the budget, no traceback and not the physics-check exit 1

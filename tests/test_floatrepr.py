@@ -3,7 +3,7 @@
 ``qunet._floatrepr`` computes the shortest round-trip digits of many
 doubles at once; decoded, its text must be ``repr`` of each value, and its
 CSV lines what the per-value oracle writes.  Run as a script, the module
-compares about 10^7 seeded doubles with ``repr``, 10^5 at a time:
+compares 1.4 10^7 seeded doubles with ``repr``, 10^5 at a time:
 
     PYTHONPATH=src python tests/test_floatrepr.py
 """
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qunet
-from qunet._floatrepr import WIDTH, csv_rows, repr_chars
+from qunet._floatrepr import _CHUNK, WIDTH, csv_rows, repr_chars
 
 from helpers import THREEDB_FIXTURE
 from oracles import csv_rows_per_value
@@ -39,6 +39,19 @@ def neighbours(x: np.ndarray, ulps: int = 1) -> np.ndarray:
                            for k in range(-ulps, ulps + 1)])
 
 
+def midpoint_neighbours(count: int = 6) -> np.ndarray:
+    """The doubles on either side of short decimals w 10^t that lie halfway
+    between two doubles, times 1, 2, 4 and 8: a value whose rounding
+    interval ends exactly on a short decimal, which an even significand
+    owns and an odd one does not."""
+    x = []
+    for t in range(1, 24):
+        w = -(-(1 << 53) // 5 ** t) | 1             # odd, w 5^t just above 2^53
+        x += [float(((w + 2 * k) * 10 ** t + side * 2 ** t) << a) for k in range(count)
+              for a in range(4) for side in (-1, 1)]
+    return np.array(x)
+
+
 def test_fixed_families_print_as_repr():
     # Powers of two take the closer lower bound of the rounding interval;
     # powers of ten and their neighbours sit at the ends of digit counts;
@@ -50,6 +63,14 @@ def test_fixed_families_print_as_repr():
                      1.7976931348623157e308, 5e-324, 123456789.0, 0.1, 1 / 3])
     x = np.concatenate([pow2, neighbours(pow2[1:-1]), neighbours(POW10[1:]), POW10[:1],
                         ints, switch, wide, [0.0, np.inf, np.nan]])
+    assert_reprs(np.concatenate([x, -x]))
+
+
+def test_neighbours_of_short_decimal_midpoints_print_as_repr():
+    # The formatter checks these exactly: the interval's upper end is a
+    # multiple of the digit step it tries first, or its lower end meets the
+    # candidate below.
+    x = midpoint_neighbours()
     assert_reprs(np.concatenate([x, -x]))
 
 
@@ -91,6 +112,19 @@ def test_csv_rows_are_the_per_value_oracle(table, floats):
     assert csv_rows(columns).decode("ascii") == csv_rows_per_value(table)
 
 
+def test_csv_rows_across_chunks_are_the_per_value_oracle():
+    # 7 array columns of 1,025 rows hold more values than one chunk, so the
+    # block is formatted in two pieces that split a column; another column
+    # is the constant 0.0, and some cells hold NaN, -0.0 and subnormals.
+    rng = np.random.default_rng(7)
+    table = rng.choice([-1.0, 1.0], (7, 1025)) * 10.0 ** rng.uniform(-30.0, 30.0, (7, 1025))
+    assert table.size > _CHUNK
+    table[1, ::97], table[2, 5::300], table[5, 700:720] = np.nan, -0.0, np.arange(20) * 5e-324
+    columns = [*table[:4], 0.0, *table[4:]]
+    want = csv_rows_per_value(np.insert(table, 4, 0.0, axis=0))
+    assert csv_rows(columns).decode("ascii") == want
+
+
 def test_only_a_sweep_imports_the_formatter(tmp_path):
     doc = tmp_path / "threedb.qnet"
     doc.write_text(THREEDB_FIXTURE)
@@ -109,22 +143,44 @@ def test_only_a_sweep_imports_the_formatter(tmp_path):
 
 def seeded_doubles(seed: int, total: int, chunk: int):
     """``total`` doubles in chunks of ``chunk``: random bit patterns, random
-    magnitudes of either sign, and doubles within 64 steps of a power of ten."""
+    magnitudes of either sign, doubles within 64 steps of a power of ten, and
+    the inputs the formatter treats apart (``boundary_doubles``)."""
     rng = np.random.default_rng(seed)
     tens = POW10.view(np.uint64)
     for i in range(total // chunk):
-        if i % 3 == 0:
+        if i % 4 == 0:
             yield rng.integers(0, 2 ** 64, chunk, dtype=np.uint64).view(np.float64)
-        elif i % 3 == 1:
+        elif i % 4 == 1:
             yield rng.choice([-1.0, 1.0], chunk) * 10.0 ** rng.uniform(-323.0, 308.0, chunk)
-        else:
+        elif i % 4 == 2:
             near = rng.choice(tens, chunk) + rng.integers(0, 129, chunk).astype(np.uint64)
             yield (near - np.uint64(64)).view(np.float64)
+        else:
+            yield boundary_doubles(rng, chunk)
+
+
+def boundary_doubles(rng, n: int) -> np.ndarray:
+    """n doubles of either sign, in four parts: random significands at the
+    exponents whose rounding interval, scaled to three digits more than the
+    value, spans the fewest units (2^e 10^(2 - floor(e log10 2)) < 200);
+    powers of two and the doubles two steps around them; doubles three steps
+    around 1e-5, 1e-4, 1e15, 1e16 and 1e17, where repr changes form or digit
+    count; and neighbours of midpoint decimals (``midpoint_neighbours``)."""
+    e = np.arange(1, 2047) - 1075
+    narrow = np.arange(1, 2047)[(e * np.log10(2.0)) % 1.0 < np.log10(2.0)].astype(np.uint64)
+    switch = rng.choice([1e-5, 1e-4, 1e15, 1e16, 1e17], n // 4)
+    parts = [(rng.choice(narrow, n // 4) << np.uint64(52))
+             | rng.integers(0, 2 ** 52, n // 4, dtype=np.uint64),
+             (rng.integers(1, 2047, n // 4).astype(np.uint64) << np.uint64(52))
+             + rng.integers(-2, 3, n // 4).astype(np.uint64),
+             switch.view(np.uint64) + rng.integers(-3, 4, n // 4).astype(np.uint64),
+             rng.choice(midpoint_neighbours(64).view(np.uint64), n - 3 * (n // 4))]
+    return np.concatenate(parts).view(np.float64) * rng.choice([-1.0, 1.0], n)
 
 
 if __name__ == "__main__":
     checked = 0
-    for x in seeded_doubles(seed=20, total=10 ** 7, chunk=10 ** 5):
+    for x in seeded_doubles(seed=20, total=14 * 10 ** 6, chunk=10 ** 5):
         assert_reprs(x)
         checked += len(x)
     print(f"repr_chars printed {checked} seeded doubles as repr does")
