@@ -93,31 +93,23 @@ def cmd_check(args) -> int:
 
 def _circuit_budget(doc, grid) -> tuple[list, list, np.ndarray, np.ndarray]:
     """Over ascending angular frequencies ``grid``, the noise source names,
-    the sources the readout reaches (all of them on a one-point grid) and
-    their |mu|^2 and sigma (r, F), solved alone.  The others' |mu|^2 is 0."""
+    the sources the readout reaches (those of its part), their |mu|^2 (r, F)
+    and sigma: of every source on a one-point grid, else of the reached (r, F).
+    The others' |mu|^2 is 0."""
     signal, readout = doc.signal, doc.readout
     if signal is None or readout is None:
         raise ValueError("a noise budget needs both a signal and a readout "
                          "designation")
     net = netlist.to_network(doc)
     maps = net.sweep(grid, (readout,))
-    names = [c.name for c in maps.inputs]
+    inputs = [c.name for c in maps.inputs]
     row = maps.matrices[:, 0, :].T
-    beta = row[names.index(signal)]
-    if not beta.all():
+    if signal not in inputs or not (beta := row[inputs.index(signal)]).all():
         raise NoTransductionError(f"readout {readout!r} has zero coefficient on "
                                   f"signal {signal!r}: no transduction")
-    noise = [i for i, name in enumerate(names) if name != signal]
-    names = [names[i] for i in noise]
-    # A source of another part is 0 at every point, and so is its |mu|^2
-    # (0/beta is 0).  A sweep on which some source is 0 at the first point
-    # weighs only the sources reached at some point; scanning every point
-    # costs about what dividing does, so it is done only then.
-    live = list(range(len(noise)))
-    if len(beta) > 1 and not (row[:, 0] != 0.0).all():
-        reached = row.any(axis=1).tolist()
-        live = [k for k, i in enumerate(noise) if reached[i]]
-    x = row[[noise[k] for k in live]]
+    names = [c.name for c in net.input_channels if c.name != signal]
+    reached = [name for name in inputs if name != signal]
+    x = row[[i for i, name in enumerate(inputs) if name != signal]]
     with np.errstate(over="ignore", invalid="ignore"):
         mu2 = np.abs(np.divide(x, beta, out=x))
         np.square(mu2, out=mu2)
@@ -127,8 +119,8 @@ def _circuit_budget(doc, grid) -> tuple[list, list, np.ndarray, np.ndarray]:
     t = np.array([temps[name] for name in names])[:, None]
     sigma = thermal_occupation(maps.omegas[None, :1], t)
     if len(beta) > 1:
-        sigma = thermal_occupation(maps.omegas[None, :], t[live])
-    return names, [names[k] for k in live], mu2, sigma
+        sigma = thermal_occupation(maps.omegas[None, :], t[[names.index(n) for n in reached]])
+    return names, reached, mu2, sigma
 
 
 def _report_dict(freq_hz, units, budget: NoiseBudget):
@@ -190,9 +182,9 @@ def cmd_budget(args) -> int:
     elif freq is None:
         raise ValueError("a positive --freq in Hz is required for circuit budgets")
     else:
-        _, names, mu2, sigma = _circuit_budget(doc, [TWO_PI * freq])
-        budget = NoiseBudget(TWO_PI * freq, dict(zip(names, mu2[:, 0].tolist())),
-                             dict(zip(names, sigma[:, 0].tolist())))
+        names, reached, mu2, sigma = _circuit_budget(doc, [TWO_PI * freq])
+        mu_abs2 = dict.fromkeys(names, 0.0) | dict(zip(reached, mu2[:, 0].tolist()))
+        budget = NoiseBudget(TWO_PI * freq, mu_abs2, dict(zip(names, sigma[:, 0].tolist())))
         report = _report_dict(freq, "dimensionless quanta per mode", budget)
     if args.json:
         print(_json_text(report))

@@ -32,7 +32,8 @@ impedance ratios) gives A(w) x = B a_in with B constant and A(w) = A0 + w A1
 i/(wC) feedback in A2, the rest in A0, stamped once per network.  Each
 connected part of the circuit (ground joins nothing) is a diagonal block of
 A, solved alone; parts of equal size and input count share batched
-operations, and an input of another part gets an exact zero.
+operations.  An input of another part would weigh an exact zero, so S has
+columns only for the inputs of the parts its rows read, in input order.
 
 A part with at most one row v holding an A1 or A2 entry (every op-amp
 stage; v = 0 if none) is A(w) = A(w_r) + e_v (V(w) - V(w_r))^T, with V(w)
@@ -470,6 +471,8 @@ class QuantumNetwork:
 
         ``grid`` is any iterable of angular frequencies (rad/s, > 0);
         ``outputs`` names the output channels to solve for, by default all.
+        The result's ``inputs``, the columns of S, are those of the parts the
+        outputs read, in input order: by default, of every part holding a port.
         """
         w = np.array(grid, float) if np.ndim(grid) == 1 else np.fromiter(grid, dtype=float)
         if len(w) and not (w.min() > 0.0 and w.max() < math.inf):
@@ -478,28 +481,31 @@ class QuantumNetwork:
         chans = self.output_channels
         if outputs is not None:
             chans = tuple(chans[_index_of(chans, name, "output")] for name in outputs)
-        s = np.zeros((len(w), len(chans), self._b.shape[1]), dtype=complex)
         with np.errstate(all="ignore"):   # overflow and singularity are checked
             plan, step, cols = self._solvers(w, chans)
+            s = np.zeros((len(w), len(chans), len(cols)), dtype=complex)
             for lo in range(0, len(w), step):
-                self._solve_block(w[lo:lo + step], plan, s[lo:lo + step], cols)
-        return ScatteringSweep(w, s, chans, self.input_channels)
+                self._solve_block(w[lo:lo + step], plan, s[lo:lo + step])
+        return ScatteringSweep(w, s, chans, [self.input_channels[k] for k in cols])
 
-    def _solvers(self, w: np.ndarray, chans) -> tuple[list, int, slice | list]:
+    def _solvers(self, w: np.ndarray, chans) -> tuple[list, int, list]:
         """Per group, a function solving a block for the rows of output channels
-        ``chans`` and its arguments; the points per block; the columns of S written."""
+        ``chans`` and its arguments; the points per block; the read parts' inputs."""
         hits = [{} for _ in self._parts]           # per group: part -> [(output, unknown)]
         for i, c in enumerate(chans):
             g, q, pos = self._outward[self.output_channels.index(c)]
             hits[g].setdefault(q, []).append((i, pos))
-        plan, entries, cols = [], 0, []            # complex entries a point forms
+        cols = sorted(k for (*_, ins), parts in zip(self._parts, hits) for q in parts
+                      for k in ins[q].tolist())
+        column = np.zeros(self._b.shape[1], dtype=int)   # per read input, its column of S
+        column[cols] = range(len(cols))
+        plan, entries = [], 0                      # complex entries a point forms
         for (a3, b, ins), parts in zip(self._parts, hits):
             read = sorted(parts)        # first in the group, then the parts no output reads
             if read != list(range(len(read))):
                 order = read + [q for q in range(len(b)) if q not in parts]
                 a3, b, ins = a3[:, order], b[order], ins[order]
-            n, pairs, nx = len(read), [parts[q] for q in read], None
-            cols += ins[:n].ravel().tolist()
+            n, pairs, nx, ins = len(read), [parts[q] for q in read], None, column[ins]
             size = b.shape[1] * max(b.shape[1], 1 + b.shape[2])   # entries of A or V [N | X_p]
             # Parts holding A1 or A2 entries in one row v at most: A(w_r) [N | X_p] = [e_v | B].
             if len(w) > 1 and (varying := a3[1:].any(axis=(0, 3))).sum(axis=1).max() <= 1:
@@ -533,15 +539,14 @@ class QuantumNetwork:
             plan.append((_lu_rows, a3, unit, [(b[j], len(ps), np.array([i for i, _ in ps])[:, None],
                                                ins[j]) for j, ps in enumerate(pairs)]))
             entries += len(b) * size
-        cols = slice(None) if len(cols) == self._b.shape[1] else cols   # each input once
         return plan, max(1, SWEEP_BLOCK_ENTRIES // max(entries, 1)), cols
 
-    def _solve_block(self, w: np.ndarray, plan, s: np.ndarray, cols) -> None:
-        """Fill columns ``cols`` of ``s`` (F, m, k) with the rows of S that ``plan``
-        asks for, or raise at the first point where a row or a pivot is refused."""
+    def _solve_block(self, w: np.ndarray, plan, s: np.ndarray) -> None:
+        """Fill ``s`` (F, m, k) with the rows of S that ``plan`` asks for, or
+        raise at the first point where a row or a pivot is refused."""
         # Each group's pivots (F, ...) are finite and not 0 where its parts are regular.
         pivots = [p for rows, *args in plan for p in rows(w, s, *args)]
-        finite = np.isfinite(s[..., cols])
+        finite = np.isfinite(s)
         if not (finite.all() and all(np.isfinite(p).all() and p.all() for p in pivots)):
             regular = np.ones(len(w), dtype=bool)
             for p in pivots:

@@ -76,8 +76,35 @@ MUTANTS = [
     # source of another part whose sigma leaves double range refuses nothing.
     ("qunet/cli.py",
      "    sigma = thermal_occupation(maps.omegas[None, :1], t)\n",
-     "    sigma = thermal_occupation(maps.omegas[None, :1], t[live])\n",
+     "    sigma = thermal_occupation(maps.omegas[None, :1], t[[names.index(n) for n in reached]])\n",
      [f"{SWEEP}::test_a_source_whose_occupation_leaves_double_range_refuses_the_sweep"]),
+    # A sweep keeps a column of S for every input, read by its outputs or not.
+    ("qunet/network.py",
+     "        cols = sorted(k for (*_, ins), parts in zip(self._parts, hits) for q in parts\n"
+     "                      for k in ins[q].tolist())\n",
+     "        cols = list(range(self._b.shape[1]))\n",
+     [f"{SWEEP}::test_parts_read_together_keep_their_inputs_in_input_order",
+      f"{SWEEP}::test_a_readout_sweep_keeps_only_its_part_columns"]),
+    # A sweep keeps the read parts' inputs part by part, not in input order.
+    ("qunet/network.py",
+     "        cols = sorted(k for (*_, ins), parts in zip(self._parts, hits) for q in parts\n"
+     "                      for k in ins[q].tolist())\n",
+     "        cols = [k for (*_, ins), parts in zip(self._parts, hits) for q in parts\n"
+     "                for k in ins[q].tolist()]\n",
+     [f"{SWEEP}::test_parts_read_together_keep_their_inputs_in_input_order"]),
+    # An LU group factors and solves only its read parts: a singular part
+    # that no output reads refuses nothing.
+    ("qunet/network.py",
+     "            plan.append((_lu_rows, a3, unit, ",
+     "            plan.append((_lu_rows, a3[:, :n], unit[:n], ",
+     [f"{SWEEP}::test_a_singular_unread_part_raises_at_its_point",
+      f"{SWEEP}::test_a_singular_part_no_output_reaches_still_raises",
+      "tests/test_network.py::test_singular_network_reports_frequency_and_rank"]),
+    # A block whose LU fails names its first point, not the one getrf refused.
+    ("qunet/network.py",
+     "        return [np.linalg.slogdet(et)[0]]\n",
+     "        return [np.zeros(len(w))]\n",
+     [f"{SWEEP}::test_a_singular_unread_part_raises_at_its_point"]),
     # A refused point whose pivots are all regular is reported by the rank
     # of A(w) equilibrated, which an overflowing gain makes read short.
     ("qunet/network.py",

@@ -174,7 +174,9 @@ def test_budget_meets_the_amplifier_bound(doc, grid):
     # (1 - 1/|G|^2)/2 quanta, whatever its temperatures.  |G| of stage 0 comes
     # from its feedback alone: 2 |Z_f| / sqrt(R_l R_r).
     w = np.array(grid)
-    _, reached, mu2, sigma = _circuit_budget(doc, w)
+    names, reached, mu2, sigma = _circuit_budget(doc, w)
+    if len(w) == 1:         # sigma of every source on a one-point grid
+        sigma = sigma[[names.index(n) for n in reached]]
     total = NoiseBudget(w, dict(zip(reached, mu2)), dict(zip(reached, sigma))).total
     r_lr = math.sqrt(doc.lines[0].impedance * doc.lines[1].impedance)
     gain = np.array([2.0 * abs(doc.opamps[0].feedback.impedance(x)) / r_lr for x in w])
@@ -195,6 +197,7 @@ def test_passive_budget_is_the_bath_seen_through_the_gain(seed, t, grid):
     signal, readout = (ports[int(i)].name for i in rng.integers(len(ports), size=2))
     sweep = net.sweep(grid, outputs=(readout,))
     names = [c.name for c in sweep.inputs]
+    assume(signal in names)     # else the readout's part holds no signal
     for w, row in zip(sweep.omegas, sweep.matrices[:, 0]):
         beta = row[names.index(signal)]
         assume(beta != 0)

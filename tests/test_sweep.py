@@ -8,6 +8,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,10 +126,12 @@ def test_budget_arrays_equal_per_point_estimator_rows(specs, seed, size):
     doc = netlist.parse(circuit_text(specs))
     grid = random_grid(np.random.default_rng(seed), size)
     names, reached, mu2, sigma = _circuit_budget(doc, grid)
-    assert mu2.shape == sigma.shape == (len(reached), size)
-    # Every source on a one-point grid, else those of the readout's stage.
-    assert reached == (names if size == 1 else ["r0", "amp0.a", "amp0.a'"])
+    # The sources of the readout's stage; sigma of every source on a one-point grid.
+    assert reached == ["r0", "amp0.a", "amp0.a'"] and mu2.shape == (3, size)
+    priced = names if size == 1 else reached
+    assert sigma.shape == (len(priced), size)
     net = netlist.to_network(doc)
+    assert names == [c.name for c in net.input_channels if c.name != doc.signal]
     temps = net.channel_temperatures()
     for i, w in enumerate(grid):
         est = estimator_from_scattering(net.sweep([w])[0], doc.signal, doc.readout)
@@ -136,7 +139,7 @@ def test_budget_arrays_equal_per_point_estimator_rows(specs, seed, size):
         assert names == list(noise)
         assert all(noise[n] == 0.0 for n in names if n not in reached)
         # np.tanh may differ from math.tanh in the last place
-        ref = np.array([thermal_occupation(w, temps[n]) for n in reached])
+        ref = np.array([thermal_occupation(w, temps[n]) for n in priced])
         assert np.all(np.abs(sigma[:, i] - ref) <= 1e-15 * ref)
         ref = np.array([abs(noise[n]) ** 2 for n in reached])
         assert np.max(np.abs(mu2[:, i] - ref)) <= 1e-13 * np.max(ref)
@@ -181,7 +184,8 @@ def test_budget_takes_every_occupation_at_one_point_and_the_reached_ones_over_th
     assert calls == [((1, 1), (7, 1)), ((1, 9), (3, 1))]
     calls.clear()
     names, reached, _, sigma = _circuit_budget(doc, [1e5])     # no second call
-    assert reached == names and sigma.shape == (7, 1) and calls == [((1, 1), (7, 1))]
+    assert len(names) == 7 and reached == ["r0", "amp0.a", "amp0.a'"]
+    assert sigma.shape == (7, 1) and calls == [((1, 1), (7, 1))]
 
 
 def hot_document(t_reached: float, t_unreached: float) -> str:
@@ -224,8 +228,9 @@ def test_sweep_csv_equals_the_per_row_oracle(specs, lone, data, size):
     doc = netlist.parse(text)
     grid, net = doc.sweep.to_grid(), netlist.to_network(doc)
     maps = net.sweep(grid, (doc.readout,))
-    names = [c.name for c in maps.inputs]
-    row = maps.matrices[:, 0, :].T
+    names = [c.name for c in net.input_channels]
+    row = np.zeros((len(names), size), dtype=complex)
+    row[[names.index(c.name) for c in maps.inputs]] = maps.matrices[:, 0, :].T
     noise = [n for n in names if n != doc.signal]
     mu2 = np.square(np.abs(row[[names.index(n) for n in noise]] / row[names.index(doc.signal)]))
     temps = net.channel_temperatures()
@@ -261,6 +266,63 @@ def test_sweep_is_a_read_only_sequence():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=repr(bad)):
             net.sweep([1e5, bad, 2e5])
+
+
+def three_stages() -> QuantumNetwork:
+    """Three equal op-amp stages, parts of one group, in stage order."""
+    ports, comps = [], []
+    for k in range(3):
+        ports += [PortSpec(f"l{k}", 50.0), PortSpec(f"r{k}", 75.0)]
+        comps.append(OpAmp(f"amp{k}", f"l{k}", f"r{k}", 60.0, Feedback.capacitive(1e-9)))
+    return QuantumNetwork(ports, comps)
+
+
+@pytest.mark.parametrize("outputs", [("r0", "r1"), ("r1", "l0")])
+@pytest.mark.parametrize("size", [1, 3])
+def test_parts_read_together_keep_their_inputs_in_input_order(outputs, size):
+    # Stages 0 and 1 read, stage 2 not: S keeps the read stages' inputs in
+    # the network's input order, lines first, not stage by stage, on the
+    # LU (one point) and the rank-one path alike, and drops only exact zeros.
+    net = three_stages()
+    w = TWO_PI * np.array([1e3, 1e4, 1e5][:size])
+    sweep = net.sweep(w, outputs)
+    assert [c.name for c in sweep.inputs] == ["l0", "r0", "l1", "r1",
+                                              "amp0.a", "amp0.a'", "amp1.a", "amp1.a'"]
+    keep = [net.input_channels.index(c) for c in sweep.inputs]
+    want = dense_sweep(net, w, outputs)
+    assert np.array_equal(sweep.matrices, want[..., keep])
+    assert not np.delete(want, keep, axis=2).any()
+
+
+def test_a_readout_sweep_keeps_only_its_part_columns():
+    # Sixteen stages at 20,000 points: the readout's S is (F, 1, 4), and the
+    # budget's peak memory stays below the (F, 1, 64) stack of every input.
+    specs = [(50.0, 75.0, 60.0, "C", 1e-9, [0.0, 4.0, 30.0, 0.0])] * 16
+    doc = netlist.parse(circuit_text(specs) + "sweep 1e4 1e6 20000 log\n")
+    grid, net = doc.sweep.to_grid(), netlist.to_network(doc)
+    assert net.sweep(grid, (doc.readout,)).matrices.shape == (20000, 1, 4)
+    tracemalloc.start()
+    try:
+        _circuit_budget(doc, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20000 * 64 * np.dtype(complex).itemsize
+
+
+def test_a_signal_on_another_part_has_no_transduction(tmp_path, capsys):
+    # The signal on stage 0, the readout on stage 1: the readout's columns
+    # hold no signal, and both commands refuse with the same message.
+    specs = [(50.0, 75.0, 60.0, "C", 1e-9, [0.0] * 4)] * 2
+    doc = tmp_path / "two.qnet"
+    doc.write_text(circuit_text(specs).replace("readout r0", "readout r1")
+                   + "sweep 1e4 1e6 5 log\n")
+    out = tmp_path / "out.csv"
+    for argv in (["budget", str(doc), "--freq", "1e5"], ["sweep", str(doc), "-o", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: readout 'r1' has zero coefficient on signal 'l0': no transduction\n")
+    assert not out.exists()
 
 
 # Where 1 rad/s sits in a grid: first, at the middle point (a sweep's
@@ -396,8 +458,10 @@ def test_disjoint_parts_match_the_dense_oracle(union, seed, size):
     parts = [(np.array([part_of[o.name] == j for o in full.outputs]),
               np.array([part_of[i] == j for i in names])) for j in set(part_of.values())]
     cross = ~np.logical_or.reduce([np.outer(rows, cols) for rows, cols in parts])
-    assert np.all(full.matrices[:, cross] == 0.0)
-    assert np.all(row.matrices[:, 0, cross[one]] == 0.0)
+    # Every part holds a port, so a sweep of every output keeps every input;
+    # one output keeps the inputs of its part, in input order.
+    assert full.inputs == net.input_channels and np.all(full.matrices[:, cross] == 0.0)
+    assert [c.name for c in row.inputs] == [n for n, c in zip(names, cross[one]) if not c]
     for i, w in enumerate(grid):
         ref, cond = scattering_per_point(net, w)
         # Each part against its own scale; two solves differ by about eps
@@ -407,7 +471,7 @@ def test_disjoint_parts_match_the_dense_oracle(union, seed, size):
             tol = (1e-13 + 16.0 * EPS * cond) * np.max(np.abs(ref[blk]))
             assert np.max(np.abs(full.matrices[i][blk] - ref[blk])) <= tol, (i, cond)
             if rows[one]:
-                assert np.max(np.abs(row.matrices[i, 0, cols] - ref[one, cols])) <= tol
+                assert np.max(np.abs(row.matrices[i, 0] - ref[one, cols])) <= tol
 
 
 @settings(max_examples=40, deadline=None)
@@ -419,12 +483,10 @@ def test_an_independent_stage_changes_nothing(spec, others, seed, size):
     names_all, reached_all, mu2_all, sigma_all = _circuit_budget(
         netlist.parse(circuit_text([spec, *others])), grid)
     assert len(names_all) == len(names) + 4 * len(others)
-    # On a one-point grid every source counts as reached, at |mu|^2 = 0.
-    mine = [reached_all.index(n) for n in reached]
-    assert np.array_equal(mu2_all[mine], mu2) and np.array_equal(sigma_all[mine], sigma)
-    added = [k for k, n in enumerate(reached_all) if n not in reached]
-    assert len(added) == (4 * len(others) if size == 1 else 0)
-    assert np.all(mu2_all[added] == 0.0)
+    assert reached_all == reached and np.array_equal(mu2_all, mu2)
+    # sigma of every source on a one-point grid, else of the reached ones.
+    mine = [names_all.index(n) for n in names] if size == 1 else slice(None)
+    assert np.array_equal(sigma_all[mine], sigma)
 
 
 @pytest.mark.parametrize("where", ONE_AT)
@@ -503,9 +565,12 @@ def test_a_singular_unread_part_raises_at_its_point(ports, comps, read, rank, wh
     net = QuantumNetwork(ports, comps)
     with pytest.raises(SingularNetworkError, match=rf"omega = 1\.0 rad/s.*rank {rank}"):
         net.sweep(grid_with_one(where, [0.5, 2.0], net, (read,)), outputs=(read,))
-    got = net.sweep([0.5, 2.0], outputs=(read,)).matrices
-    want = net.sweep([0.5, 2.0]).matrices[:, [p.name for p in ports].index(read)]
-    assert np.array_equal(got[:, 0], want)
+    got, full = net.sweep([0.5, 2.0], outputs=(read,)), net.sweep([0.5, 2.0])
+    keep = [full.inputs.index(c) for c in got.inputs]
+    want = full.matrices[:, [p.name for p in ports].index(read)]
+    assert [c.name for c in got.inputs] == [read]
+    assert np.array_equal(got.matrices[:, 0], want[:, keep])
+    assert not np.delete(want, keep, axis=1).any()
 
 
 # Square stacks whose LU may meet an exact zero pivot: zero rows, duplicated
@@ -612,14 +677,20 @@ def test_sweep_equals_the_dense_oracle_bit_for_bit(net, seed, size, extremes, on
         return s if np.isfinite(s).all() else None
 
     try:
-        got = net.sweep(w, outputs).matrices
+        sweep = net.sweep(w, outputs)
     except SingularNetworkError:
         # A part no output reads raises too; with every output read, every
         # part here is, as each holds a port.
         assert solved(None) is None
         return
     want = solved(outputs)
-    assert want is not None and got.shape == want.shape
+    # The oracle's columns of the inputs the sweep keeps, in input order; it
+    # drops only exact zeros.
+    keep = [net.input_channels.index(c) for c in sweep.inputs]
+    assert want is not None and keep == sorted(keep)
+    assert not np.delete(want, keep, axis=2).any()
+    got, want = sweep.matrices, np.ascontiguousarray(want[..., keep])
+    assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
