@@ -11,16 +11,22 @@ the product minus multiples of the power of ten; powers of two read a table.
 The text (x = 0.d1d2... 10^p in the exponent form when p <= -4 or p > 16) is
 three uint64 words per value: the digits, a byte each, split at the point
 and or-ed with a template of '0's, the point and the exponent, found by
-table lookups.  NUL bytes, trailing zero digits too, fill the gaps, and the
-joined CSV lines drop them.
+table lookups.  NUL bytes fill the gaps, trailing zero digits too, and a mark
+byte each run of constant columns, written out once the lines drop the NULs.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
 WIDTH = 24                       # len(repr(-2.2250738585072014e-308))
 _CHUNK = 5120                    # values formatted at a time
+_MARKS = bytes(range(128, 256))  # bytes no CSV line holds: one per distinct run of floats
+# Freeing a mapped block raises glibc's mmap threshold to its size and its heap trim
+# threshold to twice that (mallopt(3)): a block's temporaries then stay resident.
+np.empty(1 << 20, dtype=np.uint8)
 _U = np.uint64
 _M32, _S32, _FRAC, _INF_BITS = _U(0xFFFFFFFF), _U(32), _U((1 << 52) - 1), _U(0x7FF0000000000000)
 
@@ -180,20 +186,29 @@ def repr_chars(x) -> np.ndarray:
 
 def csv_rows(columns) -> bytes:
     """ASCII CSV lines of ``columns``, each value as ``repr`` prints it.  A column
-    is a float64 array, or a float all rows hold and format once; one is an array."""
-    line, slots, arrays = bytearray(), [], []
-    for column in columns:
-        if type(column) is not float:
-            slots.append(len(line))
-            arrays.append(column)
-        line += (repr(column).encode() if type(column) is float else bytes(WIDTH)) + b","
+    is a float64 array, or a float all rows hold and format once; one is an array.
+    A run of floats stands as a ``_MARKS`` byte, while one is free, till the end."""
+    line, arrays, marks = bytearray(), [], {}            # arrays: (cell offset, column)
+    for constant, run in groupby(columns, lambda c: type(c) is float):
+        if constant:
+            text = ",".join(map(repr, run)).encode()
+            if text not in marks and len(marks) < len(_MARKS):
+                marks[text] = _MARKS[len(marks):len(marks) + 1]
+            line += marks.get(text, text) + b","
+        else:
+            for column in run:
+                arrays.append((len(line), column))
+                line += bytes(WIDTH) + b","
     line[-1:] = b"\n"
-    rows = len(arrays[0])
+    rows = len(arrays[0][1])
     cells = np.frombuffer(line * rows, dtype=np.uint8).reshape(rows, len(line))
-    x = np.concatenate(arrays, dtype=np.float64)       # column after column
+    x = np.concatenate([c for _, c in arrays], dtype=np.float64)      # column after column
     t = np.empty((3, len(x)), dtype=np.uint64)
     for lo in range(0, len(x), _CHUNK):
         _text(x[lo:lo + _CHUNK], t[:, lo:lo + _CHUNK])
-    for k, at in enumerate(slots):                     # an array's words into its cells
+    for k, (at, _) in enumerate(arrays):               # an array's words into its cells
         np.ndarray((3, rows), _U, cells, at, (8, len(line)))[...] = t[:, k * rows:k * rows + rows]
-    return cells.tobytes().translate(None, b"\0")
+    out = cells.tobytes().translate(None, b"\0")
+    for text, mark in marks.items():
+        out = out.replace(mark, text)
+    return out

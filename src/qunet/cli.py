@@ -91,10 +91,10 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _circuit_budget(doc, grid) -> tuple[list, list, np.ndarray, np.ndarray]:
+def _circuit_budget(doc, grid) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray]:
     """Over ascending angular frequencies ``grid``, the noise source names,
-    the sources the readout reaches (those of its part), their |mu|^2 (r, F)
-    and sigma: of every source on a one-point grid, else of the reached (r, F).
+    the sources the readout reaches (those of its part), their |mu|^2 and
+    sigma (r, F), and every source's sigma at the first point (k,).
     The others' |mu|^2 is 0."""
     signal, readout = doc.signal, doc.readout
     if signal is None or readout is None:
@@ -118,9 +118,9 @@ def _circuit_budget(doc, grid) -> tuple[list, list, np.ndarray, np.ndarray]:
     temps = net.channel_temperatures()
     t = np.array([temps[name] for name in names])[:, None]
     sigma = thermal_occupation(maps.omegas[None, :1], t)
-    if len(beta) > 1:
-        sigma = thermal_occupation(maps.omegas[None, :], t[[names.index(n) for n in reached]])
-    return names, reached, mu2, sigma
+    first, at = sigma[:, 0], [names.index(n) for n in reached]
+    sigma = sigma[at] if len(beta) == 1 else thermal_occupation(maps.omegas[None, :], t[at])
+    return names, reached, mu2, sigma, first
 
 
 def _report_dict(freq_hz, units, budget: NoiseBudget):
@@ -182,9 +182,9 @@ def cmd_budget(args) -> int:
     elif freq is None:
         raise ValueError("a positive --freq in Hz is required for circuit budgets")
     else:
-        names, reached, mu2, sigma = _circuit_budget(doc, [TWO_PI * freq])
+        names, reached, mu2, _, sigma = _circuit_budget(doc, [TWO_PI * freq])
         mu_abs2 = dict.fromkeys(names, 0.0) | dict(zip(reached, mu2[:, 0].tolist()))
-        budget = NoiseBudget(TWO_PI * freq, mu_abs2, dict(zip(names, sigma[:, 0].tolist())))
+        budget = NoiseBudget(TWO_PI * freq, mu_abs2, dict(zip(names, sigma.tolist())))
         report = _report_dict(freq, "dimensionless quanta per mode", budget)
     if args.json:
         print(_json_text(report))
@@ -201,7 +201,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"preset {doc.preset!r} is evaluated only at its carrier; "
                          "sweep needs a circuit document")
     grid = doc.sweep.to_grid()
-    names, reached, mu2, sigma = _circuit_budget(doc, grid)
+    names, reached, mu2, sigma, _ = _circuit_budget(doc, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # the budget names an overflow
         budget = NoiseBudget(grid, dict(zip(reached, mu2)), dict(zip(reached, sigma)))
     columns = [grid / TWO_PI, budget.total, *(budget.contributions.get(n, 0.0) for n in names)]

@@ -160,6 +160,47 @@ MUTANTS = [
      "        t[:, j] = _TEMPLATE[:, -6:].take(2 * kind + (bits[j] >> _U(63)).astype(np.intp), axis=1)\n",
      "        t[:, j] = _TEMPLATE[:, -6:].take(2 * kind, axis=1)\n",
      [f"{FLOATREPR}::test_fixed_families_print_as_repr"]),
+    # A run of float columns is marked with ",", a byte every CSV line holds.
+    (FMT,
+     "_MARKS = bytes(range(128, 256))",
+     "_MARKS = b\",\" + bytes(range(129, 256))",
+     [f"{FLOATREPR}::test_runs_of_constant_columns_are_the_per_value_oracle",
+      f"{FLOATREPR}::test_csv_rows_are_the_per_value_oracle"]),
+    # The last mark byte is a line break: only a line's 128th distinct run takes it.
+    (FMT,
+     "_MARKS = bytes(range(128, 256))",
+     "_MARKS = bytes(range(128, 255)) + b\"\\n\"",
+     [f"{FLOATREPR}::test_more_distinct_runs_than_mark_bytes_are_the_per_value_oracle"]),
+    # The first run's mark is left in the line, its text not restored.
+    (FMT,
+     "    for text, mark in marks.items():\n",
+     "    for text, mark in list(marks.items())[1:]:\n",
+     [f"{FLOATREPR}::test_runs_of_constant_columns_are_the_per_value_oracle",
+      f"{FLOATREPR}::test_equal_run_texts_are_the_per_value_oracle",
+      f"{FLOATREPR}::test_csv_rows_are_the_per_value_oracle"]),
+    # Every run text takes the first mark byte: the first text restores them all.
+    (FMT,
+     "                marks[text] = _MARKS[len(marks):len(marks) + 1]\n",
+     "                marks[text] = _MARKS[:1]\n",
+     [f"{FLOATREPR}::test_runs_of_constant_columns_are_the_per_value_oracle",
+      f"{FLOATREPR}::test_more_distinct_runs_than_mark_bytes_are_the_per_value_oracle",
+      f"{FLOATREPR}::test_equal_run_texts_are_the_per_value_oracle"]),
+    # Runs past the last mark byte get the empty mark, not their text inline.
+    (FMT,
+     "            if text not in marks and len(marks) < len(_MARKS):\n",
+     "            if text not in marks:\n",
+     [f"{FLOATREPR}::test_more_distinct_runs_than_mark_bytes_are_the_per_value_oracle"]),
+    # A circuit budget's sigma one ulp high.
+    ("qunet/cli.py",
+     "dict(zip(names, sigma.tolist()))",
+     "dict(zip(names, (sigma * (1 + 2 ** -52)).tolist()))",
+     ["tests/test_cli.py::test_cli_output_is_pinned",
+      "tests/test_cli.py::test_cli_corpus_is_pinned"]),
+    # A sweep's grid is not clipped to f_hi: rounding may put a point past it.
+    ("qunet/netlist.py",
+     "        grid = 2.0 * math.pi * np.minimum(np.append(hz, f_hi), f_hi)\n",
+     "        grid = 2.0 * math.pi * np.append(hz, f_hi)\n",
+     ["tests/test_netlist.py::test_sweep_beyond_double_range_is_refused"]),
 ]
 
 

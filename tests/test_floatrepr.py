@@ -3,7 +3,8 @@
 ``qunet._floatrepr`` computes the shortest round-trip digits of many
 doubles at once; decoded, its text must be ``repr`` of each value, and its
 CSV lines what the per-value oracle writes.  Run as a script, the module
-compares 1.4 10^7 seeded doubles with ``repr``, 10^5 at a time:
+compares 1.4 10^7 seeded doubles with ``repr``, 10^5 at a time, and writes
+each 10^5 as CSV columns among runs of constant ones, against the oracle:
 
     PYTHONPATH=src python tests/test_floatrepr.py
 """
@@ -13,11 +14,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qunet
-from qunet._floatrepr import _CHUNK, WIDTH, csv_rows, repr_chars
+from qunet._floatrepr import _CHUNK, _MARKS, WIDTH, csv_rows, repr_chars
 
 from helpers import THREEDB_FIXTURE
 from oracles import csv_rows_per_value
@@ -25,10 +27,11 @@ from oracles import csv_rows_per_value
 POW10 = np.array([float(f"1e{e}") for e in range(-323, 309)])
 
 
-def assert_reprs(x) -> None:
+def assert_reprs(x, want=None) -> None:
+    """repr_chars(x) is ``want``, by default repr of each value."""
     x = np.asarray(x, dtype=np.float64)
     got = [b.decode() for b in repr_chars(x).view(f"S{WIDTH}").ravel().tolist()]
-    want = list(map(repr, x.tolist()))
+    want = list(map(repr, x.tolist())) if want is None else want
     bad = [(g, w) for g, w in zip(got, want) if g != w]
     assert not bad and len(got) == len(want), bad[:5]
 
@@ -97,7 +100,7 @@ def tables(draw) -> np.ndarray:
     rows = draw(st.integers(1, 12))
     cols = draw(st.lists(st.one_of(values.map(lambda v: [v] * rows),
                                    st.lists(values, min_size=rows, max_size=rows)),
-                         min_size=1, max_size=6))
+                         min_size=1, max_size=40))
     return np.array(cols, dtype=np.uint64).view(np.float64)
 
 
@@ -123,6 +126,50 @@ def test_csv_rows_across_chunks_are_the_per_value_oracle():
     columns = [*table[:4], 0.0, *table[4:]]
     want = csv_rows_per_value(np.insert(table, 4, 0.0, axis=0))
     assert csv_rows(columns).decode("ascii") == want
+
+
+# Constant columns: the specials, the least subnormal and two ordinary values.
+CONSTANTS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.0, -1e300, 1 / 3]
+
+
+def layout_columns(layout: str, constants, arrays=None):
+    """The columns of ``layout``, the next of ``arrays`` (default: random rows
+    of 5) for each "a" and the next of ``constants``, as a float, for each
+    "c"; and the (columns, rows) table they write."""
+    if arrays is None:
+        arrays = np.random.default_rng(1).uniform(-1e3, 1e3, (len(layout), 5))
+    constants, arrays = iter(constants), iter(arrays)
+    columns = [next(arrays) if kind == "a" else float(next(constants)) for kind in layout]
+    rows = len(next(c for c in columns if type(c) is not float))
+    return columns, np.array([np.full(rows, c) if type(c) is float else c for c in columns])
+
+
+@pytest.mark.parametrize("layout", ["ca", "ac", "cac", "cacac", "aca", "acaca", "accaccca",
+                                    "ccccaacccc", "cacacacc"])
+def test_runs_of_constant_columns_are_the_per_value_oracle(layout):
+    # Runs first, last, one column long between two arrays, and several
+    # constants side by side, which make one run.
+    columns, table = layout_columns(layout, CONSTANTS * 2)
+    assert csv_rows(columns).decode("ascii") == csv_rows_per_value(table)
+
+
+def test_more_distinct_runs_than_mark_bytes_are_the_per_value_oracle():
+    # Each run of one constant between two arrays has its own text, so the
+    # runs past the last free mark byte stay in the padded line as text.
+    n = len(_MARKS) + 40
+    constants = [*CONSTANTS, *np.linspace(-5.0, 5.0, n - len(CONSTANTS))]
+    columns, table = layout_columns("ac" * n + "a", constants)
+    assert csv_rows(columns).decode("ascii") == csv_rows_per_value(table)
+
+
+def test_equal_run_texts_are_the_per_value_oracle():
+    # Runs with equal texts share one mark byte: more of them than there are
+    # mark bytes, around a few distinct ones.
+    n = 2 * len(_MARKS)
+    constants = [0.0] * n
+    constants[::50] = CONSTANTS[:len(constants[::50])]
+    columns, table = layout_columns("acc" * n + "a", [c for c in constants for _ in "cc"])
+    assert csv_rows(columns).decode("ascii") == csv_rows_per_value(table)
 
 
 def test_only_a_sweep_imports_the_formatter(tmp_path):
@@ -178,9 +225,24 @@ def boundary_doubles(rng, n: int) -> np.ndarray:
     return np.concatenate(parts).view(np.float64) * rng.choice([-1.0, 1.0], n)
 
 
+def assert_csv_and_reprs(x, rng) -> None:
+    """x as 8 array columns of CSV, with runs of 0 to 3 constant columns
+    before, between and after them, drawn from x and ``CONSTANTS``, against
+    the per-value oracle; and repr_chars(x) against the oracle's cells, so
+    that repr is called once per value."""
+    layout = "".join("c" * k + "a" for k in rng.integers(0, 4, 9))[:-1]
+    constants = rng.choice(np.r_[x[:8], CONSTANTS], layout.count("c"))
+    columns, table = layout_columns(layout, constants, x.reshape(8, -1))
+    want = csv_rows_per_value(table)
+    assert csv_rows(columns).decode("ascii") == want, layout
+    cells = want[:-1].replace("\n", ",").split(",")
+    assert_reprs(x, [c for k, kind in enumerate(layout) if kind == "a"
+                     for c in cells[k::len(layout)]])
+
+
 if __name__ == "__main__":
-    checked = 0
+    checked, rng = 0, np.random.default_rng(21)
     for x in seeded_doubles(seed=20, total=14 * 10 ** 6, chunk=10 ** 5):
-        assert_reprs(x)
+        assert_csv_and_reprs(x, rng)
         checked += len(x)
-    print(f"repr_chars printed {checked} seeded doubles as repr does")
+    print(f"csv_rows and repr_chars printed {checked} seeded doubles as repr does")

@@ -174,9 +174,7 @@ def test_budget_meets_the_amplifier_bound(doc, grid):
     # (1 - 1/|G|^2)/2 quanta, whatever its temperatures.  |G| of stage 0 comes
     # from its feedback alone: 2 |Z_f| / sqrt(R_l R_r).
     w = np.array(grid)
-    names, reached, mu2, sigma = _circuit_budget(doc, w)
-    if len(w) == 1:         # sigma of every source on a one-point grid
-        sigma = sigma[[names.index(n) for n in reached]]
+    _, reached, mu2, sigma, _ = _circuit_budget(doc, w)
     total = NoiseBudget(w, dict(zip(reached, mu2)), dict(zip(reached, sigma))).total
     r_lr = math.sqrt(doc.lines[0].impedance * doc.lines[1].impedance)
     gain = np.array([2.0 * abs(doc.opamps[0].feedback.impedance(x)) / r_lr for x in w])

@@ -125,11 +125,10 @@ reactive_specs = stage_specs().filter(lambda s: s[3] != "X")
 def test_budget_arrays_equal_per_point_estimator_rows(specs, seed, size):
     doc = netlist.parse(circuit_text(specs))
     grid = random_grid(np.random.default_rng(seed), size)
-    names, reached, mu2, sigma = _circuit_budget(doc, grid)
-    # The sources of the readout's stage; sigma of every source on a one-point grid.
-    assert reached == ["r0", "amp0.a", "amp0.a'"] and mu2.shape == (3, size)
-    priced = names if size == 1 else reached
-    assert sigma.shape == (len(priced), size)
+    names, reached, mu2, sigma, first = _circuit_budget(doc, grid)
+    # The sources of the readout's stage, on every grid; every source at the first point.
+    assert reached == ["r0", "amp0.a", "amp0.a'"] and mu2.shape == sigma.shape == (3, size)
+    assert first.shape == (len(names),)
     net = netlist.to_network(doc)
     assert names == [c.name for c in net.input_channels if c.name != doc.signal]
     temps = net.channel_temperatures()
@@ -139,8 +138,11 @@ def test_budget_arrays_equal_per_point_estimator_rows(specs, seed, size):
         assert names == list(noise)
         assert all(noise[n] == 0.0 for n in names if n not in reached)
         # np.tanh may differ from math.tanh in the last place
-        ref = np.array([thermal_occupation(w, temps[n]) for n in priced])
+        ref = np.array([thermal_occupation(w, temps[n]) for n in reached])
         assert np.all(np.abs(sigma[:, i] - ref) <= 1e-15 * ref)
+        if i == 0:
+            ref = np.array([thermal_occupation(w, temps[n]) for n in names])
+            assert np.all(np.abs(first - ref) <= 1e-15 * ref)
         ref = np.array([abs(noise[n]) ** 2 for n in reached])
         assert np.max(np.abs(mu2[:, i] - ref)) <= 1e-13 * np.max(ref)
 
@@ -179,13 +181,14 @@ def test_budget_takes_every_occupation_at_one_point_and_the_reached_ones_over_th
     specs = [(50.0, 75.0, 60.0, "C", 1e-9, [0.0, 4.0, 30.0, 0.0]),
              (20.0, 90.0, 40.0, "L", 1e-3, [1.0, 0.0, 2.0, 300.0])]
     doc = netlist.parse(circuit_text(specs))
-    names, reached, _, sigma = _circuit_budget(doc, random_grid(np.random.default_rng(5), 9))
+    names, reached, _, sigma, first = _circuit_budget(doc, random_grid(np.random.default_rng(5), 9))
     assert len(names) == 7 and reached == ["r0", "amp0.a", "amp0.a'"] and sigma.shape == (3, 9)
+    assert first.shape == (7,)
     assert calls == [((1, 1), (7, 1)), ((1, 9), (3, 1))]
     calls.clear()
-    names, reached, _, sigma = _circuit_budget(doc, [1e5])     # no second call
+    names, reached, _, sigma, first = _circuit_budget(doc, [1e5])     # no second call
     assert len(names) == 7 and reached == ["r0", "amp0.a", "amp0.a'"]
-    assert sigma.shape == (7, 1) and calls == [((1, 1), (7, 1))]
+    assert sigma.shape == (3, 1) and first.shape == (7,) and calls == [((1, 1), (7, 1))]
 
 
 def hot_document(t_reached: float, t_unreached: float) -> str:
@@ -479,14 +482,13 @@ def test_disjoint_parts_match_the_dense_oracle(union, seed, size):
        st.integers(1, 40))
 def test_an_independent_stage_changes_nothing(spec, others, seed, size):
     grid = random_grid(np.random.default_rng(seed), size)
-    names, reached, mu2, sigma = _circuit_budget(netlist.parse(circuit_text([spec])), grid)
-    names_all, reached_all, mu2_all, sigma_all = _circuit_budget(
+    names, reached, mu2, sigma, first = _circuit_budget(netlist.parse(circuit_text([spec])), grid)
+    names_all, reached_all, mu2_all, sigma_all, first_all = _circuit_budget(
         netlist.parse(circuit_text([spec, *others])), grid)
     assert len(names_all) == len(names) + 4 * len(others)
     assert reached_all == reached and np.array_equal(mu2_all, mu2)
-    # sigma of every source on a one-point grid, else of the reached ones.
-    mine = [names_all.index(n) for n in names] if size == 1 else slice(None)
-    assert np.array_equal(sigma_all[mine], sigma)
+    assert np.array_equal(sigma_all, sigma)
+    assert np.array_equal(first_all[[names_all.index(n) for n in names]], first)
 
 
 @pytest.mark.parametrize("where", ONE_AT)
