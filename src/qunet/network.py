@@ -42,19 +42,19 @@ a group of such parts once, at its middle point w_r and equilibrated (rows
 and columns scaled by their largest entries): A(w_r) [N | X_p] = [e_v | B].
 At each point the pivot mu(w) = V(w) N is a scalar and
 X = X_p + N (B_v - V(w) X_p) / mu(w) (Sherman-Morrison).  A(w) is singular
-exactly where mu(w) = 0.  A part no output reads forms only its pivot,
-mu(w) = V0 N + w V1 N + (V2 N)/w from three products taken once per sweep,
-and the entries of V(w) that vary with w, which must stay finite.  Groups
-holding another part (C/L ladders), one-point sweeps (there that solve would
-be the only one) and groups in which some A(w_r) is singular or overflows
-are formed whole and equilibrated (D_r A D_c) at each point; every part of
-such a group is factored and solved, an unread one for zero columns, and
-each requested row r of S is e_r^T D_c (D_r A D_c)^-1 D_r B.  A block holds
-at most SWEEP_BLOCK_ENTRIES complex entries: m max(m, 1 + c) per point for
-A or V(w) [N | X_p], or an unread part's pivot and varying entries.  A
-failing sweep names the first grid point at which the solver refuses a row
-or a pivot (getrf's zero pivot, mu(w) = 0 or a non-finite value), whatever
-block that point falls in.
+exactly where mu(w) = 0.  V(w) [N | X_p], or V(w) N for a part no output
+reads, is summed left to right over the unknowns, V(w) formed only from the
+group's first varying unknown k < m on: the sum before k is taken once per
+sweep.  Groups holding another part (C/L ladders), one-point sweeps (there
+that solve would be the only one) and groups in which some A(w_r) is singular
+or overflows are formed whole and equilibrated (D_r A D_c) at each point;
+every part of such a group is factored and solved, an unread one for zero
+columns, and each requested row r of S is e_r^T D_c (D_r A D_c)^-1 D_r B.
+A block holds at most SWEEP_BLOCK_ENTRIES complex entries: m max(m, 1 + c)
+per point for A or V(w) [N | X_p], or an unread part's pivot and its entries
+of V(w).  A failing sweep names the first grid point at which the solver
+refuses a row or a pivot (getrf's zero pivot, mu(w) = 0 or a non-finite
+value), whatever block that point falls in.
 """
 
 from __future__ import annotations
@@ -522,16 +522,17 @@ class QuantumNetwork:
                 # Per read row: its part, its row of s and its unknown.
                 q, outs, at = np.array([(j, i, pos) for j, ps in enumerate(pairs)
                                         for i, pos in ps], dtype=int).reshape(-1, 3).T
-                rows, unread = a3[:, np.arange(len(b)), vary], np.zeros((3, 0, 1))  # parts' row v
-                if n < len(b):   # an unread part forms only its pivot, from (V0 N, V1 N, V2 N),
-                    # and the entries of V(w) that vary with w, which overflow where mu may not
-                    part, k = np.nonzero(rows[1:, n:].any(axis=0))
-                    unread = np.concatenate([(rows[:, n:] * nx[n:, :, 0]).sum(axis=2),
-                                             rows[:, n + part, k]], axis=1)[..., None]
-                plan.append((_rank_one_rows, rows[:, :n].reshape(3, -1, 1), nx[:n],
-                             b[np.arange(n), vary[:n]], q, nx[q, at], outs[:, None], ins[q],
-                             unread, len(b) - n))
-                entries += n * size + unread.shape[1]
+                rows = a3[:, np.arange(len(b)), vary]              # parts' row v (3, P, m)
+                # Before the first unknown k whose entry varies in some part, V(w) is V0:
+                # its share of the fold is taken once.  k < m: a formed entry is NaN where A2/w is.
+                k = np.append(rows[1:].any(axis=(0, 1))[:-1], True).argmax()
+                head = _fold(rows[0, :, :k, None, None], nx[:, :k, :, None])
+                folds = [(slice(lo, hi), nx[lo:hi, k:, :wide, None],   # [N | X_p], then N
+                          None if head is None else head[lo:hi, :wide])
+                         for lo, hi, wide in ((0, n, None), (n, len(b), 1)) if hi > lo]
+                plan.append((_rank_one_rows, rows[:, :, k:].reshape(3, -1, 1), folds,
+                             b[np.arange(n), vary[:n]], q, nx[q, at], outs[:, None], ins[q]))
+                entries += n * size + (len(b) - n) * (b.shape[1] - k + 1)
                 continue
             unit = np.zeros((len(b), b.shape[1], max(map(len, pairs), default=0)), complex)
             for j, ps in enumerate(pairs):     # k rows of a part solve unit columns 0..k-1
@@ -587,32 +588,29 @@ def _systems(a3: np.ndarray, w: np.ndarray):
     return row.reshape(a.shape[:-1]), col, np.divide(a, col[..., None, :], out=a)
 
 
-def _rank_one_rows(w, s, stamp, nx, bv, q, nxr, outs, cols, unread, u) -> list:
+def _fold(v, x, y=None):
+    """y + v[:, 0] x[:, 0] + v[:, 1] x[:, 1] + ..., summed left to right as the
+    oracle sums; None if there is no term and no ``y``."""
+    for i in range(x.shape[1]):
+        term = v[:, i] * x[:, i]
+        y = term if y is None else np.add(y, term, out=term)
+    return y
+
+
+def _rank_one_rows(w, s, stamp, folds, bv, q, nxr, outs, cols) -> list:
     """Write the read rows of S of parts changing in one row V(w); return the
-    pivots mu(w) = V(w) N of the n read (F, n) and u unread parts (F, u), and
-    whether each varying entry of an unread V(w) is finite.  ``stamp``
-    (3, n m, 1) is the read rows V, ``nx`` (n, m, 1 + c) [N | X_p], ``bv``
-    (n, c) B_v; per read row, ``q`` is its part, ``nxr`` its [N | X_p],
-    ``outs`` and ``cols`` its row and columns of s.  ``unread`` (3, u + K, 1)
-    is, per term of A(w), the unread parts' V_p N, then their K varying
-    entries.  Sums over the m unknowns are folded in place, as the oracle's."""
-    n, m = nx.shape[:2]
-    pivots = []
-    if n:
-        v = (stamp[0] + w * stamp[1] + stamp[2] / w).reshape(n, m, 1, len(w))
-        y = v[:, 0] * nx[:, 0, :, None]                  # V [N | X_p] (n, 1 + c, F)
-        for i in range(1, m):
-            y += v[:, i] * nx[:, i, :, None]
-        t = (bv[..., None] - y[:, 1:]) / y[:, :1]        # (B_v - V X_p) / mu
+    pivots mu(w) = V(w) N (F, p) per fold.  ``stamp`` (3, P (m - k), 1) is the
+    parts' row V from unknown k on.  Per fold, read parts first: its parts (a
+    slice), their x = [N | X_p] or N from k on (p, m - k, 1 + c or 1, 1) and
+    V0 x over the unknowns before k, or None.  ``bv`` (n, c) is the read parts'
+    B_v; per read row, ``q`` is its part, ``nxr`` its [N | X_p], ``outs`` and
+    ``cols`` its row and columns of s."""
+    v = (stamp[0] + w * stamp[1] + stamp[2] / w).reshape(-1, folds[0][1].shape[1], 1, len(w))
+    y = [_fold(v[parts], x, head) for parts, x, head in folds]    # V(w) x (p, 1 + c or 1, F)
+    if len(bv):
+        t = (bv[..., None] - y[0][:, 1:]) / y[0][:, :1]        # (B_v - V X_p) / mu
         s[:, outs, cols] = (nxr[:, 1:, None] + nxr[:, :1, None] * t[q]).transpose(2, 0, 1)
-        pivots.append(y[:, 0].T)
-    if u:
-        x = unread[2] / w           # A0 + w A1 + A2/w (u + K, F) in place: in blocks
-        x += unread[0]              # this long each temporary is peak memory; w A1
-        if unread[1].any():         # is an exact 0 if A1 is (A2/w is NaN below 1/DBL_MAX)
-            x += w * unread[1]
-        pivots += [x[:u].T, np.isfinite(x[u:]).T]
-    return pivots
+    return [yp[:, 0].T for yp in y]
 
 
 def _lu_rows(w, s, a3, unit, reads) -> list:
