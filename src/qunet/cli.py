@@ -47,14 +47,9 @@ def _resolve_tol(args) -> float:
     return DEFAULT_TOLERANCE
 
 
-def _option(value, flag: str, low: float = 0.0) -> float | None:
-    """A numeric option, None when absent; ValueError unless finite > ``low``."""
-    return None if value is None else require_finite(value, flag, low=low)
-
-
 def _freq(args) -> float | None:
     """--freq in Hz, None when absent; ValueError unless finite > 0, as is 2*pi*f."""
-    freq = _option(args.freq, "--freq")
+    freq = None if args.freq is None else require_finite(args.freq, "--freq")
     if freq is None or TWO_PI * freq < math.inf:
         return freq
     raise ValueError(f"--freq {freq!r} Hz overflows as 2*pi*f")
@@ -67,7 +62,6 @@ def _load_document(path: str):
 
 def cmd_check(args) -> int:
     tol, freq = _resolve_tol(args), _freq(args)
-    gain = _option(args.inject_gain, "--inject-gain", low=-math.inf)
     doc = _load_document(args.netlist)
     if doc.preset is not None:      # its detection stage, at the carrier
         preset = accel.get_preset(doc.preset)
@@ -80,9 +74,6 @@ def cmd_check(args) -> int:
             raise ValueError("document has no sweep directive; pass --freq")
         solved = net.sweep(doc.sweep.to_grid() if freq is None else [TWO_PI * freq])
         s = solved.matrices
-    if gain is not None:
-        with np.errstate(over="ignore"):    # an overflowed S fails the check
-            s = s * gain
     residual = commutator_residual(s, [c.signature for c in solved.inputs],
                                    [c.signature for c in solved.outputs])
     ok = residual < tol
@@ -299,8 +290,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help=f"residual tolerance (default {DEFAULT_TOLERANCE}, "
                             "or QUNET_TOL)")
-        p.add_argument("--inject-gain", type=float, default=None,
-                       help="test hook: scale the scattering matrix")
         p.set_defaults(func=cmd_check)
 
     if command in (None, "budget"):

@@ -8,11 +8,12 @@ the tests that must fail).  Run from the repository root:
 It copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` to a
 temporary directory, runs every named test there once on the intact copy,
 then applies each mutant in turn and runs only its tests, with Hypothesis
-seeded so that every run draws the same examples.  It exits 1 if a
-named test fails on the intact copy, if an old text is not found exactly
-once in its file, or if a mutant leaves any of its tests passing.  A
-refactor that changes an old text must update its entry.  Standard library
-only; pytest and the test dependencies must be installed.
+seeded so that every run draws the same examples, and under the ``mutants``
+profile of ``tests/conftest.py``, which does not shrink a failing example.
+It exits 1 if a named test fails on the intact copy, if an old text is not
+found exactly once in its file, or if a mutant leaves any of its tests
+passing.  A refactor that changes an old text must update its entry.
+Standard library only; pytest and the test dependencies must be installed.
 """
 
 from __future__ import annotations
@@ -29,33 +30,47 @@ ROOT = Path(__file__).resolve().parent.parent
 SWEEP = "tests/test_sweep.py"
 FLOATREPR = "tests/test_floatrepr.py"
 FMT = "qunet/_floatrepr.py"
+CHAIN_BOUND = "tests/test_properties.py::test_chain_meets_the_amplifier_bound"
 
 MUTANTS = [
-    # An unread part on the rank-one path checks only its pivot mu(w), not
-    # whether the entries of its row that vary with w stay finite.
+    # An unread part's pivot mu(w) is refused only where it is 0: a non-finite
+    # one, where an entry of its row V(w) overflows, is taken as 1.
     ("qunet/network.py",
-     "        pivots += [x[:u].T, np.isfinite(x[u:]).T]\n",
-     "        pivots += [x[:u].T]\n",
+     "    return [yp[:, 0].T for yp in y]\n",
+     "    return [yp[:, 0].T if yp.shape[1] > 1 else\n"
+     "            np.where(np.isfinite(yp[:, 0]), yp[:, 0], 1.0).T for yp in y]\n",
      [f"{SWEEP}::test_an_unread_part_that_overflows_still_raises",
       f"{SWEEP}::test_one_row_raises_where_every_row_does"]),
-    # An unread part on the rank-one path checks only its varying entries.
+    # An unread part's pivot is refused only where it is not finite, not at 0.
     ("qunet/network.py",
-     "        pivots += [x[:u].T, np.isfinite(x[u:]).T]\n",
-     "        pivots += [np.isfinite(x[u:]).T]\n",
+     "    return [yp[:, 0].T for yp in y]\n",
+     "    return [yp[:, 0].T if yp.shape[1] > 1 else np.isfinite(yp[:, 0]).T for yp in y]\n",
      [f"{SWEEP}::test_a_singular_unread_part_raises_at_its_point"]),
     # The rank-one fold sums over the unknowns in reverse order.  The random
     # test_sweep_equals_the_dense_oracle_bit_for_bit kills it in about half
     # of its runs only: a stage's sums rarely hold three nonzero terms.
     ("qunet/network.py",
-     "        y = v[:, 0] * nx[:, 0, :, None]                  # V [N | X_p] (n, 1 + c, F)\n"
-     "        for i in range(1, m):\n",
-     "        y = v[:, m - 1] * nx[:, m - 1, :, None]\n"
-     "        for i in range(m - 2, -1, -1):\n",
+     "    for i in range(x.shape[1]):\n",
+     "    for i in reversed(range(x.shape[1])):\n",
      [f"{SWEEP}::test_a_one_node_part_sweep_equals_the_dense_oracle_bit_for_bit"]),
+    # The sum of V0 taken once per sweep stops one unknown short of the first
+    # that varies.  Where that first unknown k is not 0 (an op-amp stage's
+    # feedback current) the term lost is a line's column, 0 in V0; where k is
+    # 0 the slice ends at m - 1 and the fold adds those terms twice.
+    ("qunet/network.py",
+     "                head = _fold(rows[0, :, :k, None, None], nx[:, :k, :, None])\n",
+     "                head = _fold(rows[0, :, :k - 1, None, None], nx[:, :k - 1, :, None])\n",
+     [f"{SWEEP}::test_a_one_node_part_sweep_equals_the_dense_oracle_bit_for_bit"]),
+    # The first unknown the fold forms is not capped at the last: a part
+    # without varying entries forms none, and is finite where 0/w is NaN.
+    ("qunet/network.py",
+     "np.append(rows[1:].any(axis=(0, 1))[:-1], True)",
+     "np.append(rows[1:].any(axis=(0, 1)), True)",
+     [f"{SWEEP}::test_a_part_without_varying_rows_overflows_below_one_over_dbl_max"]),
     # The Sherman-Morrison factor t one ulp off.
     ("qunet/network.py",
-     "        t = (bv[..., None] - y[:, 1:]) / y[:, :1]        # (B_v - V X_p) / mu\n",
-     "        t = (bv[..., None] - y[:, 1:]) / y[:, :1] * (1 + 2 ** -52)\n",
+     "        t = (bv[..., None] - y[0][:, 1:]) / y[0][:, :1]        # (B_v - V X_p) / mu\n",
+     "        t = (bv[..., None] - y[0][:, 1:]) / y[0][:, :1] * (1 + 2 ** -52)\n",
      [f"{SWEEP}::test_sweep_equals_the_dense_oracle_bit_for_bit",
       "tests/test_cli.py::test_cli_output_is_pinned",
       "tests/test_cli.py::test_cli_corpus_is_pinned",
@@ -111,6 +126,27 @@ MUTANTS = [
      "    if not regular and (r := int(np.linalg.matrix_rank(a))) < len(a):\n",
      "    if (r := int(np.linalg.matrix_rank(a))) < len(a):\n",
      [f"{SWEEP}::test_a_solve_that_overflows_is_not_reported_as_rank_loss"]),
+    # The chain rule divides every downstream weight by |G|^2 of the stages
+    # ahead of it, not by their complex gain G.
+    ("qunet/cascade.py",
+     "                weights[(k, role)] = mu / total_gain\n",
+     "                weights[(k, role)] = mu / abs(total_gain) ** 2\n",
+     [CHAIN_BOUND]),
+    # A downstream stage's conjugated noise line a' is dropped from the chain.
+    ("qunet/cascade.py",
+     "            if role != est.signal:\n",
+     "            if role != est.signal and (k == 0 or role != \"a'\"):\n",
+     [CHAIN_BOUND]),
+    # A downstream stage's readout line r is dropped from the chain.
+    ("qunet/cascade.py",
+     "            if role != est.signal:\n",
+     "            if role != est.signal and (k == 0 or role != \"r\"):\n",
+     [CHAIN_BOUND]),
+    # The composed gain is 1 % high.
+    ("qunet/cascade.py",
+     "        total_gain = total_gain * est.gain\n",
+     "        total_gain = total_gain * est.gain * 1.01\n",
+     [CHAIN_BOUND]),
     # The sweep CSV's formatter.  Its product keeps only the high half of the
     # scaled value's fraction: the sticky bits below it are dropped.
     (FMT,
@@ -211,7 +247,7 @@ def run_tests(tree: Path, tests: list) -> set:
     env.pop("PYTHONPATH", None)
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *tests],
+         "--hypothesis-seed=0", "--hypothesis-profile=mutants", *tests],
         cwd=tree, env=env, capture_output=True, text=True)
     if run.returncode not in (0, 1):          # 1: some tests failed
         raise RuntimeError(f"pytest exited {run.returncode}:\n{run.stdout[-3000:]}{run.stderr}")

@@ -52,8 +52,12 @@ def test_check_fixture_passes(check_path, capsys):
     assert "residual" in out
 
 
-def test_check_injected_gain_fails(check_path, capsys):
-    assert main(["check", check_path, "--inject-gain", "1.41"]) == 1
+def test_check_injected_gain_fails(check_path, capsys, monkeypatch):
+    # S scaled by 1.41 breaks S J S^dagger = J by about 1.41^2 - 1
+    residual = qunet.cli.commutator_residual
+    monkeypatch.setattr(qunet.cli, "commutator_residual",
+                        lambda s, *signatures: residual(1.41 * s, *signatures))
+    assert main(["check", check_path]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -101,8 +105,6 @@ def test_check_single_frequency_without_sweep(tmp_path, capsys):
     for path in (p, preset):
         for bad in ("nan", "inf", "-inf"):
             assert main(["check", str(path), "--freq", bad]) == 2
-        assert main(["check", str(path), "--freq", "1e5", "--inject-gain", "nan"]) == 2
-    assert "--inject-gain must be finite" in capsys.readouterr().err
 
 
 def _parse_table(out: str):
@@ -347,7 +349,7 @@ def test_one_command_parser_prints_what_the_full_parser_prints(
 # option values, unknown options and extra positionals.  No token names a
 # file, so a request that parses fails to open its document.
 ARGV_TOKENS = st.sampled_from([
-    *qunet.cli.COMMANDS, "--freq", "--fr", "--tol", "--inject-gain", "--json",
+    *qunet.cli.COMMANDS, "--freq", "--fr", "--tol", "--json",
     "--js", "-o", "--output", "--preset", "--theta-m", "--the", "--hm",
     "--transduction-gain", "--freq=1", "--json=1", "-h", "--help", "--h", "--",
     "-", "--bogus", "-x", "-1", "1e5", "abc", "microscope", "f", "extra"])
@@ -489,17 +491,15 @@ def test_overflowing_budget_is_refused(tmp_path, capsys):
     assert not csv.exists()
 
 
-def test_overflowing_check_fails_without_warnings(tmp_path, check_path, capsys):
+def test_overflowing_check_fails_without_warnings(tmp_path, capsys):
     # S S^dagger overflows: the residual is inf and the check FAILs quietly
     p = tmp_path / "huge.qnet"
     p.write_text(CHECK_FIXTURE.replace("noise_impedance=50.0", "noise_impedance=1e308"))
-    for argv in (["check", str(p)], ["check", check_path, "--inject-gain", "1e200"],
-                 ["check", check_path, "--inject-gain", "1e308"]):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out.startswith("max commutator residual: inf over ")
-        assert captured.out.endswith(": FAIL\n")
-        assert captured.err == ""
+    assert main(["check", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("max commutator residual: inf over ")
+    assert captured.out.endswith(": FAIL\n")
+    assert captured.err == ""
 
 
 def test_overflowing_frequencies_are_refused(tmp_path, preset_path, capsys):
@@ -546,7 +546,7 @@ def test_accel_invalid_override_exits_2(capsys):
 def test_a_negative_value_in_exponent_notation_may_follow_its_option(check_path, capsys):
     # argparse's own negative-number pattern has no exponent, so a separate
     # "-1e-3" was read as an option name; split and joined forms now agree
-    for option, value, head in (("--inject-gain", "-1e-3", ["check", check_path, "--freq", "1e5"]),
+    for option, value, head in (("--tol", "-1e-3", ["check", check_path, "--freq", "1e5"]),
                                 ("--transduction-gain", "-3.5e-13", ["accel", "--json"]),
                                 ("--hm", "-1e-300", ["accel"])):
         joined = (main([*head, f"{option}={value}"]), capsys.readouterr())
@@ -678,7 +678,7 @@ CORPUS_USAGE = [
     ["budget", "threedb.qnet", "--freq", "abc"], ["budget", "threedb.qnet", "extra"],
     ["budget", "threedb.qnet", "--freq", "0"], ["budget", "threedb.qnet", "--freq", "-inf"],
     ["budget", "threedb.qnet"], ["check", "threedb.qnet", "--tol", "0"],
-    ["check", "threedb.qnet", "--inject-gain", "nan"], ["sweep", "threedb.qnet", "-o", "no/x.csv"],
+    ["check", "threedb.qnet", "--tol", "nan"], ["sweep", "threedb.qnet", "-o", "no/x.csv"],
     ["accel", "--hm", "-1"], ["accel", "--transduction-gain", "nan"],
     ["accel", "--preset", "bogus"], ["accel", "--theta-m", "abc"],
 ]
@@ -714,8 +714,8 @@ def corpus(seed: int = 17) -> tuple[dict, list]:
                      ["budget", name, "--freq", freq(), "--json"],
                      ["sweep", name, "-o", name[:-5] + ".csv"]]
         if rng.random() < 0.3:
-            requests.append(["check", name, "--freq", freq(), "--inject-gain",
-                             repr(float(rng.uniform(0.5, 2.0)))])
+            requests.append(["check", name, "--freq", freq(), "--tol",
+                             repr(float(rng.uniform(0.5, 2.0)) * 1e-10)])
         if rng.random() < 0.3:
             requests.append(["check", name, "--tol", repr(float(10.0 ** rng.uniform(-14, -4)))])
     for path in ("threedb.qnet", "check.qnet", "preset.qnet"):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qunet import (Capacitor, Feedback, Inductor, NoiseBudget, OpAmp, PortSpec,
                    QuantumNetwork, SingularNetworkError, netlist, thermal_occupation)
 from qunet.cli import CSV_BLOCK_ROWS, _circuit_budget, main
-from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES, _systems
+from qunet.network import GROUND_NAMES, SWEEP_BLOCK_ENTRIES, _rank_one_rows, _systems
 
 from helpers import circuit_text, random_passive_network
 from oracles import (csv_rows_per_value, dense_sweep, dense_systems, estimator_from_scattering,
@@ -507,7 +507,9 @@ def test_a_singular_part_no_output_reaches_still_raises(where):
 
 def test_an_unread_part_that_overflows_still_raises():
     # At 1e-20 rad/s the 1e-290 F feedback's impedance, 1e310 Ohm, leaves
-    # double range, while that stage's pivot mu(w) = V(w) N stays finite.
+    # double range: that entry of V(w) is formed per point for a part no
+    # output reads as for a read one, and makes its pivot mu(w) = V(w) N
+    # non-finite.
     ports, comps = [], []
     for name, c in (("", 1e-12), ("u", 1e-290)):
         ports += [PortSpec(f"{name}l", 50.0), PortSpec(f"{name}r", 50.0)]
@@ -709,18 +711,55 @@ def test_a_one_node_part_sweep_equals_the_dense_oracle_bit_for_bit():
 
 def test_a_part_without_varying_rows_overflows_below_one_over_dbl_max():
     # At 5e-309 rad/s 0/w is NaN.  A constant-reactance stage has no row
-    # that changes with w, yet a sweep forms its row 0 per block, so it
-    # overflows there as a capacitive stage does, in the first block or later.
+    # that changes with w, yet a sweep forms the last entry of its row 0 per
+    # point, so it overflows there as a capacitive stage does: on one point,
+    # as the reference point, and in the first block or a later one.
     ports = [PortSpec("l", 50.0), PortSpec("r", 75.0)]
     flat = QuantumNetwork(ports, [OpAmp("amp", "l", "r", 60.0, Feedback.reactance(1e3))])
     cap = QuantumNetwork(ports, [OpAmp("amp", "l", "r", 60.0, Feedback.capacitive(1e-9))])
     for net in (flat, cap):
-        step = block_length(net, [1.0, 1.0])
-        for grid in ([1.0, 5e-309], [1.0] * step + [5e-309]):
+        step, refused = block_length(net, [1.0, 1.0]), set()
+        for grid in ([5e-309], [1.0, 5e-309], [5e-309, 1.0, 2.0], [1.0] * step + [5e-309]):
             assert block_length(net, grid) == step
             with pytest.raises(SingularNetworkError) as err:
                 net.sweep(grid)
-            assert "overflow at omega = 5e-309 rad/s" in str(err.value)
+            refused.add(str(err.value))
+        assert len(refused) == 1 and "overflow at omega = 5e-309 rad/s" in refused.pop()
     # Just above it the constant-reactance stage solves, to the same bits.
     s = flat.sweep([1e-300, 1.0, 1e300]).matrices.view(np.uint64)
     assert np.array_equal(s, s[[1, 1, 1]])
+
+
+def rank_one_pivots(net, grid, outputs) -> dict:
+    """Per group the sweep solves on the rank-one path, its parts' pivots
+    mu(w) (F, P) in the group's own part order, as ``net.sweep(grid,
+    outputs)`` takes them."""
+    chans = [c for c in net.output_channels if outputs is None or c.name in outputs]
+    hits = [net._outward[net.output_channels.index(c)] for c in chans]
+    pivots = {}
+    with np.errstate(all="ignore"):
+        plan, _, cols = net._solvers(grid, chans)
+        s = np.zeros((len(grid), len(chans), len(cols)), dtype=complex)
+        for g, ((solve, *args), (a3, *_)) in enumerate(zip(plan, net._parts)):
+            if solve is _rank_one_rows:     # read parts first, then the others
+                read = sorted({q for group, q, _ in hits if group == g})
+                order = read + [q for q in range(a3.shape[1]) if q not in read]
+                mu = np.concatenate(solve(grid, s, *args), axis=1)
+                pivots[g] = np.ascontiguousarray(mu[:, np.argsort(order)])
+    return pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(disjoint_unions(), seeds, st.integers(2, 60),
+       st.lists(st.sampled_from(EXTREME_OMEGAS), max_size=2))
+def test_a_parts_pivots_are_the_same_bits_read_or_not(union, seed, size, extremes):
+    # One fold serves both kinds of part: 1 + c wide for a read part, 1 wide
+    # for one no output reads, its first column the pivot either way.
+    net = union[0]
+    grid = np.r_[random_grid(np.random.default_rng(seed), size), extremes]
+    every = rank_one_pivots(net, grid, None)       # every part holds a port
+    for port in net.ports:
+        one = rank_one_pivots(net, grid, (port.name,))
+        assert one.keys() == every.keys()
+        for g, mu in every.items():
+            assert np.array_equal(one[g].view(np.uint64), mu.view(np.uint64)), (port.name, g)
