@@ -266,13 +266,22 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+_PARSERS: dict = {}     # command, or None for all of qunet -> its parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of the arguments after ``command``, or of all of ``qunet``.
 
     A command's standalone parser, prog ``qunet <command>``, prints what the
     full parser's subcommand prints.  Only the full parser (None) prints the
     top-level usage, for ``--help``, no or an unknown command, ``--`` or leftovers.
+    Each is built on its first call in a process, then reused: parsing leaves
+    a parser as it was, and help text takes its width when it is printed.
+    Its ``func`` looks up ``cmd_<command>`` when called, so a kept parser
+    calls what the module binds at that time (a tracer's wrapper, a patch).
     """
+    if command in _PARSERS:
+        return _PARSERS[command]
     if command is None:
         parser = _Parser(
             prog="qunet",
@@ -290,20 +299,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help=f"residual tolerance (default {DEFAULT_TOLERANCE}, "
                             "or QUNET_TOL)")
-        p.set_defaults(func=cmd_check)
+        p.set_defaults(func=lambda args: cmd_check(args))
 
     if command in (None, "budget"):
         p = new("budget", help="per-source noise budget at one frequency")
         p.add_argument("netlist")
         p.add_argument("--freq", type=float, default=None, help="frequency in Hz")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_budget)
+        p.set_defaults(func=lambda args: cmd_budget(args))
 
     if command in (None, "sweep"):
         p = new("sweep", help="budget over the netlist sweep grid, CSV")
         p.add_argument("netlist")
         p.add_argument("-o", "--output", required=True)
-        p.set_defaults(func=cmd_sweep)
+        p.set_defaults(func=lambda args: cmd_sweep(args))
 
     if command in (None, "accel"):
         p = new("accel", help="accelerometer preset report")
@@ -315,8 +324,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--transduction-gain", type=float, default=None,
                        help="force per normalized detection field unit (N)")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_accel)
-    return parser if command is None else p
+        p.set_defaults(func=lambda args: cmd_accel(args))
+    return _PARSERS.setdefault(command, parser if command is None else p)
 
 
 def main(argv=None) -> int:

@@ -237,6 +237,29 @@ MUTANTS = [
      "        grid = 2.0 * math.pi * np.minimum(np.append(hz, f_hi), f_hi)\n",
      "        grid = 2.0 * math.pi * np.append(hz, f_hi)\n",
      ["tests/test_netlist.py::test_sweep_beyond_double_range_is_refused"]),
+    # The parser cache is keyed on nothing: every command gets the first
+    # parser built in the process.
+    ("qunet/cli.py",
+     "    if command in _PARSERS:\n        return _PARSERS[command]\n",
+     "    if _PARSERS:\n        return next(iter(_PARSERS.values()))\n",
+     ["tests/test_cli.py::test_each_parser_is_built_once_per_process"]),
+    # The parser cache stores the full parser under a command's key.
+    ("qunet/cli.py",
+     "    return _PARSERS.setdefault(command, parser if command is None else p)\n",
+     "    return _PARSERS.setdefault(command, parser if command is None else build_parser())\n",
+     ["tests/test_cli.py::test_each_parser_is_built_once_per_process"]),
+    # A kept parser calls the command function bound when it was built, so a
+    # tracer's or a test's later rebinding never runs.
+    ("qunet/cli.py",
+     "p.set_defaults(func=lambda args: cmd_budget(args))",
+     "p.set_defaults(func=cmd_budget)",
+     ["tests/test_cli.py::test_a_kept_parser_calls_the_command_function_bound_at_call_time"]),
+    # main always takes the full parser, whose output is the same: only the
+    # parsers it asks for tell.
+    ("qunet/cli.py",
+     "        if argv and argv[0] in COMMANDS:\n",
+     "        if False:\n",
+     ["tests/test_cli.py::test_successive_calls_print_what_each_call_alone_prints"]),
 ]
 
 

@@ -79,6 +79,10 @@ def test_check_tol_flag_and_env(check_path, capsys, monkeypatch):
     assert main(["check", check_path, "--tol", "1e-16"]) == 1
     monkeypatch.setenv("QUNET_TOL", "1e-16")
     assert main(["check", check_path]) == 1
+    # each call reads QUNET_TOL anew, with the parser built once per process
+    monkeypatch.setenv("QUNET_TOL", "1e-6")
+    assert main(["check", check_path]) == 0
+    monkeypatch.setenv("QUNET_TOL", "1e-16")
     # explicit flag wins over the environment
     assert main(["check", check_path, "--tol", "1e-6"]) == 0
     capsys.readouterr()
@@ -381,7 +385,7 @@ def test_any_argv_prints_what_the_full_parser_prints(command, tokens, columns):
 
 def test_successive_calls_print_what_each_call_alone_prints(
         check_path, threedb_path, preset_path, tmp_path, capsys, monkeypatch):
-    # Alternating commands and usage errors in one process: each call builds
+    # Alternating commands and usage errors in one process: each call asks for
     # the parser of its own command, and prints what it prints alone, in a
     # fresh interpreter started through the entry point, with argv from
     # sys.argv.  Arguments the command's parser leaves unparsed take the
@@ -418,6 +422,45 @@ def test_successive_calls_print_what_each_call_alone_prints(
     assert built == ["budget", "budget", None, "check", None, "accel", "check",
                      None, "sweep", None, "budget", None, "budget", "budget", None,
                      "budget", "sweep", "sweep", "accel", "check", "check"]
+
+
+def test_each_parser_is_built_once_per_process():
+    parsers = {c: qunet.cli.build_parser(c) for c in (*qunet.cli.COMMANDS, None)}
+    for command, parser in parsers.items():
+        assert qunet.cli.build_parser(command) is parser
+        assert parser.prog == ("qunet" if command is None else f"qunet {command}")
+    assert len({id(p) for p in parsers.values()}) == len(parsers)
+
+
+@pytest.mark.parametrize("commands", [qunet.cli.COMMANDS, ()], ids=["own", "full"])
+def test_a_kept_parser_calls_the_command_function_bound_at_call_time(commands, monkeypatch):
+    # A tracer or a test rebinds cmd_<command> after the parsers are built
+    monkeypatch.setattr(qunet.cli, "COMMANDS", commands)
+    for argv in (["check", "f"], ["budget", "f"], ["sweep", "f", "-o", "x"], ["accel"]):
+        qunet.cli.build_parser(argv[0] if commands else None)
+        monkeypatch.setattr(qunet.cli, f"cmd_{argv[0]}", lambda args: 7)
+        assert main(argv) == 7
+
+
+def test_parsers_built_at_one_width_print_at_the_width_of_each_call(capsys, monkeypatch):
+    # Help and usage text, wrapped at COLUMNS - 2, equals what a fresh
+    # interpreter prints at that width: argparse takes the width when it
+    # formats the text, not when it builds the parser, once per process
+    sequence = [["budget", "-h"], ["budget", "f", "--bogus"], ["accel", "--hm"],
+                ["check", "f", "--tol"], []]
+    monkeypatch.setenv("COLUMNS", "120")    # the build width, unless built before
+    for command in (*qunet.cli.COMMANDS, None):
+        qunet.cli.build_parser(command)
+    src = os.path.dirname(os.path.dirname(qunet.cli.__file__))
+    for columns in ("40", "200", "20"):
+        monkeypatch.setenv("COLUMNS", columns)
+        env = dict(os.environ, PYTHONPATH=src)
+        fresh = [subprocess.Popen([sys.executable, "-m", "qunet.cli", *argv], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for argv in sequence]
+        for argv, run in zip(sequence, fresh):
+            out, err = run.communicate()
+            assert _run(argv, capsys) == (run.returncode, out, err)
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
