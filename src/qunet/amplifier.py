@@ -144,7 +144,8 @@ class NoiseBudget:
     the plain sum of the contributions in source order (the sources are
     mutually uncorrelated), so additivity is exact by construction.  Over a
     grid ``omega`` and the values are (F,) arrays; the two methods take a point.
-    A non-finite total raises a ValueError naming its first point and source.
+    Both dicts name the same sources.  A negative value, or a total that is
+    not finite, raises a ValueError naming its first point and source.
     """
 
     omega: float
@@ -154,7 +155,12 @@ class NoiseBudget:
     total: float = field(init=False)
 
     def __post_init__(self):
-        contributions = {k: m * self.sigma[k] for k, m in self.mu_abs2.items()}
+        mu_abs2, sigma = self.mu_abs2, self.sigma
+        if mu_abs2.keys() != sigma.keys():
+            odd = next(k for k in (*mu_abs2, *sigma) if (k in mu_abs2) != (k in sigma))
+            has = "|mu|^2 but no sigma" if odd in mu_abs2 else "sigma but no |mu|^2"
+            raise ValueError(f"noise source {odd!r} has a {has}")
+        contributions = {k: m * sigma[k] for k, m in mu_abs2.items()}
         total = 0.0
         for value in contributions.values():    # left to right: sum() compensates
             total += value                      # floats from Python 3.12 on
@@ -162,13 +168,24 @@ class NoiseBudget:
             object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "contributions", contributions)
         object.__setattr__(self, "total", total)
-        finite = total < math.inf       # the terms are >= 0: false for inf and NaN
-        if not (finite.all() if hasattr(finite, "all") else finite):
-            at = (lambda x: x) if type(self.omega) is float else (lambda x: x[finite.argmin()])
-            bad = [k for k, c in contributions.items() if not math.isfinite(at(c))]
-            what = f"|mu|^2 or contribution of source {bad[0]!r}" if bad else "total"
+        ok = total < math.inf           # false where the total is inf or NaN,
+        for value in (*mu_abs2.values(), *sigma.values()):
+            ok = ok & (value >= 0)      # or where a value is negative or NaN
+        if not (ok.all() if hasattr(ok, "all") else ok):
+            at = (lambda x: x) if type(self.omega) is float else (lambda x: x[ok.argmin()])
+            why = "is not finite: the total overflows"
+            for k, m in mu_abs2.items():
+                m, s = at(m), at(sigma[k])
+                if m < 0 or s < 0:
+                    why = f"has a negative {'|mu|^2' if m < 0 else 'sigma'} for source {k!r}"
+                elif not math.isfinite(m * s):
+                    why = (f"is not finite: the |mu|^2 or contribution of source {k!r} "
+                           f"{'is not a number' if math.isnan(m + s) else 'overflows'}")
+                else:
+                    continue
+                break
             raise ValueError(f"noise budget at {float(at(self.omega)) / (2.0 * math.pi)!r} "
-                             f"Hz is not finite: the {what} overflows")
+                             f"Hz {why}")
 
     def sorted_items(self) -> list[tuple]:
         """(source, contribution) pairs, largest first, ties by source."""

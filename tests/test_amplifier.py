@@ -280,19 +280,51 @@ def test_shares_are_finite_percentages():
 
 def test_non_finite_budget_names_its_first_point_and_source():
     ones = {"a": 1.0, "b": 1.0}
-    for mu_abs2, what in (({"a": 1.0, "b": math.inf}, "|mu|^2 or contribution of source 'b'"),
-                          ({"a": math.nan, "b": math.inf}, "|mu|^2 or contribution of source 'a'"),
-                          ({"a": 1e308, "b": 1e308}, "total")):
+    # a NaN did not overflow: it is named as not a number, inf as overflowing
+    for mu_abs2, what in (({"a": 1.0, "b": math.inf}, "|mu|^2 or contribution of source 'b' "
+                                                      "overflows"),
+                          ({"a": math.nan, "b": math.inf}, "|mu|^2 or contribution of source "
+                                                          "'a' is not a number"),
+                          ({"a": 1e308, "b": 1e308}, "total overflows")):
         with pytest.raises(ValueError) as err:
             NoiseBudget(2.0 * math.pi * 3.0, mu_abs2, ones)
-        assert str(err.value) == f"noise budget at 3.0 Hz is not finite: the {what} overflows"
+        assert str(err.value) == f"noise budget at 3.0 Hz is not finite: the {what}"
     # over a grid: the first bad point, and the first bad source there
     omegas = 2.0 * math.pi * np.array([1.0, 2.0, 4.0])
     mu_abs2 = {"a": np.array([1.0, 1.0, np.inf]), "b": np.array([1.0, np.nan, np.inf])}
     with pytest.raises(ValueError) as err:
         NoiseBudget(omegas, mu_abs2, {k: np.ones(3) for k in mu_abs2})
     assert str(err.value) == ("noise budget at 2.0 Hz is not finite: the |mu|^2 or "
-                              "contribution of source 'b' overflows")
+                              "contribution of source 'b' is not a number")
+
+
+def test_budget_refuses_sources_that_differ_and_negative_values():
+    omegas = 2.0 * math.pi * np.array([1.0, 2.0, 4.0])
+    for omega, one in ((2.0 * math.pi * 3.0, 1.0), (omegas, np.ones(3))):
+        for mu_abs2, sigma, odd in (({"a": one}, {"b": one}, "'a' has a |mu|^2 but no sigma"),
+                                    ({"a": one}, {"a": one, "b": 5 * one},
+                                     "'b' has a sigma but no |mu|^2")):
+            with pytest.raises(ValueError) as err:
+                NoiseBudget(omega, mu_abs2, sigma)
+            assert str(err.value) == f"noise source {odd}"
+    # a negative |mu|^2 or sigma, at the first point where any value is bad
+    with pytest.raises(ValueError) as err:
+        NoiseBudget(2.0 * math.pi * 3.0, {"a": -1.0, "b": 2.0}, {"a": 1.0, "b": 1.0})
+    assert str(err.value) == "noise budget at 3.0 Hz has a negative |mu|^2 for source 'a'"
+    with pytest.raises(ValueError) as err:
+        NoiseBudget(2.0 * math.pi * 3.0, {"a": 1.0, "b": 2.0}, {"a": 1.0, "b": -0.5})
+    assert str(err.value) == "noise budget at 3.0 Hz has a negative sigma for source 'b'"
+    mu_abs2 = {"a": np.array([1.0, -1.0, 1.0]), "b": np.array([1.0, 1.0, -2.0])}
+    sigma = {"a": np.array([1.0, -1.0, np.nan]), "b": np.ones(3)}
+    with pytest.raises(ValueError) as err:      # a's term and the total are 1 and 2
+        NoiseBudget(omegas, mu_abs2, sigma)
+    assert str(err.value) == "noise budget at 2.0 Hz has a negative |mu|^2 for source 'a'"
+    # a NaN over a grid is not a number, at its point
+    mu_abs2["a"][1] = sigma["a"][1] = 1.0
+    with pytest.raises(ValueError) as err:
+        NoiseBudget(omegas, mu_abs2, {"a": np.array([1.0, np.nan, 1.0]), "b": np.ones(3)})
+    assert str(err.value) == ("noise budget at 2.0 Hz is not finite: the |mu|^2 or "
+                              "contribution of source 'a' is not a number")
 
 
 def test_stage_budget_out_of_double_range_raises_value_error():
@@ -305,10 +337,11 @@ def test_stage_budget_out_of_double_range_raises_value_error():
     with pytest.raises(ValueError) as err:
         stage_added_noise(OpAmpStage(1e300, 1e-300, 1e-300, Feedback.inductive(1e-300)), 1e3)
     assert str(err.value) == f"stage at omega = 1000.0 rad/s {out_of_range}"
-    for stage, w, source in ((small_c, 1e308, "r"),     # |mu|^2 overflows
-                             (OpAmpStage(1e-300, 1e300, 1e300, Feedback.capacitive(1e-300)),
-                              1e3, "a")):               # the weight of a is NaN
+    for stage, w, source, what in (
+            (small_c, 1e308, "r", "overflows"),         # |mu|^2 overflows
+            (OpAmpStage(1e-300, 1e300, 1e300, Feedback.capacitive(1e-300)),
+             1e3, "a", "is not a number")):             # the weight of a is NaN
         with pytest.raises(ValueError) as err:
             stage_added_noise(stage, w)
         assert str(err.value) == (f"noise budget at {w / (2.0 * math.pi)!r} Hz is not finite: "
-                                  f"the |mu|^2 or contribution of source {source!r} overflows")
+                                  f"the |mu|^2 or contribution of source {source!r} {what}")
